@@ -12,27 +12,21 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, get_args, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .compare import coherent_overlap, momentum_density, wigner_momentum_marginal
-from .distribution import (
-    PathDistribution,
-    moments,
-    spatial_average,
-    stationary_grids,
-    time_average,
-)
+from .distribution import PathDistribution, moments, spatial_average, stationary_grids, time_average
 from .errors import (
     DivergentSampleError,
     DomainError,
@@ -44,20 +38,13 @@ from .errors import (
 from .phasor import integrand, phasor_curve, segment_windows, window_average_series
 from .quadrature import GridBundle, paper_grids, trapezoid, uniform_grid
 from .reconstruct import reconstruct
-from .systems import (
-    EigenstateSpec,
-    SystemKind,
-    SystemSpec,
-    circle,
-    eigenfunction,
-    free_line,
-    hard_wall,
-    harmonic_oscillator,
-    mass_parameter,
-    square_well,
-)
+from .systems import SHAPE_CONSTANT, EigenstateSpec, SystemKind, SystemSpec, eigenfunction, mass_parameter
 
 log = logging.getLogger("pathspectra")
+
+# Each runner gets ``write(name, header, columns)``, which writes one table
+# through `_emit` and records it in the manifest's output list.
+Writer = Callable[[str, Sequence[str], Sequence[np.ndarray]], None]
 
 PRESETS = ("fig1", "fig2", "fig7", "fig8", "fig9", "fig10")
 STAGES = ("phasor", "window", "distribution", "time-average", "reconstruct", "compare")
@@ -69,12 +56,13 @@ EXIT_SINGULAR = 4
 EXIT_IO = 5
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     """Flat bag of every knob a run can turn.
 
-    Optional fields left at ``None`` mean "let the module pick its default";
-    they come back filled in in the manifest when a preset pins them.
+    Optional fields left at ``None`` mean "let the module pick its default".
+    The manifest echoes the configuration as set (presets fill in the values
+    they pin); the grids a run actually used are reported under ``checks``.
     """
 
     system: str = "harmonic_oscillator"
@@ -92,61 +80,48 @@ class RunConfig:
     p_c_max: float | None = None
     delta_x_f: float | None = None
     x_f_span: float | None = None
-    delta_T: float = math.pi / 16.0
-    n_time: int = 32
+    delta_T: float | None = None
+    n_time: int | None = None
     n_p_floor: float | None = None
     n_p_slope: float | None = None
-    epsilon: float | None = None
     band_lo: float = 0.0
     band_hi: float | None = None
     segment_offset: float = 0.0
     out: str = "."
     format: str = "csv"
     threads: int = 0
-    seed: int = 0
 
 
-_INT_FIELDS = {"n_time", "threads", "seed"}
-_STR_FIELDS = {"system", "out", "format"}
-_OPTIONAL_FIELDS = {
-    "delta_p_c",
-    "p_c_lo",
-    "p_c_hi",
-    "p_c_max",
-    "delta_x_f",
-    "x_f_span",
-    "n_p_floor",
-    "n_p_slope",
-    "epsilon",
-    "band_hi",
+# field -> (value type, whether None is allowed), read off the annotations
+# (``float | None`` gives ``(float, NoneType)``)
+_FIELD_KINDS = {
+    name: ((get_args(hint) or (hint,))[0], type(None) in get_args(hint))
+    for name, hint in get_type_hints(RunConfig).items()
 }
-_SYSTEMS = ("free_line", "circle", "hard_wall", "square_well", "harmonic_oscillator")
+_SYSTEMS = tuple(kind.value for kind in SystemKind)
 
 
 def config_from_mapping(mapping: Mapping[str, object]) -> RunConfig:
     """Build a RunConfig from flat key/value pairs, rejecting unknown keys."""
     cfg = RunConfig()
-    known = {f.name for f in dataclasses.fields(RunConfig)}
     for key, raw in mapping.items():
-        if key not in known:
+        if key not in _FIELD_KINDS:
             raise UsageError(f"unknown configuration key {key!r}")
-        if key in _STR_FIELDS:
+        kind, optional = _FIELD_KINDS[key]
+        if kind is str:
             setattr(cfg, key, str(raw))
             continue
-        if isinstance(raw, str) and raw.strip().lower() in ("", "none"):
-            if key not in _OPTIONAL_FIELDS:
-                raise UsageError(f"configuration key {key!r} needs a value")
-            setattr(cfg, key, None)
-            continue
-        if raw is None:
-            if key not in _OPTIONAL_FIELDS:
+        if raw is None or str(raw).strip().lower() in ("", "none"):
+            if not optional:
                 raise UsageError(f"configuration key {key!r} needs a value")
             setattr(cfg, key, None)
             continue
         try:
-            value = int(str(raw)) if key in _INT_FIELDS else float(str(raw))
+            value = kind(str(raw))
         except ValueError as exc:
             raise UsageError(f"bad value for {key!r}: {raw!r}") from exc
+        if not math.isfinite(value):
+            raise UsageError(f"{key!r} must be finite, got {raw!r}")
         setattr(cfg, key, value)
     if cfg.format not in ("csv", "json"):
         raise UsageError(f"format must be csv or json, not {cfg.format!r}")
@@ -175,24 +150,16 @@ def parse_config_file(path: Path) -> dict[str, str]:
     return mapping
 
 
-def effective_config(cfg: RunConfig) -> dict[str, object]:
-    return dataclasses.asdict(cfg)
-
-
 def _resolve_threads(cfg: RunConfig) -> int:
     return cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
 
 
 def build_system(cfg: RunConfig) -> SystemSpec:
-    if cfg.system == "free_line":
-        return free_line(hbar=cfg.hbar, mass=cfg.mass)
-    if cfg.system == "circle":
-        return circle(cfg.radius, hbar=cfg.hbar, mass=cfg.mass)
-    if cfg.system == "hard_wall":
-        return hard_wall(hbar=cfg.hbar, mass=cfg.mass)
-    if cfg.system == "square_well":
-        return square_well(cfg.width, hbar=cfg.hbar, mass=cfg.mass)
-    return harmonic_oscillator(cfg.omega, hbar=cfg.hbar, mass=cfg.mass)
+    """The configured system, carrying the one shape constant its kind takes."""
+    kind = SystemKind(cfg.system)
+    shape = SHAPE_CONSTANT.get(kind)
+    constants = {shape: getattr(cfg, shape)} if shape else {}
+    return SystemSpec(kind, hbar=cfg.hbar, mass=cfg.mass, **constants)
 
 
 def build_state(cfg: RunConfig) -> EigenstateSpec:
@@ -207,10 +174,6 @@ def build_state(cfg: RunConfig) -> EigenstateSpec:
 # output plumbing
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _emit(
     out_dir: Path,
     name: str,
@@ -218,41 +181,30 @@ def _emit(
     columns: Sequence[np.ndarray],
     fmt: str,
 ) -> str:
-    """Write one data table as ``<name>.csv`` or ``<name>.json``; return the filename."""
-    cols = [np.asarray(c, dtype=float) for c in columns]
+    """Write one data table as ``<name>.csv`` or ``<name>.json``; return the filename.
+
+    A complex column fills two header slots: its real part, then its
+    imaginary part.
+    """
+    cols: list[list[float]] = []
+    for column in map(np.asarray, columns):
+        parts = (column.real, column.imag) if np.iscomplexobj(column) else (column.astype(float),)
+        cols += [part.tolist() for part in parts]
     if fmt == "json":
-        filename = f"{name}.json"
-        payload = {h: [float(v) for v in c] for h, c in zip(header, cols)}
-        (out_dir / filename).write_text(
-            json.dumps(payload, indent=1) + "\n", encoding="utf-8"
-        )
-        return filename
-    filename = f"{name}.csv"
-    lines = [",".join(header)]
-    for row in zip(*cols):
-        lines.append(",".join(_fmt(v) for v in row))
-    (out_dir / filename).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    log.debug("wrote %s (%d rows)", filename, cols[0].size)
+        filename, text = f"{name}.json", json.dumps(dict(zip(header, cols)), indent=1)
+    else:
+        rows = [",".join(format(v, ".17g") for v in row) for row in zip(*cols)]
+        filename, text = f"{name}.csv", "\n".join([",".join(header), *rows])
+    (out_dir / filename).write_text(text + "\n", encoding="utf-8")
+    log.debug("wrote %s (%d rows)", filename, len(cols[0]))
     return filename
-
-
-def _complex_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    arr = np.asarray(values, dtype=np.complex128)
-    return arr.real, arr.imag
 
 
 def _bundle_for(state: EigenstateSpec, cfg: RunConfig) -> GridBundle:
     """Grid bundle from config, deferring unset knobs to the module defaults."""
     if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
-        overrides: dict[str, float] = {}
-        for key in ("delta_p_c", "p_c_max", "delta_x_f", "x_f_span", "epsilon", "n_p_floor", "n_p_slope"):
-            value = getattr(cfg, key)
-            if value is not None:
-                overrides[key] = value
-        if cfg.delta_T != math.pi / 16.0:
-            overrides["delta_T"] = cfg.delta_T
-        if cfg.n_time != 32:
-            overrides["n_time"] = cfg.n_time
+        keys = ("delta_p_c", "p_c_max", "delta_x_f", "x_f_span", "delta_T", "n_time", "n_p_floor", "n_p_slope")
+        overrides = {key: getattr(cfg, key) for key in keys if getattr(cfg, key) is not None}
         return paper_grids(state, cfg.T, **overrides)
     span = None
     if cfg.p_c_lo is not None and cfg.p_c_hi is not None:
@@ -265,6 +217,17 @@ def _bundle_for(state: EigenstateSpec, cfg: RunConfig) -> GridBundle:
         x_window=cfg.x_f_span,
         delta_x_f=cfg.delta_x_f,
     )
+
+
+def _grid_report(bundle: GridBundle) -> dict[str, float]:
+    """The grid sizes a computation actually ran on, for the manifest."""
+    return {
+        "n_time": len(bundle.T_samples),
+        "x_f_nodes": int(bundle.x_f_grid.size),
+        "p_c_nodes": int(bundle.p_c_grid.size),
+        "n_p_floor": bundle.n_p_floor,
+        "n_p_slope": bundle.n_p_slope,
+    }
 
 
 def _curve_grid(state: EigenstateSpec, cfg: RunConfig) -> np.ndarray:
@@ -295,40 +258,70 @@ def _curve_grid(state: EigenstateSpec, cfg: RunConfig) -> np.ndarray:
     return uniform_grid(lo, center + 50.0 * h, step)
 
 
+def _marginal_table(write: Writer, name: str, n: int, system: SystemSpec, delta_p: float | None) -> float:
+    """Write the Wigner momentum marginal of level ``n`` as ``name``; return its
+    largest deviation from the closed-form momentum density.  Grids are in
+    oscillator units, which are exactly 1 for the presets' unit oscillator."""
+    reach = 5.0 * math.sqrt(2.0 * n + 1.0) + 1.0
+    scale_x = math.sqrt(system.hbar / (system.mass * system.omega))
+    scale_p = math.sqrt(system.hbar * system.mass * system.omega)
+    x_grid = uniform_grid(-reach * scale_x, reach * scale_x, 0.01 * scale_x)
+    p_step = (delta_p if delta_p is not None else 0.01) * scale_p
+    p_grid = uniform_grid(-reach * scale_p, reach * scale_p, p_step)
+    log.info("%s: Wigner momentum marginal n=%d (%d momenta)", name, n, p_grid.size)
+    marginal = np.asarray(
+        [wigner_momentum_marginal(n, float(p), system, x_grid) for p in p_grid]
+    )
+    write(name, ("p", "value"), (p_grid, marginal))
+    exact = np.asarray(momentum_density(n, p_grid, system))
+    return float(np.max(np.abs(marginal - exact)))
+
+
+def _overlap_table(write: Writer, name: str, n: int) -> float:
+    """Write |<alpha|n>|^2 for real alpha in [0, 3] as ``name``; return the
+    alpha of the largest overlap."""
+    alpha = uniform_grid(0.0, 3.0, 0.002)
+    overlap = np.asarray([coherent_overlap(n, float(a)) for a in alpha])
+    write(name, ("alpha", "value"), (alpha, overlap))
+    return float(alpha[int(np.argmax(overlap))])
+
+
 # ---------------------------------------------------------------------------
 # figure presets
 
+# Each preset fixes the first mapping of its pins whatever the configuration
+# says, and fills in the second where the key is left unset.
+_FREE_LINE_PINS = (
+    {"system": "free_line", "hbar": 1.0, "mass": 1.0, "quantum_number": 1.0, "T": 1.0e4, "x_f": 0.0},
+    {"delta_p_c": 1e-4, "p_c_lo": 0.5, "p_c_hi": 1.5},
+)
+_UNIT_OSCILLATOR_PINS = ({"system": "harmonic_oscillator", "hbar": 1.0, "mass": 1.0, "omega": 1.0}, {})
+_PINS = {
+    **dict.fromkeys(("fig1", "fig2"), _FREE_LINE_PINS),
+    **dict.fromkeys(("fig7", "fig8", "fig9", "fig10"), _UNIT_OSCILLATOR_PINS),
+}
 
-def _fig1(cfg: RunConfig, out_dir: Path) -> tuple[RunConfig, list[str], dict]:
-    cfg = dataclasses.replace(
-        cfg,
-        system="free_line",
-        hbar=1.0,
-        mass=1.0,
-        quantum_number=1.0,
-        T=1.0e4,
-        x_f=0.0,
-        delta_p_c=cfg.delta_p_c if cfg.delta_p_c is not None else 1e-4,
-        p_c_lo=cfg.p_c_lo if cfg.p_c_lo is not None else 0.5,
-        p_c_hi=cfg.p_c_hi if cfg.p_c_hi is not None else 1.5,
-    )
+
+def _pinned(command: str, cfg: RunConfig) -> RunConfig:
+    fixed, unset_only = _PINS.get(command, ({}, {}))
+    filled = {key: value for key, value in unset_only.items() if getattr(cfg, key) is None}
+    return dataclasses.replace(cfg, **fixed, **filled)
+
+
+def _fig1(cfg: RunConfig, write: Writer) -> dict:
     state = build_state(cfg)
     h = math.sqrt(1.0 / cfg.T)
     offset = cfg.segment_offset if cfg.segment_offset != 0.0 else h
     grid = uniform_grid(cfg.p_c_lo, cfg.p_c_hi, cfg.delta_p_c)
     log.info("fig1: phasor curve, %d samples", grid.size)
     curve = phasor_curve(state, cfg.x_f, cfg.T, grid)
-    re, im = _complex_table(curve.cumulative)
-    outputs = [_emit(out_dir, "fig1_curve", ("p_c", "re", "im"), (grid, re, im), cfg.format)]
+    write("fig1_curve", ("p_c", "re", "im"), (grid, curve.cumulative))
     centers, windows = segment_windows(
         state, cfg.x_f, cfg.T, offset, cfg.p_c_lo, cfg.p_c_hi
     )
-    wre, wim = _complex_table(windows)
-    outputs.append(
-        _emit(out_dir, "fig1_segments", ("p_c", "re", "im"), (centers, wre, wim), cfg.format)
-    )
+    write("fig1_segments", ("p_c", "re", "im"), (centers, windows))
     seg_sum = complex(np.sum(windows))
-    checks = {
+    return {
         "endpoint_re": float(curve.endpoint.real),
         "endpoint_im": float(curve.endpoint.imag),
         "endpoint_abs_error": abs(curve.endpoint - 1.0),
@@ -336,73 +329,46 @@ def _fig1(cfg: RunConfig, out_dir: Path) -> tuple[RunConfig, list[str], dict]:
         "segment_sum_re": seg_sum.real,
         "segment_sum_im": seg_sum.imag,
     }
-    return cfg, outputs, checks
 
 
-def _fig2(cfg: RunConfig, out_dir: Path) -> tuple[RunConfig, list[str], dict]:
-    cfg = dataclasses.replace(
-        cfg,
-        system="free_line",
-        hbar=1.0,
-        mass=1.0,
-        quantum_number=1.0,
-        T=1.0e4,
-        x_f=0.0,
-        delta_p_c=cfg.delta_p_c if cfg.delta_p_c is not None else 1e-4,
-        p_c_lo=cfg.p_c_lo if cfg.p_c_lo is not None else 0.5,
-        p_c_hi=cfg.p_c_hi if cfg.p_c_hi is not None else 1.5,
-    )
+def _fig2(cfg: RunConfig, write: Writer) -> dict:
     state = build_state(cfg)
-    grid = uniform_grid(cfg.p_c_lo, cfg.p_c_hi, cfg.delta_p_c)
+    bundle = _bundle_for(state, cfg)
+    grid = bundle.p_c_grid
     log.info("fig2: integrand and window series, %d samples", grid.size)
-    raw = np.asarray(integrand(state, grid, cfg.x_f, cfg.T))
-    re, im = _complex_table(raw)
-    outputs = [
-        _emit(out_dir, "fig2_integrand", ("p_c", "re", "im"), (grid, re, im), cfg.format)
-    ]
-    bundle = stationary_grids(
-        state, cfg.T, delta_p_c=cfg.delta_p_c, p_c_span=(cfg.p_c_lo, cfg.p_c_hi)
-    )
+    write("fig2_integrand", ("p_c", "re", "im"), (grid, integrand(state, grid, cfg.x_f, cfg.T)))
     averaged = window_average_series(state, grid, cfg.x_f, cfg.T, bundle)
-    are, aim = _complex_table(averaged)
-    outputs.append(
-        _emit(out_dir, "fig2_window", ("p_c", "re", "im"), (grid, are, aim), cfg.format)
-    )
+    write("fig2_window", ("p_c", "re", "im"), (grid, averaged))
     window_integral = trapezoid(grid, averaged)
-    checks = {
+    return {
         "window_series_integral_re": window_integral.real,
         "window_series_integral_im": window_integral.imag,
+        "grids": _grid_report(bundle),
     }
-    return cfg, outputs, checks
 
 
-def _fig7(cfg: RunConfig, out_dir: Path) -> tuple[RunConfig, list[str], dict]:
-    cfg = dataclasses.replace(cfg, system="harmonic_oscillator", hbar=1.0, mass=1.0, omega=1.0)
+def _fig7(cfg: RunConfig, write: Writer) -> dict:
     threads = _resolve_threads(cfg)
-    outputs: list[str] = []
     checks: dict[str, object] = {}
     for n in range(4):
         state = EigenstateSpec(build_system(cfg), n)
         bundle = _bundle_for(state, cfg)
         log.info("fig7: time-averaged distribution n=%d (threads=%d)", n, threads)
         dist = time_average(state, cfg.T, bundle, threads=threads)
-        re, im = _complex_table(dist.values)
-        outputs.append(
-            _emit(out_dir, f"fig7_n{n}", ("p_c", "re", "im"), (dist.p_c_grid, re, im), cfg.format)
-        )
+        write(f"fig7_n{n}", ("p_c", "re", "im"), (dist.p_c_grid, dist.values))
         checks[f"n{n}_moments"] = moments(dist)
         checks[f"n{n}_expected_peak"] = math.sqrt(2.0 * n + 1.0)
-    return cfg, outputs, checks
+        checks[f"n{n}_grids"] = _grid_report(bundle)
+    return checks
 
 
-def _fig8(cfg: RunConfig, out_dir: Path) -> tuple[RunConfig, list[str], dict]:
-    cfg = dataclasses.replace(cfg, system="harmonic_oscillator", hbar=1.0, mass=1.0, omega=1.0)
+def _fig8(cfg: RunConfig, write: Writer) -> dict:
     threads = _resolve_threads(cfg)
-    outputs: list[str] = []
     checks: dict[str, object] = {}
     for n in (0, 3):
         state = EigenstateSpec(build_system(cfg), n)
         bundle = _bundle_for(state, cfg)
+        checks[f"n{n}_grids"] = _grid_report(bundle)
         b_n = math.sqrt(2.0 * state.system.mass * state.energy)
         bands: list[tuple[float, float]] = [
             (0.0, 10.0),
@@ -413,17 +379,8 @@ def _fig8(cfg: RunConfig, out_dir: Path) -> tuple[RunConfig, list[str], dict]:
         for i, band in enumerate(bands):
             log.info("fig8: n=%d band (%.3f, %.3f)", n, band[0], band[1])
             rec = reconstruct(state, band, cfg.T, bundle, threads=threads)
-            re, im = _complex_table(rec.values)
-            outputs.append(
-                _emit(
-                    out_dir,
-                    f"fig8_n{n}_band{i}",
-                    ("x_f", "re", "im"),
-                    (rec.x_f_grid, re, im),
-                    cfg.format,
-                )
-            )
             key = f"n{n}_band{i}"
+            write(f"fig8_{key}", ("x_f", "re", "im"), (rec.x_f_grid, rec.values))
             checks[key + "_edges"] = list(band)
             checks[key + "_max_abs_dev_from_psi"] = float(
                 np.max(np.abs(rec.values - psi))
@@ -434,166 +391,106 @@ def _fig8(cfg: RunConfig, out_dir: Path) -> tuple[RunConfig, list[str], dict]:
                 checks[key + "_outside_turning_max"] = float(
                     np.max(np.abs(rec.values[outside])) if np.any(outside) else 0.0
                 )
-    return cfg, outputs, checks
+    return checks
 
 
-def _fig9(cfg: RunConfig, out_dir: Path) -> tuple[RunConfig, list[str], dict]:
-    cfg = dataclasses.replace(cfg, system="harmonic_oscillator", hbar=1.0, mass=1.0, omega=1.0)
+def _fig9(cfg: RunConfig, write: Writer) -> dict:
     system = build_system(cfg)
-    outputs: list[str] = []
-    checks: dict[str, object] = {}
-    for n in range(4):
-        reach = 5.0 * math.sqrt(2.0 * n + 1.0) + 1.0
-        x_grid = uniform_grid(-reach, reach, 0.01)
-        p_step = cfg.delta_p_c if cfg.delta_p_c is not None else 0.01
-        p_grid = uniform_grid(-reach, reach, p_step)
-        log.info("fig9: Wigner momentum marginal n=%d (%d momenta)", n, p_grid.size)
-        marginal = np.asarray(
-            [wigner_momentum_marginal(n, float(p), system, x_grid) for p in p_grid]
-        )
-        outputs.append(
-            _emit(out_dir, f"fig9_n{n}", ("p", "value"), (p_grid, marginal), cfg.format)
-        )
-        exact = np.asarray(momentum_density(n, p_grid, system))
-        checks[f"n{n}_max_abs_dev_from_closed_form"] = float(np.max(np.abs(marginal - exact)))
-    return cfg, outputs, checks
+    return {
+        f"n{n}_max_abs_dev_from_closed_form": _marginal_table(write, f"fig9_n{n}", n, system, cfg.delta_p_c)
+        for n in range(4)
+    }
 
 
-def _fig10(cfg: RunConfig, out_dir: Path) -> tuple[RunConfig, list[str], dict]:
-    cfg = dataclasses.replace(cfg, system="harmonic_oscillator", hbar=1.0, mass=1.0, omega=1.0)
-    alpha = uniform_grid(0.0, 3.0, 0.002)
-    outputs: list[str] = []
+def _fig10(cfg: RunConfig, write: Writer) -> dict:
     checks: dict[str, object] = {}
     for n in range(4):
-        values = np.asarray([coherent_overlap(n, float(a)) for a in alpha])
-        outputs.append(
-            _emit(out_dir, f"fig10_n{n}", ("alpha", "value"), (alpha, values), cfg.format)
-        )
-        checks[f"n{n}_argmax_alpha"] = float(alpha[int(np.argmax(values))])
+        checks[f"n{n}_argmax_alpha"] = _overlap_table(write, f"fig10_n{n}", n)
         checks[f"n{n}_expected_argmax"] = math.sqrt(n)
     checks["completeness_sum_alpha_1.5_n40"] = float(
         math.fsum(coherent_overlap(m, 1.5) for m in range(41))
     )
-    return cfg, outputs, checks
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # generic stages
 
 
-def _stage_phasor(cfg: RunConfig, out_dir: Path) -> tuple[RunConfig, list[str], dict]:
+def _stage_phasor(cfg: RunConfig, write: Writer) -> dict:
     state = build_state(cfg)
     grid = _curve_grid(state, cfg)
     log.info("phasor: %s curve, %d samples", cfg.system, grid.size)
     curve = phasor_curve(state, cfg.x_f, cfg.T, grid)
-    re, im = _complex_table(curve.cumulative)
-    outputs = [_emit(out_dir, "phasor", ("p_c", "re", "im"), (grid, re, im), cfg.format)]
+    write("phasor", ("p_c", "re", "im"), (grid, curve.cumulative))
     target = complex(eigenfunction(state, cfg.x_f))
-    checks = {
+    return {
         "endpoint_re": curve.endpoint.real,
         "endpoint_im": curve.endpoint.imag,
         "eigenfunction_re": target.real,
         "eigenfunction_im": target.imag,
         "endpoint_abs_error": abs(curve.endpoint - target),
     }
-    return cfg, outputs, checks
 
 
-def _stage_window(cfg: RunConfig, out_dir: Path) -> tuple[RunConfig, list[str], dict]:
+def _stage_window(cfg: RunConfig, write: Writer) -> dict:
     state = build_state(cfg)
     bundle = _bundle_for(state, cfg)
     grid = bundle.p_c_grid
     log.info("window: %s series, %d windows", cfg.system, grid.size)
     series = window_average_series(state, grid, cfg.x_f, cfg.T, bundle)
-    re, im = _complex_table(series)
-    outputs = [_emit(out_dir, "window", ("p_c", "re", "im"), (grid, re, im), cfg.format)]
+    write("window", ("p_c", "re", "im"), (grid, series))
     target = complex(eigenfunction(state, cfg.x_f))
     total = trapezoid(grid, series)
-    checks = {
+    return {
         "series_integral_re": total.real,
         "series_integral_im": total.imag,
         "eigenfunction_re": target.real,
         "eigenfunction_im": target.imag,
+        "grids": _grid_report(bundle),
     }
-    return cfg, outputs, checks
 
 
-def _stage_distribution(cfg: RunConfig, out_dir: Path) -> tuple[RunConfig, list[str], dict]:
+def _stage_distribution(
+    cfg: RunConfig, write: Writer, *, average: Callable[..., PathDistribution], name: str
+) -> dict:
+    """One P(p_c) stage: ``average`` (spatial or period) written to ``<name>``."""
     state = build_state(cfg)
     bundle = _bundle_for(state, cfg)
-    log.info("distribution: %s at T=%g", cfg.system, cfg.T)
-    dist = spatial_average(state, cfg.T, bundle, threads=_resolve_threads(cfg))
-    return cfg, *_emit_distribution(dist, "distribution", cfg, out_dir)
-
-
-def _emit_distribution(
-    dist: PathDistribution, name: str, cfg: RunConfig, out_dir: Path
-) -> tuple[list[str], dict]:
-    re, im = _complex_table(dist.values)
-    outputs = [
-        _emit(out_dir, name, ("p_c", "re", "im"), (dist.p_c_grid, re, im), cfg.format)
-    ]
-    checks: dict[str, object] = {"normalization_N": dist.normalization_N}
+    log.info("%s: %s at T=%g, %d T' sample(s)", name, cfg.system, cfg.T, len(bundle.T_samples))
+    dist = average(state, cfg.T, bundle, threads=_resolve_threads(cfg))
+    write(name, ("p_c", "re", "im"), (dist.p_c_grid, dist.values))
+    checks: dict[str, object] = {"normalization_N": dist.normalization_N, "grids": _grid_report(bundle)}
     try:
         checks["moments"] = moments(dist)
     except PathspectraError as exc:  # moments can be legitimately undefined
         checks["moments_error"] = str(exc)
-    return outputs, checks
+    return checks
 
 
-def _stage_time_average(cfg: RunConfig, out_dir: Path) -> tuple[RunConfig, list[str], dict]:
-    state = build_state(cfg)
-    bundle = _bundle_for(state, cfg)
-    log.info("time-average: n=%d over %d samples", int(cfg.quantum_number), len(bundle.T_samples))
-    dist = time_average(state, cfg.T, bundle, threads=_resolve_threads(cfg))
-    return cfg, *_emit_distribution(dist, "time-average", cfg, out_dir)
-
-
-def _stage_reconstruct(cfg: RunConfig, out_dir: Path) -> tuple[RunConfig, list[str], dict]:
+def _stage_reconstruct(cfg: RunConfig, write: Writer) -> dict:
     state = build_state(cfg)
     bundle = _bundle_for(state, cfg)
     band = None if cfg.band_hi is None else (cfg.band_lo, cfg.band_hi)
     log.info("reconstruct: %s band=%s", cfg.system, band if band else "full")
     rec = reconstruct(state, band, cfg.T, bundle, threads=_resolve_threads(cfg))
-    re, im = _complex_table(rec.values)
-    outputs = [
-        _emit(out_dir, "reconstruct", ("x_f", "re", "im"), (rec.x_f_grid, re, im), cfg.format)
-    ]
+    write("reconstruct", ("x_f", "re", "im"), (rec.x_f_grid, rec.values))
     psi = np.asarray(eigenfunction(state, rec.x_f_grid), dtype=np.complex128)
-    checks = {
+    return {
         "band": list(band) if band else "full",
         "max_abs_dev_from_psi": float(np.max(np.abs(rec.values - psi))),
+        "grids": _grid_report(bundle),
     }
-    return cfg, outputs, checks
 
 
-def _stage_compare(cfg: RunConfig, out_dir: Path) -> tuple[RunConfig, list[str], dict]:
+def _stage_compare(cfg: RunConfig, write: Writer) -> dict:
     if cfg.system != "harmonic_oscillator":
         raise DomainError("the compare stage is defined for the oscillator")
-    system = build_system(cfg)
     n = int(cfg.quantum_number)
-    reach = 5.0 * math.sqrt(2.0 * n + 1.0) + 1.0
-    scale_x = math.sqrt(cfg.hbar / (cfg.mass * cfg.omega))
-    scale_p = math.sqrt(cfg.hbar * cfg.mass * cfg.omega)
-    x_grid = uniform_grid(-reach * scale_x, reach * scale_x, 0.01 * scale_x)
-    p_step = (cfg.delta_p_c if cfg.delta_p_c is not None else 0.01) * scale_p
-    p_grid = uniform_grid(-reach * scale_p, reach * scale_p, p_step)
-    log.info("compare: n=%d marginal and overlap series", n)
-    marginal = np.asarray(
-        [wigner_momentum_marginal(n, float(p), system, x_grid) for p in p_grid]
-    )
-    alpha = uniform_grid(0.0, 3.0, 0.002)
-    overlap = np.asarray([coherent_overlap(n, float(a)) for a in alpha])
-    outputs = [
-        _emit(out_dir, "compare_marginal", ("p", "value"), (p_grid, marginal), cfg.format),
-        _emit(out_dir, "compare_overlap", ("alpha", "value"), (alpha, overlap), cfg.format),
-    ]
-    exact = np.asarray(momentum_density(n, p_grid, system))
-    checks = {
-        "marginal_max_abs_dev": float(np.max(np.abs(marginal - exact))),
-        "overlap_argmax_alpha": float(alpha[int(np.argmax(overlap))]),
+    return {
+        "marginal_max_abs_dev": _marginal_table(write, "compare_marginal", n, build_system(cfg), cfg.delta_p_c),
+        "overlap_argmax_alpha": _overlap_table(write, "compare_overlap", n),
     }
-    return cfg, outputs, checks
 
 
 _RUNNERS = {
@@ -605,37 +502,29 @@ _RUNNERS = {
     "fig10": _fig10,
     "phasor": _stage_phasor,
     "window": _stage_window,
-    "distribution": _stage_distribution,
-    "time-average": _stage_time_average,
+    "distribution": functools.partial(_stage_distribution, average=spatial_average, name="distribution"),
+    "time-average": functools.partial(_stage_distribution, average=time_average, name="time-average"),
     "reconstruct": _stage_reconstruct,
     "compare": _stage_compare,
 }
 
 
-def run_figure(preset: str, cfg: RunConfig) -> list[str]:
-    """Produce one paper figure's data files; returns the filenames written."""
-    if preset not in PRESETS:
-        raise UsageError(f"unknown figure preset {preset!r}")
-    return _run_command(preset, cfg)
-
-
-def run_stage(stage: str, cfg: RunConfig) -> list[str]:
-    """Run one generic pipeline stage; returns the filenames written."""
-    if stage not in STAGES:
-        raise UsageError(f"unknown stage {stage!r}")
-    return _run_command(stage, cfg)
-
-
 def _run_command(command: str, cfg: RunConfig) -> list[str]:
+    cfg = _pinned(command, cfg)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    effective, outputs, checks = _RUNNERS[command](cfg, out_dir)
+    outputs: list[str] = []
+
+    def write(name: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+        outputs.append(_emit(out_dir, name, header, columns, cfg.format))
+
+    checks = _RUNNERS[command](cfg, write)
     manifest = {
         "command": command,
         "version": __version__,
-        "effective_config": effective_config(effective),
-        "threads_used": _resolve_threads(effective),
+        "effective_config": dataclasses.asdict(cfg),
+        "threads_used": _resolve_threads(cfg),
         "outputs": outputs,
         "checks": checks,
         "runtime_seconds": round(time.perf_counter() - started, 3),
@@ -687,12 +576,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
             key, value = item.split("=", 1)
             mapping[key.strip()] = value.strip()
-        if args.out is not None:
-            mapping["out"] = args.out
-        if args.format is not None:
-            mapping["format"] = args.format
-        if args.threads is not None:
-            mapping["threads"] = args.threads
+        for key in ("out", "format", "threads"):
+            if getattr(args, key) is not None:
+                mapping[key] = getattr(args, key)
         cfg = config_from_mapping(mapping)
         _run_command(args.command, cfg)
     except UsageError as exc:

@@ -2,9 +2,12 @@
 
 Everything downstream integrates on grids built here.  Three things matter:
 
-* **Determinism.**  Reductions are compensated (``math.fsum`` over trapezoid
-  cells) and always run in ascending-abscissa order, so results are
-  bit-reproducible no matter how the evaluation work was parallelised.
+* **Determinism.**  Every reduction runs in a fixed order (ascending
+  abscissa), so results are bit-reproducible no matter how the evaluation
+  work was parallelised.  Only :func:`trapezoid` and :func:`compensated_sum`
+  are compensated (``math.fsum``); :func:`cumulative_trapezoid`
+  (``np.cumsum``) and the x_f average in ``distribution`` (``np.sum``) are
+  plain ordered sums.
 * **The inverse-square-root patch.**  Oscillator integrands carry a factor
   ``|p| / sqrt(p^2 - b^2)`` with ``b = M*omega*|x_f|`` that diverges
   (integrably) at ``|p| = b``.  Substituting ``v = sqrt(p^2 - b^2)`` turns
@@ -163,6 +166,11 @@ def paper_grids(state: EigenstateSpec, T: float, **overrides: float) -> GridBund
     energy = state.energy
 
     delta_x_f = float(overrides.pop("delta_x_f", 0.1))
+    delta_p_c = float(overrides.pop("delta_p_c", 0.02))
+    delta_T = float(overrides.pop("delta_T", math.pi / 16.0))
+    for name, step in (("delta_x_f", delta_x_f), ("delta_p_c", delta_p_c), ("delta_T", delta_T)):
+        if not step > 0:
+            raise DomainError(f"{name} must be positive, got {step}")
     x_span = float(overrides.pop("x_f_span", 5.0 * width * math.sqrt(system.hbar / (system.mass * system.omega))))
     m_steps = max(1, round(x_span / delta_x_f))
     x_f_grid = np.linspace(-m_steps * delta_x_f, m_steps * delta_x_f, 2 * m_steps + 1)
@@ -177,13 +185,13 @@ def paper_grids(state: EigenstateSpec, T: float, **overrides: float) -> GridBund
             ),
         )
     )
-    delta_p_c = float(overrides.pop("delta_p_c", 0.02))
     k_steps = max(1, round(p_c_max / delta_p_c))
     p_c_grid = np.linspace(-k_steps * delta_p_c, k_steps * delta_p_c, 2 * k_steps + 1)
 
-    delta_T = float(overrides.pop("delta_T", math.pi / 16.0))
     period = 2.0 * math.pi / system.omega
     n_time = int(overrides.pop("n_time", max(1, round(period / delta_T))))
+    if n_time < 1:
+        raise DomainError(f"n_time must be at least 1, got {n_time}")
     T_samples = tuple(T + (j + 0.5) * delta_T for j in range(n_time))
 
     bundle = GridBundle(

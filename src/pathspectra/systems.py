@@ -32,6 +32,7 @@ from .specfun import MAX_DEGREE, ho_eigenfunction
 __all__ = [
     "SystemKind",
     "SystemSpec",
+    "SHAPE_CONSTANT",
     "EigenstateSpec",
     "free_line",
     "circle",
@@ -63,6 +64,14 @@ class SystemKind(enum.Enum):
     HARMONIC_OSCILLATOR = "harmonic_oscillator"
 
 
+#: The one shape constant each kind takes; every other kind leaves all three unset.
+SHAPE_CONSTANT = {
+    SystemKind.HARMONIC_OSCILLATOR: "omega",
+    SystemKind.CIRCLE: "radius",
+    SystemKind.SQUARE_WELL: "width",
+}
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """A solvable system with its physical constants.
@@ -79,14 +88,13 @@ class SystemSpec:
     width: float | None = None
 
     def __post_init__(self) -> None:
+        for field in ("hbar", "mass", "omega", "radius", "width"):
+            value = getattr(self, field)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{field} must be finite, got {value}")
         if self.hbar <= 0 or self.mass <= 0:
             raise DomainError("hbar and mass must be positive")
-        needs = {
-            SystemKind.HARMONIC_OSCILLATOR: "omega",
-            SystemKind.CIRCLE: "radius",
-            SystemKind.SQUARE_WELL: "width",
-        }
-        for kind, field in needs.items():
+        for kind, field in SHAPE_CONSTANT.items():
             value = getattr(self, field)
             if self.kind is kind:
                 if value is None or value <= 0:
@@ -163,6 +171,8 @@ class EigenstateSpec:
     def __post_init__(self) -> None:
         q = self.quantum_number
         kind = self.system.kind
+        if not math.isfinite(q):
+            raise DomainError(f"quantum number must be finite, got {q}")
         if kind is SystemKind.HARD_WALL and not q > 0:
             raise DomainError("hard-wall states need wavenumber k > 0")
         if kind in (SystemKind.CIRCLE, SystemKind.SQUARE_WELL, SystemKind.HARMONIC_OSCILLATOR):

@@ -15,6 +15,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
 from scipy.signal import find_peaks
 
@@ -156,6 +157,7 @@ def test_circle_distribution_peaks_at_integer_angular_momenta():
     assert elapsed < 30.0
 
 
+@pytest.mark.slow
 def test_time_averaged_oscillator_peaks_sit_at_turning_point_momenta():
     T = 32.0 * math.pi
     for n in range(4):
@@ -187,6 +189,7 @@ def test_time_averaged_oscillator_peaks_sit_at_turning_point_momenta():
         assert elapsed < 600.0
 
 
+@pytest.mark.slow
 def test_band_limited_reconstruction_recovers_eigenfunctions():
     t0 = time.perf_counter()
     T = 32.0 * math.pi

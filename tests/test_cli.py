@@ -283,3 +283,111 @@ def test_time_average_bytes_identical_across_threads(tmp_path):
         assert _manifest(out, "time-average")["threads_used"] == threads
         blobs[threads] = (out / "time-average.csv").read_bytes()
     assert blobs[1] == blobs[2] == blobs[8]
+
+
+# ---------------------------------------------------------------------------
+# non-finite input, grid reports, and determinism of the other threaded stages
+
+SMALL_OSCILLATOR = ["--set", "delta_p_c=0.1", "--set", "p_c_max=2.5", "--set", "delta_x_f=0.25"]
+
+
+@pytest.mark.parametrize(
+    "key, value", [("T", "nan"), ("hbar", "inf"), ("delta_T", "-inf"), ("n_p_floor", "NaN")]
+)
+def test_non_finite_values_are_usage_errors(tmp_path, key, value):
+    with pytest.raises(UsageError, match="finite"):
+        config_from_mapping({key: value})
+    assert main(["distribution", "--set", f"{key}={value}", "--out", str(tmp_path)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "setting", ["delta_T=0", f"delta_T={-math.pi / 2}", "n_time=0", "delta_x_f=0", "delta_p_c=-0.1"]
+)
+def test_out_of_range_grid_steps_are_domain_errors(tmp_path, setting):
+    argv = ["time-average", "--set", "system=harmonic_oscillator", *SMALL_OSCILLATOR, "--set", setting]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_DOMAIN
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "sets, n_time",
+    [
+        ([f"delta_T={math.pi / 2}"], 4),
+        # n_time equal to the module's own default count must still be honoured
+        ([f"delta_T={math.pi / 8}", "n_time=32"], 32),
+    ],
+)
+def test_manifest_reports_the_time_samples_that_ran(tmp_path, sets, n_time):
+    argv = ["time-average", *SMALL_OSCILLATOR, "--threads", "2", "--out", str(tmp_path)]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == EXIT_OK
+    manifest = _manifest(tmp_path, "time-average")
+    assert manifest["checks"]["grids"] == {
+        "n_time": n_time,
+        "x_f_nodes": 41,
+        "p_c_nodes": 51,
+        "n_p_floor": 50.0,
+        "n_p_slope": 150.0,
+    }
+    # the configuration is echoed as set: unset knobs stay None
+    effective = manifest["effective_config"]
+    assert effective["delta_T"] == float(sets[0].split("=")[1])
+    assert effective["n_time"] == (32 if len(sets) == 2 else None)
+    assert "seed" not in effective and "epsilon" not in effective
+
+
+def test_multi_state_presets_report_grids_per_state(tmp_path):
+    code = main(
+        [
+            "fig7",
+            "--set", f"delta_T={math.pi}",
+            "--set", "delta_x_f=1.0",
+            "--set", "delta_p_c=0.1",
+            "--set", "n_p_floor=5",
+            "--set", "n_p_slope=5",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_OK
+    checks = _manifest(tmp_path, "fig7")["checks"]
+    for n in range(4):
+        grids = checks[f"n{n}_grids"]
+        rows = np.loadtxt(tmp_path / f"fig7_n{n}.csv", delimiter=",", skiprows=1)
+        assert grids["n_time"] == 2
+        assert grids["p_c_nodes"] == rows.shape[0]
+        assert grids["x_f_nodes"] == 2 * round(5.0 * math.sqrt(2 * n + 1)) + 1
+
+
+@pytest.mark.parametrize(
+    "command, sets",
+    [
+        (
+            "distribution",
+            ["system=hard_wall", "quantum_number=1", "T=100", "p_c_lo=-3", "p_c_hi=3"],
+        ),
+        ("reconstruct", [f"delta_T={math.pi / 2}", "band_hi=3"]),
+    ],
+)
+def test_threaded_stage_bytes_identical_across_threads(tmp_path, command, sets):
+    blobs = {}
+    for threads in (1, 2, 8):
+        out = tmp_path / f"t{threads}"
+        argv = [command, "--threads", str(threads), "--out", str(out)]
+        if command == "reconstruct":
+            argv += SMALL_OSCILLATOR
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_OK
+        assert _manifest(out, command)["threads_used"] == threads
+        blobs[threads] = (out / f"{command}.csv").read_bytes()
+    assert blobs[1] == blobs[2] == blobs[8]
+
+
+def test_compare_stage_tables_match_fig9_and_fig10(tmp_path):
+    for command in ("compare", "fig9", "fig10"):
+        out = tmp_path / command
+        assert main([command, "--set", "delta_p_c=0.25", "--out", str(out)]) == EXIT_OK
+    compare = tmp_path / "compare"
+    assert (compare / "compare_marginal.csv").read_bytes() == (tmp_path / "fig9" / "fig9_n0.csv").read_bytes()
+    assert (compare / "compare_overlap.csv").read_bytes() == (tmp_path / "fig10" / "fig10_n0.csv").read_bytes()

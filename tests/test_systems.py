@@ -43,6 +43,18 @@ def test_factories_reject_bad_constants():
         harmonic_oscillator(0.0)
     with pytest.raises(DomainError):
         free_line(mass=-2.0)
+    # NaN passes every ordered comparison, so non-finite values get their own check
+    for make in (
+        lambda: harmonic_oscillator(math.nan),
+        lambda: harmonic_oscillator(math.inf),
+        lambda: free_line(hbar=math.inf),
+        lambda: free_line(mass=math.nan),
+        lambda: circle(math.nan),
+        lambda: square_well(math.inf),
+        lambda: hard_wall(hbar=-math.inf),
+    ):
+        with pytest.raises(DomainError, match="finite"):
+            make()
 
 
 def test_irrelevant_constants_are_rejected():
@@ -64,6 +76,10 @@ def test_irrelevant_constants_are_rejected():
         (circle(), 0.5),
         (harmonic_oscillator(), -1),
         (harmonic_oscillator(), 65),
+        (circle(), math.nan),
+        (free_line(), math.inf),
+        (hard_wall(), math.inf),
+        (harmonic_oscillator(), math.nan),
     ],
 )
 def test_state_label_validation(system, bad_q):
