@@ -12,18 +12,28 @@ which is the generalized stationary-phase measure of how much the paths
 labelled ``p_c`` contribute.  ``m`` is the mass-like constant of the momentum
 variable (the moment of inertia for angular momentum on the circle).
 
-Two evaluation strategies coexist on purpose:
+Every window is closed-form, through one special-function primitive per
+system family:
 
 * For the systems whose exponent is exactly quadratic in ``p_c`` (free line,
-  circle, hard wall, square well) windows are *closed-form* via
-  :func:`~pathspectra.specfun.gaussian_phase_integral` -- no inner grid at all.
-* The oscillator integrand is not quadratic and carries integrable
-  ``1/sqrt`` divergences at ``|p_c| = M*omega*|x_f|``, so its windows are
-  integrated on the substituted grid (see
-  :func:`~pathspectra.quadrature.singular_window_integral`).  For whole series
-  of windows, :func:`window_average_series` builds one shared cumulative
-  antiderivative per ``(x_f, T)`` and differences it, which is the same
-  quadrature re-bracketed at a fraction of the cost.
+  circle, hard wall, square well) windows come from
+  :func:`~pathspectra.specfun.gaussian_phase_integral`.
+* The oscillator integrand carries integrable ``1/sqrt`` divergences at
+  ``|p_c| = M*omega*|x_f|``.  Substituting ``v = sqrt(p_c^2 - b^2)`` removes
+  them, and on each sign branch the starting point ``x0`` is linear in v
+  while the action is quadratic in it.  In ``xi = sqrt(M*omega/hbar) * x0``
+  the integrand is a column constant times a Hermite function times the
+  chirp ``exp(i*(q*xi^2 + r*xi))``, so the running integral at any window
+  edge is :func:`~pathspectra.specfun.hermite_phase_integral`.
+  :func:`window_average_series` differences it at all edges of a column
+  at once; its cost scales with the number of edges, not with a grid.
+
+The one exception is a column whose Hermite ladder would amplify round-off
+past ``_LADDER_TOLERANCE`` (high ``n`` far outside the turning points): it
+keeps the trapezoid rule, uniform in v with the spacing
+:meth:`~pathspectra.quadrature.GridBundle.inner_spacing`, the same cells as
+:func:`~pathspectra.quadrature.singular_window_integral`, which stays the
+reference oracle for both.
 """
 
 from __future__ import annotations
@@ -35,15 +45,21 @@ from typing import Callable
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .errors import DivergentSampleError, DomainError, SingularTimeError
-from .quadrature import (
-    GridBundle,
-    compensated_sum,
-    cumulative_trapezoid,
-    singular_window_integral,
+from .errors import DivergentSampleError, DomainError
+from .quadrature import GridBundle, compensated_sum, cumulative_trapezoid
+from .specfun import (
+    gaussian_phase_integral,
+    hermite_phase_gain,
+    hermite_phase_integral,
+    ho_eigenfunction,
 )
-from .specfun import gaussian_phase_integral, ho_eigenfunction
-from .systems import EigenstateSpec, SystemKind, maslov_index, mass_parameter
+from .systems import (
+    EigenstateSpec,
+    SystemKind,
+    maslov_index,
+    mass_parameter,
+    regular_sin,
+)
 
 __all__ = [
     "PhasorCurve",
@@ -57,6 +73,12 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 20  # phasor-curve evaluation chunk (keeps peak memory modest)
+
+# Largest ladder error bound G_n * eps (relative to the column's scale) that
+# the closed-form oscillator column accepts; the default inner grid's own
+# discretisation error is ~3e-7 of the column maximum, so columns below this
+# lose nothing by leaving the grid.
+_LADDER_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,9 +155,7 @@ def ho_regular_factor(
         raise DomainError("regular-factor split applies to the oscillator only")
     assert sys_.omega is not None
     hbar, m, omega = sys_.hbar, sys_.mass, sys_.omega
-    s = math.sin(omega * T)
-    if s == 0.0:
-        raise SingularTimeError(f"sin(omega*T) = 0 at T = {T!r}")
+    s = regular_sin(omega * T)
     mu = maslov_index(omega * T)
     c = math.cos(omega * T)
     n = int(state.quantum_number)
@@ -248,55 +268,88 @@ def window_average(
 ) -> NDArray[np.complex128] | complex:
     """Integrand averaged over the window ``[p_c - h, p_c + h]``, ``h = sqrt(hbar*m/T)``.
 
-    Quadratic systems evaluate the window in closed form; the oscillator
-    integrates each window on the substituted inner grid, patching the
-    divergences.  For many oscillator windows at once prefer
-    :func:`window_average_series`, which shares one cumulative table.
+    Closed-form for every system; the oscillator's windows are priced by
+    :func:`window_average_series`, which shares one antiderivative per
+    column.
     """
     if T <= 0:
         raise DomainError("travel time T must be positive")
-    _check_bundle(state, grids)
-    h = grids.window_halfwidth(T)
     pa = np.asarray(p_c, dtype=float)
     scalar = pa.ndim == 0
-    if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
-        gamma = _gamma(state, T)
-        out = np.zeros(pa.shape, dtype=np.complex128)
-        for pref, center in _plane_terms(state, x_f, T):
-            u = pa - center
-            out = out + pref * np.asarray(
-                gaussian_phase_integral(u - h, u + h, gamma), dtype=np.complex128
-            )
-        out = out / (2.0 * h)
-        return complex(out) if scalar else out
-    factor = ho_regular_factor(state, x_f, T)
-    dv = grids.inner_spacing(x_f, T)
-    flat = np.atleast_1d(pa)
-    vals = np.empty(flat.shape, dtype=np.complex128)
-    for i, p in enumerate(flat):
-        vals[i] = singular_window_integral(
-            p - h,
-            p + h,
-            x_f,
-            state.system,
-            factor,
-            inner_spacing=dv,
-            epsilon=grids.singular_epsilon,
-        ) / (2.0 * h)
-    return complex(vals[0]) if scalar else vals.reshape(pa.shape)
+    if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
+        out = window_average_series(state, pa.ravel(), x_f, T, grids)
+        return complex(out[0]) if scalar else out.reshape(pa.shape)
+    _check_bundle(state, grids)
+    h = grids.window_halfwidth(T)
+    gamma = _gamma(state, T)
+    out = np.zeros(pa.shape, dtype=np.complex128)
+    for pref, center in _plane_terms(state, x_f, T):
+        u = pa - center
+        out = out + pref * np.asarray(
+            gaussian_phase_integral(u - h, u + h, gamma), dtype=np.complex128
+        )
+    out = out / (2.0 * h)
+    return complex(out) if scalar else out
 
 
 def _ho_antiderivative_at(
-    state: EigenstateSpec, x_f: float, T: float, edges: NDArray, dv: float
+    state: EigenstateSpec, x_f: float, T: float, edges: NDArray, grids: GridBundle
 ) -> NDArray[np.complex128]:
     """Running integral of the oscillator integrand, sampled at ``edges``.
 
-    ``A(e) = int_{-P}^{e} integrand dp`` with ``P = max|edges|``, evaluated by
-    one trapezoid pass per sign of p on the substituted variable
-    ``v = sqrt(p^2 - b^2)`` (uniform spacing ``dv``), where the measure is
-    flat and the divergence disappears.  Within the excluded region the
-    running integral is constant.  Linear interpolation in v is exact through
-    the singular endpoints because the antiderivative is linear in v there.
+    ``A(e) = int integrand dp`` from the gap ``|p| < b = M*omega*|x_f|``
+    (where ``A = 0``) out to ``e``.  On branch ``sigma = sign(e)`` the
+    substitution ``xi = kappa*(x_f*cos(wT) - sigma*sin(wT)*v/(M*omega))``,
+    ``v = sqrt(e^2 - b^2)``, ``kappa = sqrt(M*omega/hbar)``, turns
+    ``factor(p) dv`` into ``-sigma*C * phi_n(xi) exp(i*(q*xi^2 + r*xi)) dxi``
+    with ``q = cot(wT)/2`` and ``r = -kappa*x_f/sin(wT)``, so
+    ``A(e) = -C * J_n(xi_b, xi(e))`` on both branches, ``xi_b = kappa*x_f*cos(wT)``.
+    Columns whose ladder gain exceeds ``_LADDER_TOLERANCE / eps`` fall back
+    to :func:`_ho_antiderivative_grid`.
+    """
+    sys_ = state.system
+    assert sys_.omega is not None
+    hbar, m, omega = sys_.hbar, sys_.mass, sys_.omega
+    n = int(state.quantum_number)
+    s = regular_sin(omega * T)
+    c = math.cos(omega * T)
+    kappa = math.sqrt(m * omega / hbar)
+    q = 0.5 * c / s
+    r = -kappa * x_f / s
+    if hermite_phase_gain(n, q, r) * np.finfo(float).eps > _LADDER_TOLERANCE:
+        return _ho_antiderivative_grid(state, x_f, T, edges, grids.inner_spacing(x_f, T))
+    b = m * omega * abs(x_f)
+    out = np.zeros(edges.shape, dtype=np.complex128)
+    live = np.abs(edges) >= b
+    if not np.any(live):
+        return out
+    e = edges[live]
+    v = np.sqrt(np.maximum(e * e - b * b, 0.0))
+    xi_b = kappa * x_f * c
+    xi = xi_b - np.sign(e) * (kappa * s / (m * omega)) * v
+    pref = complex(np.sqrt(abs(s) / (2j * np.pi * hbar * m * omega)))
+    phase = state.energy * T / hbar - 0.5 * np.pi * maslov_index(omega * T)
+    # pref * psi_n's kappa^(1/2) * the xi-independent action * dv/dxi
+    column = (
+        pref
+        * math.sqrt(kappa)
+        * complex(np.exp(1j * (phase + 0.5 * c * (kappa * x_f) ** 2 / s)))
+        * (m * omega / (kappa * s))
+    )
+    out[live] = -column * hermite_phase_integral(n, xi_b, xi, q, r)
+    return out
+
+
+def _ho_antiderivative_grid(
+    state: EigenstateSpec, x_f: float, T: float, edges: NDArray, dv: float
+) -> NDArray[np.complex128]:
+    """Grid form of :func:`_ho_antiderivative_at`, for columns the ladder cannot take.
+
+    One trapezoid pass per sign of p on ``v = sqrt(p^2 - b^2)`` (uniform
+    spacing ``dv``), where the measure is flat and the divergence
+    disappears.  Within the excluded region the running integral is
+    constant.  Linear interpolation in v is exact through the singular
+    endpoints because the antiderivative is linear in v there.
     """
     sys_ = state.system
     assert sys_.omega is not None
@@ -311,16 +364,15 @@ def _ho_antiderivative_at(
     p_side = np.sqrt(v * v + b * b)
     f_pos = cumulative_trapezoid(v, factor(p_side))
     f_neg = cumulative_trapezoid(v, factor(-p_side))
-    neg_total = f_neg[-1]
 
     ve = np.sqrt(np.maximum(edges * edges - b * b, 0.0))
-    out = np.full(edges.shape, neg_total, dtype=np.complex128)
+    out = np.zeros(edges.shape, dtype=np.complex128)
     pos = edges >= b
     neg = edges <= -b
     if np.any(pos):
-        out[pos] = neg_total + np.interp(ve[pos], v, f_pos)
+        out[pos] = np.interp(ve[pos], v, f_pos)
     if np.any(neg):
-        out[neg] = neg_total - np.interp(ve[neg], v, f_neg)
+        out[neg] = -np.interp(ve[neg], v, f_neg)
     return out
 
 
@@ -333,19 +385,20 @@ def window_average_series(
 ) -> NDArray[np.complex128]:
     """Window averages for a whole family of ``p_c`` values at fixed ``(x_f, T)``.
 
-    Same mathematical object as :func:`window_average` evaluated pointwise;
-    oscillator windows are differenced from one shared running integral
-    (identical cells, re-bracketed), making series evaluation O(grid) instead
-    of O(grid * windows).
+    The entry point for oscillator windows: each is differenced from one
+    running integral, evaluated in closed form at every window edge of the
+    column (see :func:`_ho_antiderivative_at`).  Other systems go through
+    :func:`window_average`.
     """
     pa = np.atleast_1d(np.asarray(p_c_values, dtype=float))
     if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
         return np.asarray(window_average(state, pa, x_f, T, grids), dtype=np.complex128)
     _check_bundle(state, grids)
+    if T <= 0:
+        raise DomainError("travel time T must be positive")
     h = grids.window_halfwidth(T)
-    dv = grids.inner_spacing(x_f, T)
     edges = np.concatenate([pa - h, pa + h])
-    a_vals = _ho_antiderivative_at(state, x_f, T, edges, dv)
+    a_vals = _ho_antiderivative_at(state, x_f, T, edges, grids)
     n = pa.size
     return (a_vals[n:] - a_vals[:n]) / (2.0 * h)
 

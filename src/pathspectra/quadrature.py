@@ -15,10 +15,15 @@ Everything downstream integrates on grids built here.  Three things matter:
   handles the divergence *and* automatically grades the p-spacing near the
   singular point.  The first v-cell freezes the regular factors at the
   singular point, giving the closed patch weight ``sqrt(eps*(eps + 2b))`` for
-  a patch of p-width eps.
+  a patch of p-width eps.  :func:`singular_window_integral` is that rule
+  window by window; the library's oscillator windows are closed-form (see
+  :mod:`pathspectra.phasor`) and use an inner v-grid only for the columns
+  whose Hermite ladder is unstable, so this function is the reference
+  oracle they are tested against.
 * **Grid recipes.**  :func:`paper_grids` packages the oscillator defaults
-  (32 midpoint time samples over one period, x_f out to 5*sqrt(2n+1), inner
-  momentum resolution growing with |x_f|) into a :class:`GridBundle`.
+  (32 midpoint time samples over one period, x_f out to 5*sqrt(2n+1), and
+  the fallback inner momentum resolution, growing with |x_f|) into a
+  :class:`GridBundle`.
 """
 
 from __future__ import annotations
@@ -101,11 +106,13 @@ class GridBundle:
 
     ``hbar_mass`` is the product of hbar with the mass-like constant of the
     momentum variable (M, or the moment of inertia for angular momentum); it
-    sets the window half-width ``sqrt(hbar_mass/T)``.  The inner integration
-    spacing is ``1/(n_p * sqrt(T))`` with ``n_p = max(n_p_floor,
-    n_p_slope * |x_f|)``, finer where the integrand oscillates faster.
-    ``singular_epsilon = None`` lets the singular patch default to a single
-    inner grid cell in the substituted (regularised) variable.
+    sets the window half-width ``sqrt(hbar_mass/T)``.  Oscillator windows
+    are closed-form; only the columns whose Hermite ladder would amplify
+    round-off too far (high ``n`` well outside the turning points) fall back
+    to a trapezoid in the substituted variable, with spacing
+    ``1/(n_p * sqrt(T))``, ``n_p = max(n_p_floor, n_p_slope * |x_f|)``, finer
+    where the integrand oscillates faster.  ``n_p_floor``/``n_p_slope`` set
+    that fallback spacing and nothing else.
     """
 
     p_c_grid: NDArray[np.float64]
@@ -114,7 +121,6 @@ class GridBundle:
     hbar_mass: float
     n_p_floor: float = 50.0
     n_p_slope: float = 0.0
-    singular_epsilon: float | None = None
 
     def __post_init__(self) -> None:
         if self.hbar_mass <= 0:
@@ -123,8 +129,6 @@ class GridBundle:
             raise DomainError("inner-resolution parameters must be positive")
         if len(self.T_samples) == 0 or any(t <= 0 for t in self.T_samples):
             raise DomainError("T_samples must be positive")
-        if self.singular_epsilon is not None and self.singular_epsilon <= 0:
-            raise DomainError("singular_epsilon must be positive when given")
         for name in ("p_c_grid", "x_f_grid"):
             g = getattr(self, name)
             if g.size < 2 or np.any(np.diff(g) <= 0):
@@ -150,10 +154,12 @@ def paper_grids(state: EigenstateSpec, T: float, **overrides: float) -> GridBund
     * ``x_f`` from ``-5*sqrt(2n+1)`` to ``+5*sqrt(2n+1)`` in steps of 0.1;
     * output momentum grid out to ``max(3*sqrt(2*M*E_n), M*omega*max|x_f| +
       10*sqrt(hbar*M/T))`` in steps of 0.02;
-    * inner resolution ``n_p = max(50, 150*|x_f|/sqrt(2n+1))``.
+    * fallback inner resolution ``n_p = max(50, 150*|x_f|/sqrt(2n+1))``
+      (used only by columns the closed form cannot take; see
+      :class:`GridBundle`).
 
     Keyword overrides: ``delta_p_c``, ``p_c_max``, ``delta_x_f``, ``x_f_span``,
-    ``delta_T``, ``n_time``, ``epsilon``, ``n_p_floor``, ``n_p_slope``.
+    ``delta_T``, ``n_time``, ``n_p_floor``, ``n_p_slope``.
     """
     system = state.system
     if system.kind is not SystemKind.HARMONIC_OSCILLATOR:
@@ -201,7 +207,6 @@ def paper_grids(state: EigenstateSpec, T: float, **overrides: float) -> GridBund
         hbar_mass=system.hbar * system.mass,
         n_p_floor=float(overrides.pop("n_p_floor", 50.0)),
         n_p_slope=float(overrides.pop("n_p_slope", 150.0 / width)),
-        singular_epsilon=overrides.pop("epsilon", None),
     )
     if overrides:
         raise DomainError(f"unknown grid overrides: {sorted(overrides)}")

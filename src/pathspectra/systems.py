@@ -10,7 +10,8 @@ Conventions that matter downstream:
   and well ``sin(kx)``) are deliberately *unnormalized*; the distribution
   layer divides by the window norm ``N = int |psi|^2`` so the choice cancels.
 * The oscillator kernel carries the Morse-index phase ``exp(-i pi/2 *
-  floor(omega T / pi))`` and is singular whenever ``sin(omega T) == 0``.
+  floor(omega T / pi))`` and is singular whenever ``sin(omega T) == 0``;
+  :func:`regular_sin` refuses every time within float resolution of one.
 * Bounded systems use image sums.  Those sums have unit-magnitude terms and
   converge only in the smeared sense, so the truncation count is an explicit
   argument with a documented default rather than something silently hidden.
@@ -43,6 +44,8 @@ __all__ = [
     "eigenfunction",
     "propagator",
     "maslov_index",
+    "regular_sin",
+    "SINGULAR_TIME_ULPS",
     "characteristic_x0",
     "ho_max_momentum",
     "ho_trajectory",
@@ -249,14 +252,38 @@ def eigenfunction(
     return complex(out) if xa.ndim == 0 else out
 
 
+#: ``|sin(omega*T)|`` at or below this many units in the last place of
+#: ``omega*T`` counts as a singular time.  Rounding ``omega*T`` moves its sine
+#: by up to half an ulp, so the threshold keeps ``sin(omega*T)`` -- and the
+#: ``1/sin`` that scales every oscillator phase -- good to 2^-27 relative.
+SINGULAR_TIME_ULPS = 2.0**26
+
+
+def regular_sin(omega_T: float) -> float:
+    """``sin(omega*T)``, refused near the oscillator's singular times.
+
+    Raises :class:`SingularTimeError` when ``|sin(omega*T)| <=
+    SINGULAR_TIME_ULPS * ulp(omega*T)``: there the sign of the sine, and the
+    size of the ``1/sin`` terms in the kernel, are set by rounding rather
+    than by the input.  Near ``omega*T = 32*pi`` the threshold is 9.5e-7, so
+    ``32*pi + 1e-12`` is refused while ``32*pi + pi/128`` (``|sin| = 0.025``)
+    is far from it.
+    """
+    s = math.sin(omega_T)
+    if abs(s) <= SINGULAR_TIME_ULPS * math.ulp(omega_T):
+        raise SingularTimeError(
+            f"oscillator singular at omega*T = {omega_T!r}: |sin| = {abs(s):.3g} "
+            "is within float resolution of 0"
+        )
+    return s
+
+
 def maslov_index(omega_T: float) -> int:
     """Morse/caustic count ``floor(omega*T/pi)`` for the oscillator kernel."""
     if omega_T <= 0:
         raise DomainError("omega*T must be positive")
-    ratio = omega_T / np.pi
-    if ratio == np.floor(ratio) or np.sin(omega_T) == 0.0:
-        raise SingularTimeError(f"kernel singular at omega*T = {omega_T!r} (multiple of pi)")
-    return int(np.floor(ratio))
+    regular_sin(omega_T)  # refuses the singular times, where the count jumps
+    return int(np.floor(omega_T / np.pi))
 
 
 def _free_kernel(
@@ -284,7 +311,8 @@ def propagator(
     :func:`default_winding_terms` when a momentum scale is known.
 
     The oscillator kernel includes the Morse-index phase and raises
-    :class:`SingularTimeError` at ``sin(omega*T) == 0``, where the classical
+    :class:`SingularTimeError` at ``sin(omega*T) == 0`` (to within
+    :func:`regular_sin`'s float-resolution threshold), where the classical
     flow focuses and the kernel degenerates to a delta function.
     """
     if T <= 0:
@@ -324,9 +352,7 @@ def propagator(
     else:  # harmonic oscillator, Mehler form with Morse phase
         assert system.omega is not None
         omega = system.omega
-        s = np.sin(omega * T)
-        if s == 0.0:
-            raise SingularTimeError(f"oscillator kernel singular at T = {T!r}")
+        s = regular_sin(omega * T)
         mu = maslov_index(omega * T)
         c = np.cos(omega * T)
         amp = np.sqrt(mass * omega / (2j * np.pi * hbar * np.abs(s)))
@@ -382,9 +408,7 @@ def characteristic_x0(
     elif kind is SystemKind.HARMONIC_OSCILLATOR:
         assert system.omega is not None
         omega = system.omega
-        s = np.sin(omega * T)
-        if s == 0.0:
-            raise SingularTimeError(f"no unique trajectory at sin(omega*T) = 0, T = {T!r}")
+        s = regular_sin(omega * T)
         b = system.mass * omega * abs(xf)
         if np.any(np.abs(pa) < b):
             raise ExcludedRegionError(
@@ -410,11 +434,9 @@ def ho_max_momentum(system: SystemSpec, x0: float, xf: float, T: float) -> float
         raise DomainError("max-momentum label applies to the oscillator only")
     assert system.omega is not None
     omega = system.omega
-    s = math.sin(omega * T)
     if T <= 0:
         raise DomainError("travel time T must be positive")
-    if s == 0.0:
-        raise SingularTimeError(f"trajectory undefined at sin(omega*T) = 0, T = {T!r}")
+    s = regular_sin(omega * T)
     c = math.cos(omega * T)
     return (
         system.mass
@@ -434,9 +456,7 @@ def ho_trajectory(
     omega = system.omega
     if T <= 0:
         raise DomainError("travel time T must be positive")
-    s = math.sin(omega * T)
-    if s == 0.0:
-        raise SingularTimeError(f"trajectory undefined at sin(omega*T) = 0, T = {T!r}")
+    s = regular_sin(omega * T)
     ta = np.asarray(t, dtype=float)
     if np.any(ta < 0.0) or np.any(ta > T):
         raise DomainError("sample times must lie in [0, T]")
@@ -458,9 +478,7 @@ def ho_action(
     omega = system.omega
     if T <= 0:
         raise DomainError("travel time T must be positive")
-    s = math.sin(omega * T)
-    if s == 0.0:
-        raise SingularTimeError(f"action undefined at sin(omega*T) = 0, T = {T!r}")
+    s = regular_sin(omega * T)
     c = math.cos(omega * T)
     m = system.mass
     pa = np.asarray(p_c, dtype=float)

@@ -186,7 +186,7 @@ def test_time_averaged_oscillator_peaks_sit_at_turning_point_momenta():
         assert abs(m["norm"] - 1.0) <= 2e-2
         assert m["max_im_ratio"] <= 1e-2
         assert float(re.min()) >= -1e-2 * float(re.max())
-        assert elapsed < 600.0
+        assert elapsed < 300.0
 
 
 @pytest.mark.slow
@@ -224,7 +224,7 @@ def test_band_limited_reconstruction_recovers_eigenfunctions():
         assert out_max <= 5e-2 * full_max
     elapsed = time.perf_counter() - t0
     print(f"[acceptance] reconstruction: ({elapsed:.0f}s)")
-    assert elapsed < 900.0
+    assert elapsed < 180.0
 
 
 def test_singular_window_sum_reproduces_oscillator_eigenfunctions():

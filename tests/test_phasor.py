@@ -9,8 +9,10 @@ import pytest
 from scipy.signal import find_peaks
 
 import pathspectra as ps
-from pathspectra.errors import DivergentSampleError, DomainError
+from pathspectra import phasor
+from pathspectra.errors import DivergentSampleError, DomainError, SingularTimeError
 from pathspectra.phasor import (
+    ho_regular_factor,
     integrand,
     phasor_curve,
     segment_sum_check,
@@ -18,7 +20,8 @@ from pathspectra.phasor import (
     window_average,
     window_average_series,
 )
-from pathspectra.quadrature import GridBundle, paper_grids
+from pathspectra.quadrature import GridBundle, paper_grids, singular_window_integral
+from pathspectra.specfun import hermite_phase_gain
 
 T_LONG = 1.0e4
 H_LONG = math.sqrt(1.0 / T_LONG)          # window half-width at T = 1e4, hbar*M = 1
@@ -27,13 +30,15 @@ FREE = ps.free_line()
 K1 = ps.EigenstateSpec(system=FREE, quantum_number=1.0)
 
 
-def _bundle(T: float, hbar_mass: float = 1.0) -> GridBundle:
-    # minimal bundle: only T_samples / hbar_mass matter for window averages
+def _bundle(T: float, hbar_mass: float = 1.0, n_p_floor: float = 50.0) -> GridBundle:
+    # minimal bundle: only T_samples / hbar_mass (and, for oscillator columns
+    # the closed form cannot take, n_p_floor) matter for window averages
     return GridBundle(
         p_c_grid=np.array([0.0, 1.0]),
         x_f_grid=np.array([0.0, 1.0]),
         T_samples=(T,),
         hbar_mass=hbar_mass,
+        n_p_floor=n_p_floor,
     )
 
 
@@ -182,6 +187,72 @@ def test_window_series_matches_pointwise_oscillator():
     ser = window_average_series(st, pvals, 0.9, T, g)
     pts = np.array([window_average(st, float(p), 0.9, T, g) for p in pvals])
     assert np.max(np.abs(ser - pts)) < 5e-6 * np.max(np.abs(pts))
+
+
+# |sin(omega*T)| = 0.1, 0.7 (on a half period where sin < 0) and 1.0
+SIN_TIMES = (
+    32.0 * math.pi + math.asin(0.1),
+    33.0 * math.pi + math.asin(0.7),
+    32.5 * math.pi,
+)
+# turning point kappa*|x_f| = sqrt(2n+1): 0.3 of it is inside, 1.5 outside;
+# the closed form covers n <= 8 everywhere and high n inside, the grid
+# fallback takes n = 16, 32, 64 outside
+OSCILLATOR_COLUMNS = [
+    (n, frac, frac < 1.0 or n <= 8)
+    for n in (0, 1, 2, 3, 8, 16, 32, 64)
+    for frac in (0.3, 1.5)
+]
+
+
+@pytest.mark.parametrize("n, frac, closed", OSCILLATOR_COLUMNS)
+def test_window_series_matches_singular_oracle(n, frac, closed):
+    """Closed-form (or fallback) columns against the per-window v-grid oracle.
+
+    Windows include one straddling each divergence ``+-b`` and one at each
+    turning momentum; the oracle runs at 1/8 of the default inner spacing,
+    where its own error is ~1e-8 of the column maximum.
+    """
+    st = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=n)
+    x_f = -frac * math.sqrt(2 * n + 1)
+    b = abs(x_f)
+    for T in SIN_TIMES:
+        s = math.sin(T)
+        gain = hermite_phase_gain(n, 0.5 * math.cos(T) / s, -x_f / s)
+        assert (gain * np.finfo(float).eps <= phasor._LADDER_TOLERANCE) == closed
+        h = math.sqrt(1.0 / T)
+        turning = max(math.sqrt(2 * n + 1), b + 5 * h)
+        pvals = np.array([-turning, -b - 3 * h, -b - 0.4 * h, b + 0.4 * h, b + 3 * h, turning])
+        dv = 1.0 / (8 * 150.0 * max(1.0, b) * math.sqrt(T))
+        factor = ho_regular_factor(st, x_f, T)
+        oracle = np.array(
+            [
+                singular_window_integral(p - h, p + h, x_f, st.system, factor, inner_spacing=dv)
+                for p in pvals
+            ]
+        ) / (2.0 * h)
+        # fallback columns integrate at the oracle's spacing
+        got = window_average_series(st, pvals, x_f, T, _bundle(T, n_p_floor=8 * 150.0 * max(1.0, b)))
+        rel = np.max(np.abs(got - oracle)) / np.max(np.abs(oracle))
+        assert rel < 2e-7, (T, rel)
+
+
+def test_closed_form_windows_ignore_the_inner_grid():
+    st = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=3)
+    T = 32.0 * math.pi + 0.4
+    pvals = np.linspace(-6.0, 6.0, 61)
+    coarse = window_average_series(st, pvals, 1.3, T, _bundle(T, n_p_floor=1.0))
+    fine = window_average_series(st, pvals, 1.3, T, _bundle(T, n_p_floor=1e4))
+    assert np.array_equal(coarse, fine)
+
+
+def test_oscillator_windows_refuse_near_singular_times():
+    st = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=1)
+    T = 32.0 * math.pi + 1e-12
+    with pytest.raises(SingularTimeError):
+        window_average_series(st, np.array([0.5, 1.0]), 0.3, T, _bundle(T))
+    with pytest.raises(SingularTimeError):
+        ho_regular_factor(st, 0.3, T)
 
 
 def test_window_consistency_with_full_integral():

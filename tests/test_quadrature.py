@@ -71,7 +71,6 @@ def test_grid_bundle_rejects_descending_grids():
             hbar_mass=1.0,
             n_p_floor=50.0,
             n_p_slope=150.0,
-            singular_epsilon=None,
         )
 
 
@@ -83,7 +82,6 @@ def test_grid_bundle_spacings():
         hbar_mass=2.0,
         n_p_floor=50.0,
         n_p_slope=150.0,
-        singular_epsilon=None,
     )
     assert bundle.window_halfwidth(8.0) == pytest.approx(0.5)
     # the slope term takes over once 150*|x_f| exceeds the floor

@@ -1,4 +1,4 @@
-"""Special-function layer: recurrences against scipy, Fresnel against quad."""
+"""Special-function layer: recurrences against scipy, Fresnel and Hermite chirps against quad."""
 
 from __future__ import annotations
 
@@ -14,6 +14,8 @@ from pathspectra.specfun import (
     MAX_DEGREE,
     gaussian_phase_integral,
     hermite,
+    hermite_phase_gain,
+    hermite_phase_integral,
     ho_eigenfunction,
     laguerre,
 )
@@ -110,3 +112,62 @@ def test_gaussian_phase_integral_broadcasts():
     out = gaussian_phase_integral(a, a + 0.5, 1.3)
     assert out.shape == (3,)
     assert out[1] == pytest.approx(gaussian_phase_integral(1.0, 1.5, 1.3), rel=1e-14)
+
+
+def _chirp_oracle(n: int, lo: float, hi: float, q: float, r: float) -> complex:
+    def f(u: float) -> complex:
+        return ho_eigenfunction(n, u) * complex(np.exp(1j * (q * u * u + r * u)))
+
+    re = quad(lambda u: f(u).real, lo, hi, limit=800, epsabs=1e-14)[0]
+    im = quad(lambda u: f(u).imag, lo, hi, limit=800, epsabs=1e-14)[0]
+    return re + 1j * im
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 16, 32, 64])
+def test_hermite_phase_integral_against_quad(n):
+    # phi_n is ho_eigenfunction in units hbar = M = omega = 1; |r| stays
+    # small enough that the ladder gain is at most a few hundred
+    rng = np.random.default_rng(100 + n)
+    for q, r in ((0.0, 0.0), (0.3, -0.9), (-4.7, 2.5), (1.2, 0.4)):
+        lo, hi = sorted(rng.uniform(-1.3, 1.3) * math.sqrt(2 * n + 1) + np.array([-1.5, 1.0]))
+        got = hermite_phase_integral(n, lo, hi, q, r)
+        want = _chirp_oracle(n, lo, hi, q, r)
+        bound = 1e-12 * hermite_phase_gain(n, q, r)
+        assert abs(got - want) < max(bound, 1e-12), (q, r, abs(got - want))
+
+
+def test_hermite_phase_integral_whole_line_is_the_fourier_transform():
+    # int phi_n(xi) e^{i*r*xi} dxi = sqrt(2*pi) i^n phi_n(r): the Hermite
+    # functions are eigenfunctions of the Fourier transform
+    for n in (0, 3, 8):
+        for r in (0.0, 0.8, -2.1):
+            got = hermite_phase_integral(n, -40.0, 40.0, 0.0, r)
+            want = math.sqrt(2.0 * math.pi) * 1j**n * ho_eigenfunction(n, r)
+            assert abs(got - want) < 1e-13
+
+
+def test_hermite_phase_integral_broadcasts_a_scalar_bound():
+    hi = np.array([-0.5, 0.2, 1.7])
+    out = hermite_phase_integral(3, -1.0, hi, 0.4, -1.1)
+    assert out.shape == (3,)
+    assert out[2] == pytest.approx(hermite_phase_integral(3, -1.0, 1.7, 0.4, -1.1), rel=1e-14)
+    # additive over adjacent intervals
+    split = hermite_phase_integral(3, -1.0, 0.2, 0.4, -1.1) + hermite_phase_integral(
+        3, 0.2, 1.7, 0.4, -1.1
+    )
+    assert split == pytest.approx(out[2], rel=1e-13)
+
+
+def test_hermite_phase_gain_is_the_ladder_product():
+    assert hermite_phase_gain(0, 0.3, 50.0) == 1.0
+    # |r|/sqrt(1+4q^2) = 3: steps k = 0..3 amplify by 3/sqrt((k+1)/2) > 1
+    q = 0.75
+    r = 3.0 * math.sqrt(1.0 + 4.0 * q * q)
+    want = math.prod(3.0 / math.sqrt((k + 1) / 2.0) for k in range(4))
+    assert hermite_phase_gain(4, q, r) == pytest.approx(want, rel=1e-14)
+    # steps past (k+1)/2 >= 9 no longer amplify
+    assert hermite_phase_gain(40, q, r) == pytest.approx(
+        math.prod(max(1.0, 3.0 / math.sqrt((k + 1) / 2.0)) for k in range(40)), rel=1e-14
+    )
+    with pytest.raises(DomainError):
+        hermite_phase_gain(MAX_DEGREE + 1, 0.0, 0.0)

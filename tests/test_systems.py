@@ -23,11 +23,13 @@ from pathspectra.systems import (
     free_line,
     hard_wall,
     harmonic_oscillator,
+    ho_action,
     ho_max_momentum,
     ho_trajectory,
     mass_parameter,
     maslov_index,
     propagator,
+    regular_sin,
     square_well,
 )
 
@@ -187,6 +189,35 @@ def test_oscillator_kernel_singular_times():
         propagator(sys_, 0.0, 1.0, math.pi)
     with pytest.raises(SingularTimeError):
         maslov_index(2.0 * math.pi)
+
+
+def test_near_singular_times_are_refused():
+    # |sin| = 1e-12 is below the float resolution threshold at omega*T ~ 100
+    sys_ = harmonic_oscillator()
+    T = 32.0 * math.pi + 1e-12
+    calls = (
+        lambda: propagator(sys_, 0.0, 1.0, T),
+        lambda: maslov_index(T),
+        lambda: characteristic_x0(sys_, 2.0, 0.5, T),
+        lambda: ho_max_momentum(sys_, 0.1, 0.5, T),
+        lambda: ho_trajectory(sys_, 0.1, 0.5, T, 1.0),
+        lambda: ho_action(sys_, 2.0, 0.5, T),
+        lambda: regular_sin(T),
+    )
+    for call in calls:
+        with pytest.raises(SingularTimeError):
+            call()
+    # the same refusal at omega != 1 and on the far side of the singular time
+    with pytest.raises(SingularTimeError):
+        propagator(harmonic_oscillator(2.5), 0.0, 1.0, (7.0 * math.pi - 3e-13) / 2.5)
+
+
+def test_time_samples_clear_of_the_singular_threshold():
+    # midpoint samples of the finest grids in use sit pi/128 from a singular
+    # time; short times are not singular at all (the free-particle limit)
+    for omega_T in (32.0 * math.pi + math.pi / 128, 512.0 * math.pi - math.pi / 128, 2e-4, 1e-12):
+        assert regular_sin(omega_T) == math.sin(omega_T)
+    assert abs(propagator(harmonic_oscillator(), 0.0, 1.0, 32.0 * math.pi + 1e-4)) > 0
 
 
 def test_maslov_index_counts_half_periods():
