@@ -269,9 +269,7 @@ def _marginal_table(write: Writer, name: str, n: int, system: SystemSpec, delta_
     p_step = (delta_p if delta_p is not None else 0.01) * scale_p
     p_grid = uniform_grid(-reach * scale_p, reach * scale_p, p_step)
     log.info("%s: Wigner momentum marginal n=%d (%d momenta)", name, n, p_grid.size)
-    marginal = np.asarray(
-        [wigner_momentum_marginal(n, float(p), system, x_grid) for p in p_grid]
-    )
+    marginal = wigner_momentum_marginal(n, p_grid, system, x_grid)
     write(name, ("p", "value"), (p_grid, marginal))
     exact = np.asarray(momentum_density(n, p_grid, system))
     return float(np.max(np.abs(marginal - exact)))

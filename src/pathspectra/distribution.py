@@ -17,6 +17,12 @@ the phase-like eigenfunctions (free line, circle) the conjugate weight cancels
 the only x_f dependence of the window average exactly, and the quotient of
 integrals collapses to the window kernel itself -- ``spatial_average`` uses
 that collapsed form unless asked not to (``method="grid"``).
+
+Cost note: for the four stationary systems the ``(x_f, p_c)`` stack of window
+averages prices one Fresnel kernel per plane term and scales it by per-x_f
+prefactors (see :func:`~pathspectra.phasor.window_average`), so only the
+oscillator's x_f columns are farmed to the ``threads`` pool.  The x_f
+reduction is an ordered ``np.sum`` over the weighted stack.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateDistributionError, DomainError
-from .phasor import window_average_series
+from .phasor import window_average, window_average_series
 from .quadrature import GridBundle, trapezoid, uniform_grid
 from .systems import EigenstateSpec, SystemKind, eigenfunction, mass_parameter
 
@@ -101,19 +107,19 @@ def stationary_grids(
     get a finite window (hard wall: snapped to half-periods of the standing
     wave so the boundary cross terms cancel identically).
     """
-    if T <= 0:
-        raise DomainError("travel time T must be positive")
+    if not (math.isfinite(T) and T > 0):
+        raise DomainError(f"travel time T must be positive and finite, got {T}")
     system = state.system
     kind = system.kind
     if kind is SystemKind.HARMONIC_OSCILLATOR:
         raise DomainError("oscillator runs use paper_grids, not stationary_grids")
-    if tail_budget <= 0:
-        raise DomainError("tail_budget must be positive")
+    if not (math.isfinite(tail_budget) and tail_budget > 0):
+        raise DomainError(f"tail_budget must be positive and finite, got {tail_budget}")
     hbar_mass = system.hbar * mass_parameter(system)
     h = math.sqrt(hbar_mass / T)
     step = h / 10.0 if delta_p_c is None else float(delta_p_c)
-    if step <= 0:
-        raise DomainError("delta_p_c must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise DomainError(f"delta_p_c must be positive and finite, got {step}")
 
     k = state.quantum_number if kind is not SystemKind.SQUARE_WELL else state.wavenumber
     if kind is SystemKind.CIRCLE:
@@ -156,8 +162,8 @@ def stationary_grids(
     else:
         wavelength_scale = abs(float(k)) if float(k) != 0.0 else 1.0
         x_max = 8.0 * math.pi / wavelength_scale if x_window is None else float(x_window)
-        if x_max <= 0:
-            raise DomainError("x_window must be positive")
+        if not (math.isfinite(x_max) and x_max > 0):
+            raise DomainError(f"x_window must be positive and finite, got {x_max}")
         if kind is SystemKind.HARD_WALL:
             # snap to an integer number of standing-wave half-periods
             half = math.pi / float(k)
@@ -205,16 +211,20 @@ def _grid_average(
     psi = _psi_values(state, x_grid)
     norm = trapezoid(x_grid, (psi.conj() * psi).real).real
     weights = _trapezoid_weights(x_grid) * psi.conj()
+    if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
 
-    def column(j: int) -> NDArray[np.complex128]:
-        return window_average_series(state, grids.p_c_grid, float(x_grid[j]), T, grids)
+        def column(j: int) -> NDArray[np.complex128]:
+            return window_average_series(state, grids.p_c_grid, float(x_grid[j]), T, grids)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            columns = list(pool.map(column, range(x_grid.size)))
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                columns = list(pool.map(column, range(x_grid.size)))
+        else:
+            columns = [column(j) for j in range(x_grid.size)]
+        stacked = np.asarray(columns)
     else:
-        columns = [column(j) for j in range(x_grid.size)]
-    stacked = np.asarray(columns) * weights[:, None]
+        stacked = window_average(state, grids.p_c_grid, x_grid, T, grids)
+    stacked *= weights[:, None]
     return np.sum(stacked, axis=0), norm
 
 
@@ -232,6 +242,8 @@ def spatial_average(
     (their x_f dependence cancels identically, so the x_f window provably
     cannot matter); ``method="grid"`` forces the literal x_f trapezoid for any
     system, which is how the collapse itself is cross-checked.
+    ``threads`` parallelises the oscillator's x_f columns; the stationary
+    systems' stack is one vectorised pass.
     """
     if T <= 0:
         raise DomainError("travel time T must be positive")

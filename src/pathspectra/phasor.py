@@ -17,7 +17,11 @@ system family:
 
 * For the systems whose exponent is exactly quadratic in ``p_c`` (free line,
   circle, hard wall, square well) windows come from
-  :func:`~pathspectra.specfun.gaussian_phase_integral`.
+  :func:`~pathspectra.specfun.gaussian_phase_integral`.  The integrand is a
+  sum of plane terms ``pref_t(x_f) * exp(i*gamma*(p_c - c_t)^2)``, so only
+  the prefactor depends on ``x_f``: :func:`window_average` takes a 1-D
+  ``x_f`` array and prices each term's Fresnel kernel once for the whole
+  ``(x_f, p_c)`` stack.
 * The oscillator integrand carries integrable ``1/sqrt`` divergences at
   ``|p_c| = M*omega*|x_f|``.  Substituting ``v = sqrt(p_c^2 - b^2)`` removes
   them, and on each sign branch the starting point ``x0`` is linear in v
@@ -270,26 +274,58 @@ def window_average(
 
     Closed-form for every system; the oscillator's windows are priced by
     :func:`window_average_series`, which shares one antiderivative per
-    column.
+    column.  For the four quadratic-exponent systems ``x_f`` may also be a
+    1-D array: the result then has shape ``x_f.shape + p_c.shape``, with
+    one Fresnel kernel per plane term shared by every row.  The oscillator
+    takes one ``x_f`` per call.
     """
     if T <= 0:
         raise DomainError("travel time T must be positive")
     pa = np.asarray(p_c, dtype=float)
     scalar = pa.ndim == 0
+    xa = np.asarray(x_f, dtype=float)
+    if xa.ndim > 1:
+        raise DomainError("x_f must be a scalar or a 1-D array")
     if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
+        if xa.ndim:
+            raise DomainError("oscillator windows take one x_f per call")
         out = window_average_series(state, pa.ravel(), x_f, T, grids)
         return complex(out[0]) if scalar else out.reshape(pa.shape)
     _check_bundle(state, grids)
+    out = _plane_window_stack(state, pa.ravel(), np.atleast_1d(xa), T, grids)
+    if xa.ndim:
+        return out.reshape(xa.shape + pa.shape)
+    return complex(out[0, 0]) if scalar else out[0].reshape(pa.shape)
+
+
+def _plane_window_stack(
+    state: EigenstateSpec,
+    p_c: NDArray[np.float64],
+    x_f: NDArray[np.float64],
+    T: float,
+    grids: GridBundle,
+) -> NDArray[np.complex128]:
+    """Windows of a quadratic-exponent system on the ``(x_f, p_c)`` lattice.
+
+    Each plane term ``pref_t(x_f) * G_t(p_c)`` separates: the Fresnel window
+    kernel ``G_t`` is evaluated once per term over all of ``p_c`` and scaled
+    row by row by the per-``x_f`` prefactors, accumulated in place into one
+    ``(x_f.size, p_c.size)`` stack.  Every element follows the per-column
+    arithmetic ``(0 + pref_1*G_1 + pref_2*G_2) / (2h)`` exactly.
+    """
     h = grids.window_halfwidth(T)
     gamma = _gamma(state, T)
-    out = np.zeros(pa.shape, dtype=np.complex128)
-    for pref, center in _plane_terms(state, x_f, T):
-        u = pa - center
-        out = out + pref * np.asarray(
-            gaussian_phase_integral(u - h, u + h, gamma), dtype=np.complex128
-        )
-    out = out / (2.0 * h)
-    return complex(out) if scalar else out
+    # prefactors stay Python complex products, as in the per-column form:
+    # NumPy's complex multiply can round differently in the last bit
+    terms = [_plane_terms(state, float(x), T) for x in x_f]
+    out = np.zeros((x_f.size, p_c.size), dtype=np.complex128)
+    for t, (_, center) in enumerate(terms[0]):
+        u = p_c - center
+        kernel = np.asarray(gaussian_phase_integral(u - h, u + h, gamma), dtype=np.complex128)
+        for row, per_x in zip(out, terms):
+            row += per_x[t][0] * kernel
+    out /= 2.0 * h
+    return out
 
 
 def _ho_antiderivative_at(

@@ -5,9 +5,11 @@ Everything downstream integrates on grids built here.  Three things matter:
 * **Determinism.**  Every reduction runs in a fixed order (ascending
   abscissa), so results are bit-reproducible no matter how the evaluation
   work was parallelised.  Only :func:`trapezoid` and :func:`compensated_sum`
-  are compensated (``math.fsum``); :func:`cumulative_trapezoid`
-  (``np.cumsum``) and the x_f average in ``distribution`` (``np.sum``) are
-  plain ordered sums.
+  are compensated (``math.fsum``, 1-D input only); :func:`trapezoid_rows`
+  (one ``np.sum`` per row, used by the Wigner marginal tables in
+  ``compare``), :func:`cumulative_trapezoid` (``np.cumsum``) and the x_f
+  average in ``distribution`` (``np.sum`` over axis 0) are plain ordered
+  sums.
 * **The inverse-square-root patch.**  Oscillator integrands carry a factor
   ``|p| / sqrt(p^2 - b^2)`` with ``b = M*omega*|x_f|`` that diverges
   (integrably) at ``|p| = b``.  Substituting ``v = sqrt(p^2 - b^2)`` turns
@@ -41,6 +43,7 @@ from .systems import EigenstateSpec, SystemKind, SystemSpec
 __all__ = [
     "GridBundle",
     "trapezoid",
+    "trapezoid_rows",
     "cumulative_trapezoid",
     "compensated_sum",
     "uniform_grid",
@@ -50,8 +53,12 @@ __all__ = [
 
 
 def compensated_sum(terms: NDArray) -> complex:
-    """Exactly rounded sum of an array of (complex) terms, in index order."""
+    """Exactly rounded sum of a 1-D array of (complex) terms, in index order."""
     arr = np.asarray(terms)
+    if arr.ndim != 1:
+        raise DomainError(
+            f"compensated sums take 1-D terms, got {arr.ndim}-D (stacked rows: trapezoid_rows)"
+        )
     if np.iscomplexobj(arr):
         return complex(math.fsum(arr.real), math.fsum(arr.imag))
     return complex(math.fsum(arr), 0.0)
@@ -69,12 +76,24 @@ def _cells(x: NDArray, y: NDArray) -> NDArray:
 
 
 def trapezoid(x: NDArray, y: NDArray) -> complex:
-    """Trapezoid-rule integral of samples ``y`` over abscissae ``x``.
+    """Trapezoid-rule integral of 1-D samples ``y`` over abscissae ``x``.
 
     Cells are accumulated with compensated summation in ascending order;
-    the result is independent of any upstream parallelism.
+    the result is independent of any upstream parallelism.  A stack of
+    sample rows goes through :func:`trapezoid_rows`.
     """
     return compensated_sum(_cells(np.asarray(x, dtype=float), np.asarray(y)))
+
+
+def trapezoid_rows(x: NDArray, y: NDArray) -> NDArray:
+    """Trapezoid integral of every row of ``y`` (last axis) over abscissae ``x``.
+
+    Each row's cells are reduced by ``np.sum`` along the last axis: a fixed
+    (pairwise) order that depends only on the row length, so a row's result
+    does not depend on how many rows share the call.  Not compensated; it
+    agrees with :func:`trapezoid` to a few ulp of the row's cell magnitudes.
+    """
+    return np.sum(_cells(np.asarray(x, dtype=float), np.asarray(y)), axis=-1)
 
 
 def cumulative_trapezoid(x: NDArray, y: NDArray) -> NDArray:
@@ -92,10 +111,10 @@ def uniform_grid(lo: float, hi: float, step: float) -> NDArray[np.float64]:
     The endpoint count is rounded so the grid lands exactly on both ends,
     keeping symmetric ranges exactly symmetric in floating point.
     """
-    if not hi > lo:
-        raise DomainError("grid range must have hi > lo")
-    if step <= 0:
-        raise DomainError("grid step must be positive")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise DomainError(f"grid range must be finite with hi > lo, got [{lo}, {hi}]")
+    if not (math.isfinite(step) and step > 0):
+        raise DomainError(f"grid step must be positive and finite, got {step}")
     n = max(1, round((hi - lo) / step))
     return np.linspace(lo, hi, n + 1)
 

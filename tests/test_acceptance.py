@@ -281,6 +281,22 @@ def test_wigner_momentum_marginals_match_momentum_densities():
     assert elapsed < 10.0
 
 
+def test_batched_wigner_momentum_marginals_match_momentum_densities():
+    # the same grids and bound as the per-momentum test above, one call per level
+    t0 = time.perf_counter()
+    x_grid = ps.uniform_grid(-14.0, 14.0, 0.007)
+    p_grid = ps.uniform_grid(-4.0, 4.0, 0.05)
+    worst = 0.0
+    for n in range(4):
+        marginal = ps.wigner_momentum_marginal(n, p_grid, HO, x_grid)
+        exact = np.asarray(ps.momentum_density(n, p_grid, HO))
+        worst = max(worst, float(np.max(np.abs(marginal - exact))))
+    elapsed = time.perf_counter() - t0
+    print(f"[acceptance] batched wigner marginals: worst={worst:.2e} ({elapsed:.2f}s)")
+    assert worst <= 1e-8
+    assert elapsed < 2.0
+
+
 def test_coherent_overlap_peaks_at_sqrt_n_and_sums_to_one():
     t0 = time.perf_counter()
     alpha = ps.uniform_grid(0.0, 3.0, 1e-3)

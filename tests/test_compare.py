@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pathspectra as ps
 from pathspectra.compare import (
     PhaseSpacePoint,
     TailMassWarning,
+    _wigner_values,
     coherent_overlap,
     momentum_density,
     wigner,
@@ -18,6 +20,7 @@ from pathspectra.compare import (
     wigner_position_marginal,
 )
 from pathspectra.errors import DomainError
+from pathspectra.quadrature import trapezoid
 
 HO = ps.harmonic_oscillator()
 
@@ -68,6 +71,37 @@ def test_marginal_warns_on_short_grid():
     x = np.linspace(-4.0, 4.0, 801)  # n = 3 reaches ~13.2
     with pytest.warns(TailMassWarning):
         wigner_momentum_marginal(3, 0.0, HO, x)
+
+
+def test_marginals_broadcast_bit_for_bit_over_their_argument():
+    # 4001 abscissae put 65 rows in a block: 200 values span four blocks,
+    # while each scalar call is a block of one row
+    grid = np.linspace(-14.0, 14.0, 4001)
+    points = np.linspace(-3.0, 3.0, 200)
+    for marginal in (wigner_momentum_marginal, wigner_position_marginal):
+        for n in (0, 3):
+            batched = marginal(n, points, HO, grid)
+            single = np.array([marginal(n, float(q), HO, grid) for q in points])
+            assert batched.tobytes() == single.tobytes()
+            assert marginal(n, points.reshape(20, 10), HO, grid).shape == (20, 10)
+            assert isinstance(marginal(n, 0.4, HO, grid), float)
+
+
+def test_batched_marginal_stays_within_ulps_of_compensated_trapezoid():
+    x = np.linspace(-14.0, 14.0, 4001)
+    p = np.linspace(-4.0, 4.0, 161)
+    for n in range(4):
+        batched = wigner_momentum_marginal(n, p, HO, x)
+        exact_sum = np.array([trapezoid(x, _wigner_values(n, x, np.asarray(q), HO)).real for q in p])
+        assert np.max(np.abs(batched - exact_sum)) <= 1e-15
+
+
+def test_batched_marginal_warns_once_per_call():
+    x = np.linspace(-4.0, 4.0, 801)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        wigner_momentum_marginal(3, np.linspace(-1.0, 1.0, 50), HO, x)
+    assert [w.category for w in caught] == [TailMassWarning]
 
 
 def test_momentum_density_scaled_units():

@@ -10,6 +10,8 @@ import pytest
 import pathspectra as ps
 from pathspectra.distribution import (
     PathDistribution,
+    _psi_values,
+    _trapezoid_weights,
     moments,
     spatial_average,
     stationary_grids,
@@ -17,7 +19,9 @@ from pathspectra.distribution import (
     to_energy_density,
 )
 from pathspectra.errors import DegenerateDistributionError, DomainError
-from pathspectra.quadrature import GridBundle
+from pathspectra.phasor import _plane_terms, window_average
+from pathspectra.quadrature import GridBundle, trapezoid
+from pathspectra.specfun import gaussian_phase_integral
 
 FREE = ps.free_line()
 K1 = ps.EigenstateSpec(system=FREE, quantum_number=1.0)
@@ -89,6 +93,28 @@ def test_stationary_grids_validation():
         stationary_grids(stc, 100.0, x_window=3.0)
 
 
+@pytest.mark.parametrize(
+    "T, kwargs",
+    [
+        (math.nan, {}),
+        (math.inf, {}),
+        (100.0, {"delta_p_c": math.nan}),
+        (100.0, {"delta_p_c": math.inf}),
+        (100.0, {"delta_x_f": math.nan}),
+        (100.0, {"x_window": math.nan}),
+        (100.0, {"x_window": math.inf}),
+        (100.0, {"tail_budget": math.nan}),
+        (100.0, {"tail_budget": math.inf}),
+        (100.0, {"p_c_span": (math.nan, 2.0)}),
+        (100.0, {"p_c_span": (0.0, math.inf)}),
+    ],
+)
+def test_stationary_grids_refuse_non_finite(T, kwargs):
+    for st in (K1, ps.EigenstateSpec(system=ps.hard_wall(), quantum_number=2.0)):
+        with pytest.raises(DomainError):
+            stationary_grids(st, T, **kwargs)
+
+
 # ------------------------------------------------------------- spatial_average
 
 def test_collapsed_form_matches_grid_route():
@@ -147,6 +173,62 @@ def test_fwhm_scales_as_inverse_sqrt_time():
     m1 = moments(spatial_average(K1, 1.0e3, stationary_grids(K1, 1.0e3)))
     m4 = moments(spatial_average(K1, 4.0e3, stationary_grids(K1, 4.0e3)))
     assert m4["fwhm"] / m1["fwhm"] == pytest.approx(0.5, abs=0.05)
+
+
+STATIONARY_STATES = (
+    ps.EigenstateSpec(system=ps.hard_wall(), quantum_number=2.0),
+    ps.EigenstateSpec(system=ps.square_well(width=math.pi), quantum_number=3.0),
+    K1,
+    ps.EigenstateSpec(system=ps.circle(radius=1.0), quantum_number=2.0),
+)
+
+
+def _per_column_windows(st, g, T):
+    """Reference: one window series per x_f column, each pricing its own
+    Fresnel kernels, in the order (0 + pref_1*G_1 + pref_2*G_2) / (2h)."""
+    h = g.window_halfwidth(T)
+    gamma = T / (2.0 * g.hbar_mass)
+    columns = []
+    for x_f in g.x_f_grid:
+        out = np.zeros(g.p_c_grid.shape, dtype=np.complex128)
+        for pref, center in _plane_terms(st, float(x_f), T):
+            u = g.p_c_grid - center
+            out = out + pref * np.asarray(gaussian_phase_integral(u - h, u + h, gamma))
+        columns.append(out / (2.0 * h))
+    return np.asarray(columns)
+
+
+@pytest.mark.parametrize("T", [100.41315519036377, 37.3])
+@pytest.mark.parametrize("st", STATIONARY_STATES, ids=lambda s: s.system.kind.name)
+def test_hoisted_stack_is_bit_identical_to_per_column_windows(st, T):
+    g = stationary_grids(st, T, p_c_span=(-6.0, 6.0))
+    want = _per_column_windows(st, g, T)
+    got = window_average(st, g.p_c_grid, g.x_f_grid, T, g)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # the x_f reduction keeps its order: weights, then an axis-0 np.sum
+    psi = _psi_values(st, g.x_f_grid)
+    weights = _trapezoid_weights(g.x_f_grid) * psi.conj()
+    norm = trapezoid(g.x_f_grid, (psi.conj() * psi).real).real
+    reduced = np.sum(want * weights[:, None], axis=0) / norm
+    for threads in (1, 2):
+        d = spatial_average(st, T, g, threads=threads, method="grid")
+        assert d.values.tobytes() == reduced.tobytes()
+
+
+def test_window_average_x_f_shapes():
+    st = STATIONARY_STATES[0]
+    g = stationary_grids(st, 100.0, p_c_span=(-3.0, 3.0))
+    row = window_average(st, g.p_c_grid, 0.7, 100.0, g)
+    stack = window_average(st, g.p_c_grid, np.array([0.2, 0.7]), 100.0, g)
+    assert stack.shape == (2, g.p_c_grid.size)
+    assert stack[1].tobytes() == row.tobytes()
+    assert isinstance(window_average(st, 2.0, 0.7, 100.0, g), complex)
+    with pytest.raises(DomainError):
+        window_average(st, g.p_c_grid, np.zeros((2, 2)), 100.0, g)
+    ho = ps.EigenstateSpec(system=HO, quantum_number=0.0)
+    with pytest.raises(DomainError):
+        window_average(ho, 1.0, np.array([0.0, 1.0]), T32 + 0.3, ps.paper_grids(ho, T32))
 
 
 def test_spatial_average_validation():

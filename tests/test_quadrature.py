@@ -16,6 +16,7 @@ from pathspectra.quadrature import (
     paper_grids,
     singular_window_integral,
     trapezoid,
+    trapezoid_rows,
     uniform_grid,
 )
 from pathspectra.systems import EigenstateSpec, free_line, harmonic_oscillator
@@ -32,6 +33,41 @@ def test_uniform_grid_rounds_the_count():
     # a step that does not divide the span evenly is adjusted, not truncated
     g = uniform_grid(0.0, 1.0, 0.3)
     assert g.size == 4 and g[-1] == 1.0
+
+
+@pytest.mark.parametrize(
+    "lo, hi, step",
+    [
+        (math.nan, 1.0, 0.1),
+        (0.0, math.nan, 0.1),
+        (-math.inf, 1.0, 0.1),
+        (0.0, math.inf, 0.1),
+        (0.0, 1.0, math.nan),
+        (0.0, 1.0, math.inf),
+        (0.0, 1.0, 0.0),
+    ],
+)
+def test_uniform_grid_refuses_non_finite_or_empty_input(lo, hi, step):
+    with pytest.raises(DomainError):
+        uniform_grid(lo, hi, step)
+
+
+def test_trapezoid_refuses_stacked_samples():
+    x = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(DomainError):
+        trapezoid(x, np.ones((3, 11)))
+    with pytest.raises(DomainError):
+        compensated_sum(np.ones((3, 11)))
+
+
+def test_trapezoid_rows_match_compensated_rows():
+    x = np.linspace(-2.0, 3.0, 2001)
+    y = np.exp(-np.outer(np.arange(1.0, 6.0), x * x)) * np.cos(7.0 * x)
+    rows = trapezoid_rows(x, y)
+    assert rows.shape == (5,)
+    for row, samples in zip(rows, y):
+        assert abs(row - trapezoid(x, samples).real) <= 1e-15
+    assert trapezoid_rows(x, y[2]) == rows[2]
 
 
 def test_trapezoid_matches_numpy_and_is_linear():
