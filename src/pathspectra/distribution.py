@@ -18,26 +18,23 @@ the only x_f dependence of the window average exactly, and the quotient of
 integrals collapses to the window kernel itself -- ``spatial_average`` uses
 that collapsed form unless asked not to (``method="grid"``).
 
-Cost note: for the four stationary systems the ``(x_f, p_c)`` stack of window
-averages prices one Fresnel kernel per plane term and scales it by per-x_f
-prefactors (see :func:`~pathspectra.phasor.window_average`), so only the
-oscillator's x_f columns are farmed to the ``threads`` pool.  The x_f
-reduction is an ordered ``np.sum`` over the weighted stack.
+Cost note: each x_f average reduces one ``(x_f, p_c)`` stack of windows from
+``phasor._window_stack``, the engine reconstruction shares (and where
+``threads`` acts); the reduction is an ordered ``np.sum`` over the weighted stack.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateDistributionError, DomainError
-from .phasor import window_average, window_average_series
+from .phasor import _window_stack, window_average
 from .quadrature import GridBundle, trapezoid, uniform_grid
-from .systems import EigenstateSpec, SystemKind, eigenfunction, mass_parameter
+from .systems import EigenstateSpec, SystemKind, _check_travel_time, eigenfunction, mass_parameter
 
 __all__ = [
     "PathDistribution",
@@ -107,8 +104,7 @@ def stationary_grids(
     get a finite window (hard wall: snapped to half-periods of the standing
     wave so the boundary cross terms cancel identically).
     """
-    if not (math.isfinite(T) and T > 0):
-        raise DomainError(f"travel time T must be positive and finite, got {T}")
+    _check_travel_time(T)
     system = state.system
     kind = system.kind
     if kind is SystemKind.HARMONIC_OSCILLATOR:
@@ -122,15 +118,8 @@ def stationary_grids(
         raise DomainError(f"delta_p_c must be positive and finite, got {step}")
 
     k = state.quantum_number if kind is not SystemKind.SQUARE_WELL else state.wavenumber
-    if kind is SystemKind.CIRCLE:
-        center = system.hbar * float(k)
-        mirrored = False
-    elif kind is SystemKind.FREE_LINE:
-        center = system.hbar * float(k)
-        mirrored = False
-    else:
-        center = system.hbar * state.wavenumber
-        mirrored = True
+    mirrored = kind not in _PLANE_KINDS  # standing waves: stationary points at +-hbar*k
+    center = system.hbar * (state.wavenumber if mirrored else float(k))
     margin = max(50.0 * h, math.sqrt(75.0 * hbar_mass / (T * tail_budget)))
     if p_c_span is None:
         image_spacing = 2.0 * math.pi * hbar_mass / (T * step)
@@ -211,19 +200,7 @@ def _grid_average(
     psi = _psi_values(state, x_grid)
     norm = trapezoid(x_grid, (psi.conj() * psi).real).real
     weights = _trapezoid_weights(x_grid) * psi.conj()
-    if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
-
-        def column(j: int) -> NDArray[np.complex128]:
-            return window_average_series(state, grids.p_c_grid, float(x_grid[j]), T, grids)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                columns = list(pool.map(column, range(x_grid.size)))
-        else:
-            columns = [column(j) for j in range(x_grid.size)]
-        stacked = np.asarray(columns)
-    else:
-        stacked = window_average(state, grids.p_c_grid, x_grid, T, grids)
+    stacked = _window_stack(state, grids.p_c_grid, x_grid, T, grids, threads)
     stacked *= weights[:, None]
     return np.sum(stacked, axis=0), norm
 
@@ -242,11 +219,10 @@ def spatial_average(
     (their x_f dependence cancels identically, so the x_f window provably
     cannot matter); ``method="grid"`` forces the literal x_f trapezoid for any
     system, which is how the collapse itself is cross-checked.
-    ``threads`` parallelises the oscillator's x_f columns; the stationary
-    systems' stack is one vectorised pass.
+    ``threads`` splits the oscillator's x_f rows into contiguous blocks,
+    one per worker; the stationary systems' stack is one vectorised pass.
     """
-    if T <= 0:
-        raise DomainError("travel time T must be positive")
+    _check_travel_time(T)
     if method not in ("auto", "grid"):
         raise DomainError(f"unknown spatial_average method {method!r}")
     if threads < 1:
@@ -255,7 +231,7 @@ def spatial_average(
         x_grid = grids.x_f_grid
         psi = _psi_values(state, x_grid)
         norm = trapezoid(x_grid, (psi.conj() * psi).real).real
-        values = window_average_series(state, grids.p_c_grid, 0.0, T, grids)
+        values = window_average(state, grids.p_c_grid, 0.0, T, grids)
     else:
         raw, norm = _grid_average(state, T, grids, threads)
         values = raw / norm
@@ -287,8 +263,9 @@ def time_average(
     """
     if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
         raise DomainError("time averaging over a classical period is an oscillator operation")
-    if T <= 0:
-        raise DomainError("travel time T must be positive")
+    _check_travel_time(T)
+    if threads < 1:
+        raise DomainError("threads must be >= 1")
     per_sample = []
     norm = math.nan
     for t_sample in grids.T_samples:

@@ -38,11 +38,15 @@ keeps the trapezoid rule, uniform in v with the spacing
 :meth:`~pathspectra.quadrature.GridBundle.inner_spacing`, the same cells as
 :func:`~pathspectra.quadrature.singular_window_integral`, which stays the
 reference oracle for both.
+
+Distributions, time averages and reconstruction take their windows from one
+private engine, ``_window_stack``, which holds the package's one thread pool.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,6 +64,7 @@ from .specfun import (
 from .systems import (
     EigenstateSpec,
     SystemKind,
+    _check_travel_time,
     maslov_index,
     mass_parameter,
     regular_sin,
@@ -191,8 +196,7 @@ def integrand(
     ``|p_c| = M*omega*|x_f|`` raises :class:`DivergentSampleError` -- windows
     touching it must go through the singular quadrature instead.
     """
-    if T <= 0:
-        raise DomainError("travel time T must be positive")
+    _check_travel_time(T)
     pa = np.asarray(p_c, dtype=float)
     scalar = pa.ndim == 0
     if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
@@ -279,8 +283,7 @@ def window_average(
     one Fresnel kernel per plane term shared by every row.  The oscillator
     takes one ``x_f`` per call.
     """
-    if T <= 0:
-        raise DomainError("travel time T must be positive")
+    _check_travel_time(T)
     pa = np.asarray(p_c, dtype=float)
     scalar = pa.ndim == 0
     xa = np.asarray(x_f, dtype=float)
@@ -430,13 +433,40 @@ def window_average_series(
     if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
         return np.asarray(window_average(state, pa, x_f, T, grids), dtype=np.complex128)
     _check_bundle(state, grids)
-    if T <= 0:
-        raise DomainError("travel time T must be positive")
+    _check_travel_time(T)
     h = grids.window_halfwidth(T)
     edges = np.concatenate([pa - h, pa + h])
     a_vals = _ho_antiderivative_at(state, x_f, T, edges, grids)
     n = pa.size
     return (a_vals[n:] - a_vals[:n]) / (2.0 * h)
+
+
+def _window_stack(
+    state: EigenstateSpec, p_c: NDArray, x_f: NDArray, T: float, grids: GridBundle, threads: int
+) -> NDArray[np.complex128]:
+    """Window averages on the ``(x_f, p_c)`` lattice at one time ``T``.
+
+    Stationary systems take :func:`window_average`'s x_f stack.  Oscillator
+    rows are one :func:`window_average_series` call each, split into
+    ``min(threads, x_f.size)`` contiguous blocks on one executor; a row does
+    not depend on the split, so the stack is bit-identical across threads.
+    """
+    if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
+        return window_average(state, p_c, x_f, T, grids)
+    n = x_f.size
+    n_blocks = max(1, min(threads, n))
+    out = np.empty((n, p_c.size), dtype=np.complex128)
+
+    def fill(b: int) -> None:  # the rows of block b, in x_f order
+        for j in range(b * n // n_blocks, (b + 1) * n // n_blocks):
+            out[j] = window_average_series(state, p_c, float(x_f[j]), T, grids)
+
+    if n_blocks == 1:
+        fill(0)
+    else:
+        with ThreadPoolExecutor(max_workers=n_blocks) as pool:
+            list(pool.map(fill, range(n_blocks)))  # reading each result re-raises a worker's error
+    return out
 
 
 def segment_windows(

@@ -38,7 +38,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainError
-from .systems import EigenstateSpec, SystemKind, SystemSpec
+from .systems import EigenstateSpec, SystemKind, SystemSpec, _check_travel_time
 
 __all__ = [
     "GridBundle",
@@ -183,8 +183,7 @@ def paper_grids(state: EigenstateSpec, T: float, **overrides: float) -> GridBund
     system = state.system
     if system.kind is not SystemKind.HARMONIC_OSCILLATOR:
         raise DomainError("paper_grids builds oscillator grids; other systems use caller-owned grids")
-    if T <= 0:
-        raise DomainError("travel time T must be positive")
+    _check_travel_time(T)
     assert system.omega is not None
     n = int(state.quantum_number)
     width = math.sqrt(2.0 * n + 1.0)

@@ -14,21 +14,24 @@ classical turning points -- the band selects the paths that classically exist.
 Band edges are snapped to the bundle's momentum lattice, which is what makes
 adjacent bands add exactly: (p1,p2) + (p2,p3) re-brackets the same trapezoid
 cells as (p1,p3).
+
+Each time sample prices one ``(x_f, band node)`` stack through the engine
+the distributions use (``phasor._window_stack``), and every row is reduced
+by the same two ordered trapezoids, so ``threads`` never changes a result.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import DomainError
-from .phasor import window_average_series
+from .phasor import _window_stack
 from .quadrature import GridBundle, trapezoid
-from .systems import EigenstateSpec, SystemKind
+from .systems import EigenstateSpec, SystemKind, _check_travel_time
 
 __all__ = ["ReconstructionResult", "reconstruct", "dominant_path_phase"]
 
@@ -77,8 +80,7 @@ def reconstruct(
     alone.  ``band=None`` means the full truncated range, wide enough that the
     result should match the eigenfunction itself.
     """
-    if T <= 0:
-        raise DomainError("travel time T must be positive")
+    _check_travel_time(T)
     if threads < 1:
         raise DomainError("threads must be >= 1")
     if band is None:
@@ -104,24 +106,15 @@ def reconstruct(
     n_half = pos.size
     time_averaged = state.system.kind is SystemKind.HARMONIC_OSCILLATOR
     t_samples = grids.T_samples if time_averaged else (float(T),)
-
-    def column(j: int) -> complex:
-        x_f = float(x_grid[j])
-        total = 0.0 + 0.0j
-        for t_prime in t_samples:
-            series = window_average_series(state, nodes, x_f, float(t_prime), grids)
-            total += trapezoid(nodes[:n_half], series[:n_half])
-            total += trapezoid(nodes[n_half:], series[n_half:])
-        return total / len(t_samples)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = np.asarray(list(pool.map(column, range(x_grid.size))))
-    else:
-        values = np.asarray([column(j) for j in range(x_grid.size)])
+    totals = [0.0 + 0.0j] * x_grid.size
+    for t_prime in t_samples:
+        stack = _window_stack(state, nodes, x_grid, float(t_prime), grids, threads)
+        for j, series in enumerate(stack):
+            totals[j] += trapezoid(nodes[:n_half], series[:n_half])
+            totals[j] += trapezoid(nodes[n_half:], series[n_half:])
     return ReconstructionResult(
         x_f_grid=x_grid,
-        values=values.astype(np.complex128),
+        values=np.asarray([total / len(t_samples) for total in totals], dtype=np.complex128),
         band=band,
         state=state,
         T=float(T),

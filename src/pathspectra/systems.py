@@ -259,6 +259,12 @@ def eigenfunction(
 SINGULAR_TIME_ULPS = 2.0**26
 
 
+def _check_travel_time(T: float) -> None:
+    """Refuse a travel time that is not positive and finite (NaN included)."""
+    if not (math.isfinite(T) and T > 0):
+        raise DomainError(f"travel time T must be positive and finite, got {T!r}")
+
+
 def regular_sin(omega_T: float) -> float:
     """``sin(omega*T)``, refused near the oscillator's singular times.
 
@@ -315,8 +321,7 @@ def propagator(
     :func:`regular_sin`'s float-resolution threshold), where the classical
     flow focuses and the kernel degenerates to a delta function.
     """
-    if T <= 0:
-        raise DomainError("travel time T must be positive")
+    _check_travel_time(T)
     x0a = np.asarray(x0, dtype=float)
     xfa = np.asarray(xf, dtype=float)
     scalar = x0a.ndim == 0 and xfa.ndim == 0
@@ -372,8 +377,7 @@ def default_winding_terms(system: SystemSpec, p_max: float, T: float) -> int:
     (period 2*pi in angle for the circle, 2a for the well); truncating eight
     windings beyond the last stationary one leaves only fast oscillation.
     """
-    if T <= 0:
-        raise DomainError("travel time T must be positive")
+    _check_travel_time(T)
     if system.kind is SystemKind.CIRCLE:
         period, m = 2.0 * np.pi, system.inertia
     elif system.kind is SystemKind.SQUARE_WELL:
@@ -398,8 +402,7 @@ def characteristic_x0(
     excluded region ``|p_c| < M*omega*|xf|`` raise
     :class:`ExcludedRegionError`.
     """
-    if T <= 0:
-        raise DomainError("travel time T must be positive")
+    _check_travel_time(T)
     pa = np.asarray(p_c, dtype=float)
     scalar = pa.ndim == 0
     kind = system.kind
@@ -434,8 +437,7 @@ def ho_max_momentum(system: SystemSpec, x0: float, xf: float, T: float) -> float
         raise DomainError("max-momentum label applies to the oscillator only")
     assert system.omega is not None
     omega = system.omega
-    if T <= 0:
-        raise DomainError("travel time T must be positive")
+    _check_travel_time(T)
     s = regular_sin(omega * T)
     c = math.cos(omega * T)
     return (
@@ -454,8 +456,7 @@ def ho_trajectory(
         raise DomainError("trajectory interpolation applies to the oscillator only")
     assert system.omega is not None
     omega = system.omega
-    if T <= 0:
-        raise DomainError("travel time T must be positive")
+    _check_travel_time(T)
     s = regular_sin(omega * T)
     ta = np.asarray(t, dtype=float)
     if np.any(ta < 0.0) or np.any(ta > T):
@@ -476,8 +477,7 @@ def ho_action(
         raise DomainError("this action form applies to the oscillator only")
     assert system.omega is not None
     omega = system.omega
-    if T <= 0:
-        raise DomainError("travel time T must be positive")
+    _check_travel_time(T)
     s = regular_sin(omega * T)
     c = math.cos(omega * T)
     m = system.mass

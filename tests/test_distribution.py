@@ -19,8 +19,9 @@ from pathspectra.distribution import (
     to_energy_density,
 )
 from pathspectra.errors import DegenerateDistributionError, DomainError
-from pathspectra.phasor import _plane_terms, window_average
-from pathspectra.quadrature import GridBundle, trapezoid
+from pathspectra.phasor import _plane_terms, integrand, window_average, window_average_series
+from pathspectra.quadrature import GridBundle, paper_grids, trapezoid
+from pathspectra.reconstruct import reconstruct
 from pathspectra.specfun import gaussian_phase_integral
 
 FREE = ps.free_line()
@@ -241,6 +242,28 @@ def test_spatial_average_validation():
         spatial_average(K1, 100.0, g, threads=0)
 
 
+WALL2 = STATIONARY_STATES[0]
+HO1 = ps.EigenstateSpec(system=HO, quantum_number=1.0)
+
+# every entry point that takes a travel time, called with a finite valid rest
+NON_FINITE_T_CALLS = {
+    "spatial_average": lambda T: spatial_average(WALL2, T, stationary_grids(WALL2, 100.0)),
+    "time_average": lambda T: time_average(HO1, T, paper_grids(HO1, T32)),
+    "reconstruct": lambda T: reconstruct(WALL2, (0.5, 3.0), T, stationary_grids(WALL2, 100.0)),
+    "window_average": lambda T: window_average(WALL2, 1.0, 0.7, T, stationary_grids(WALL2, 100.0)),
+    "window_average_series": lambda T: window_average_series(HO1, [1.0], 0.3, T, paper_grids(HO1, T32)),
+    "integrand": lambda T: integrand(HO1, 1.0, 0.3, T),
+    "paper_grids": lambda T: paper_grids(HO1, T),
+}
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_T_CALLS))
+def test_non_finite_travel_time_is_refused(entry, T):
+    with pytest.raises(DomainError, match="positive and finite"):
+        NON_FINITE_T_CALLS[entry](T)
+
+
 # ---------------------------------------------------------------- time_average
 
 def test_bare_oscillator_distribution_never_settles():
@@ -275,6 +298,25 @@ def test_time_average_is_oscillator_only():
     g = stationary_grids(K1, 100.0, p_c_span=(0.0, 2.0))
     with pytest.raises(DomainError):
         time_average(K1, 100.0, g)
+
+
+def test_time_average_refuses_zero_threads():
+    with pytest.raises(DomainError, match="threads"):
+        time_average(HO1, T32, paper_grids(HO1, T32), threads=0)
+
+
+@pytest.mark.parametrize("average", [spatial_average, time_average], ids=lambda f: f.__name__)
+def test_oscillator_averages_are_bit_identical_across_threads(average):
+    # 8 x_f rows: 3 threads split them into uneven blocks (2, 3, 3)
+    g = GridBundle(
+        p_c_grid=np.arange(0.9, 2.6 + 1e-9, 0.05),
+        x_f_grid=np.linspace(-2.0, 2.0, 8),
+        T_samples=(T32 + 0.3, T32 + 1.1),
+        hbar_mass=1.0,
+    )
+    blobs = {n: average(HO1, T32 + 0.3, g, threads=n).values.tobytes() for n in (1, 2, 3)}
+    assert blobs[2] == blobs[1]
+    assert blobs[3] == blobs[1]
 
 
 # --------------------------------------------------------------------- moments

@@ -8,9 +8,13 @@ import numpy as np
 import pytest
 
 import pathspectra as ps
+from pathspectra.distribution import stationary_grids
 from pathspectra.errors import DomainError
-from pathspectra.quadrature import GridBundle
+from pathspectra.phasor import _plane_terms, window_average_series
+from pathspectra.quadrature import GridBundle, trapezoid
 from pathspectra.reconstruct import dominant_path_phase, reconstruct
+from pathspectra.specfun import gaussian_phase_integral
+from pathspectra.systems import SystemKind
 
 FREE = ps.free_line()
 K1 = ps.EigenstateSpec(system=FREE, quantum_number=1.0)
@@ -117,6 +121,75 @@ def test_narrow_band_vanishes_beyond_turning_points():
     outside = np.abs(x) >= 1.1
     assert np.max(np.abs(r.values[outside])) == 0.0
     assert np.max(np.abs(r.values)) > 1e-2
+
+
+def _column_series(st, nodes, x_f, T, g):
+    """One column of windows; stationary systems price their own Fresnel
+    kernels, in the order (0 + pref_1*G_1 + pref_2*G_2) / (2h)."""
+    if st.system.kind is SystemKind.HARMONIC_OSCILLATOR:
+        return window_average_series(st, nodes, x_f, T, g)
+    h = g.window_halfwidth(T)
+    gamma = T / (2.0 * g.hbar_mass)
+    out = np.zeros(nodes.shape, dtype=np.complex128)
+    for pref, center in _plane_terms(st, x_f, T):
+        u = nodes - center
+        out = out + pref * np.asarray(gaussian_phase_integral(u - h, u + h, gamma))
+    return out / (2.0 * h)
+
+
+def _per_column_reconstruct(st, band, T, g):
+    """Reference: one window series per (x_f, T') column, each reduced by two
+    ordered trapezoids (negative momenta first), averaged over T'."""
+    step = float(np.min(np.diff(g.p_c_grid)))
+    pos = step * np.arange(round(band[0] / step), round(band[1] / step) + 1)
+    nodes = np.concatenate([-pos[::-1], pos])
+    n_half = pos.size
+    oscillator = st.system.kind is SystemKind.HARMONIC_OSCILLATOR
+    t_samples = g.T_samples if oscillator else (T,)
+    values = []
+    for x_f in g.x_f_grid:
+        total = 0.0 + 0.0j
+        for t_prime in t_samples:
+            series = _column_series(st, nodes, float(x_f), float(t_prime), g)
+            total += trapezoid(nodes[:n_half], series[:n_half])
+            total += trapezoid(nodes[n_half:], series[n_half:])
+        values.append(total / len(t_samples))
+    return np.asarray(values, dtype=np.complex128)
+
+
+@pytest.mark.parametrize(
+    "st",
+    [
+        ps.EigenstateSpec(system=ps.hard_wall(), quantum_number=2.0),
+        ps.EigenstateSpec(system=ps.square_well(width=math.pi), quantum_number=3.0),
+        K1,
+        ps.EigenstateSpec(system=ps.circle(radius=1.0), quantum_number=2.0),
+    ],
+    ids=lambda s: s.system.kind.name,
+)
+def test_stationary_reconstruct_is_bit_identical_to_per_column_loop(st):
+    T = 100.41315519036377
+    g = stationary_grids(st, T, p_c_span=(-6.0, 6.0))
+    want = _per_column_reconstruct(st, (0.5, 3.0), T, g)
+    for threads in (1, 2):
+        got = reconstruct(st, (0.5, 3.0), T, g, threads=threads).values
+        assert got.tobytes() == want.tobytes()
+
+
+def test_oscillator_reconstruct_is_bit_identical_across_threads():
+    # 8 x_f rows: 3 threads split them into uneven blocks (2, 3, 3)
+    st = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=1.0)
+    T = 32.0 * math.pi
+    g = GridBundle(
+        p_c_grid=np.arange(0.0, 3.0 + 1e-9, 0.05),
+        x_f_grid=np.linspace(-2.0, 2.0, 8),
+        T_samples=(T + 0.3, T + 1.1),
+        hbar_mass=1.0,
+    )
+    want = _per_column_reconstruct(st, (0.5, 2.5), T, g)
+    for threads in (1, 2, 3):
+        got = reconstruct(st, (0.5, 2.5), T, g, threads=threads).values
+        assert got.tobytes() == want.tobytes()
 
 
 def test_dominant_path_phase_telescopes():

@@ -212,6 +212,23 @@ def test_near_singular_times_are_refused():
         propagator(harmonic_oscillator(2.5), 0.0, 1.0, (7.0 * math.pi - 3e-13) / 2.5)
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_are_refused(T):
+    sys_ = harmonic_oscillator()
+    calls = (
+        lambda: propagator(sys_, 0.0, 1.0, T),
+        lambda: propagator(free_line(), 0.0, 1.0, T),
+        lambda: default_winding_terms(circle(), 3.0, T),
+        lambda: characteristic_x0(sys_, 2.0, 0.5, T),
+        lambda: ho_max_momentum(sys_, 0.1, 0.5, T),
+        lambda: ho_trajectory(sys_, 0.1, 0.5, T, 1.0),
+        lambda: ho_action(sys_, 2.0, 0.5, T),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match="positive and finite"):
+            call()
+
+
 def test_time_samples_clear_of_the_singular_threshold():
     # midpoint samples of the finest grids in use sit pi/128 from a singular
     # time; short times are not singular at all (the free-particle limit)
