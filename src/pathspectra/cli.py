@@ -4,8 +4,7 @@ Every run writes data files (CSV by default) plus ``<command>.manifest.json``
 recording the effective parameters, the output list, and the numerical checks
 performed, so a run can be audited and reproduced from its manifest alone.
 Values are printed with 17 significant digits and all reductions happen in a
-fixed order, so identical configurations give byte-identical data files no
-matter how many threads do the work.
+fixed order, so identical configurations give byte-identical data files.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import functools
 import json
 import logging
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -26,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .compare import coherent_overlap, momentum_density, wigner_momentum_marginal
-from .distribution import PathDistribution, moments, spatial_average, stationary_grids, time_average
+from .distribution import PathDistribution, _psi_values, moments, spatial_average, stationary_grids, time_average
 from .errors import (
     DivergentSampleError,
     DomainError,
@@ -89,7 +87,6 @@ class RunConfig:
     segment_offset: float = 0.0
     out: str = "."
     format: str = "csv"
-    threads: int = 0
 
 
 # field -> (value type, whether None is allowed), read off the annotations
@@ -127,8 +124,6 @@ def config_from_mapping(mapping: Mapping[str, object]) -> RunConfig:
         raise UsageError(f"format must be csv or json, not {cfg.format!r}")
     if cfg.system not in _SYSTEMS:
         raise UsageError(f"system must be one of {', '.join(_SYSTEMS)}")
-    if cfg.threads < 0:
-        raise UsageError("threads must be >= 0 (0 = all cores)")
     return cfg
 
 
@@ -148,10 +143,6 @@ def parse_config_file(path: Path) -> dict[str, str]:
         key, value = body.split("=", 1)
         mapping[key.strip()] = value.strip()
     return mapping
-
-
-def _resolve_threads(cfg: RunConfig) -> int:
-    return cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
 
 
 def build_system(cfg: RunConfig) -> SystemSpec:
@@ -346,13 +337,12 @@ def _fig2(cfg: RunConfig, write: Writer) -> dict:
 
 
 def _fig7(cfg: RunConfig, write: Writer) -> dict:
-    threads = _resolve_threads(cfg)
     checks: dict[str, object] = {}
     for n in range(4):
         state = EigenstateSpec(build_system(cfg), n)
         bundle = _bundle_for(state, cfg)
-        log.info("fig7: time-averaged distribution n=%d (threads=%d)", n, threads)
-        dist = time_average(state, cfg.T, bundle, threads=threads)
+        log.info("fig7: time-averaged distribution n=%d", n)
+        dist = time_average(state, cfg.T, bundle)
         write(f"fig7_n{n}", ("p_c", "re", "im"), (dist.p_c_grid, dist.values))
         checks[f"n{n}_moments"] = moments(dist)
         checks[f"n{n}_expected_peak"] = math.sqrt(2.0 * n + 1.0)
@@ -361,7 +351,6 @@ def _fig7(cfg: RunConfig, write: Writer) -> dict:
 
 
 def _fig8(cfg: RunConfig, write: Writer) -> dict:
-    threads = _resolve_threads(cfg)
     checks: dict[str, object] = {}
     for n in (0, 3):
         state = EigenstateSpec(build_system(cfg), n)
@@ -376,7 +365,7 @@ def _fig8(cfg: RunConfig, write: Writer) -> dict:
         psi = np.asarray(eigenfunction(state, bundle.x_f_grid), dtype=np.complex128)
         for i, band in enumerate(bands):
             log.info("fig8: n=%d band (%.3f, %.3f)", n, band[0], band[1])
-            rec = reconstruct(state, band, cfg.T, bundle, threads=threads)
+            rec = reconstruct(state, band, cfg.T, bundle)
             key = f"n{n}_band{i}"
             write(f"fig8_{key}", ("x_f", "re", "im"), (rec.x_f_grid, rec.values))
             checks[key + "_edges"] = list(band)
@@ -456,7 +445,7 @@ def _stage_distribution(
     state = build_state(cfg)
     bundle = _bundle_for(state, cfg)
     log.info("%s: %s at T=%g, %d T' sample(s)", name, cfg.system, cfg.T, len(bundle.T_samples))
-    dist = average(state, cfg.T, bundle, threads=_resolve_threads(cfg))
+    dist = average(state, cfg.T, bundle)
     write(name, ("p_c", "re", "im"), (dist.p_c_grid, dist.values))
     checks: dict[str, object] = {"normalization_N": dist.normalization_N, "grids": _grid_report(bundle)}
     try:
@@ -471,9 +460,9 @@ def _stage_reconstruct(cfg: RunConfig, write: Writer) -> dict:
     bundle = _bundle_for(state, cfg)
     band = None if cfg.band_hi is None else (cfg.band_lo, cfg.band_hi)
     log.info("reconstruct: %s band=%s", cfg.system, band if band else "full")
-    rec = reconstruct(state, band, cfg.T, bundle, threads=_resolve_threads(cfg))
+    rec = reconstruct(state, band, cfg.T, bundle)
     write("reconstruct", ("x_f", "re", "im"), (rec.x_f_grid, rec.values))
-    psi = np.asarray(eigenfunction(state, rec.x_f_grid), dtype=np.complex128)
+    psi = _psi_values(state, rec.x_f_grid)
     return {
         "band": list(band) if band else "full",
         "max_abs_dev_from_psi": float(np.max(np.abs(rec.values - psi))),
@@ -522,7 +511,6 @@ def _run_command(command: str, cfg: RunConfig) -> list[str]:
         "command": command,
         "version": __version__,
         "effective_config": dataclasses.asdict(cfg),
-        "threads_used": _resolve_threads(cfg),
         "outputs": outputs,
         "checks": checks,
         "runtime_seconds": round(time.perf_counter() - started, 3),
@@ -552,7 +540,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument("--out", help="output directory (default: current)")
     parser.add_argument("--format", choices=("csv", "json"), help="data file format")
-    parser.add_argument("--threads", type=int, help="worker threads (0 = all cores)")
+    # accepted and ignored: perfbench's harness passes --threads to every run
+    parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     parser.add_argument("-v", "--verbose", action="store_true", help="chatty progress output")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     try:
@@ -574,7 +563,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
             key, value = item.split("=", 1)
             mapping[key.strip()] = value.strip()
-        for key in ("out", "format", "threads"):
+        for key in ("out", "format"):
             if getattr(args, key) is not None:
                 mapping[key] = getattr(args, key)
         cfg = config_from_mapping(mapping)

@@ -40,13 +40,13 @@ keeps the trapezoid rule, uniform in v with the spacing
 reference oracle for both.
 
 Distributions, time averages and reconstruction take their windows from one
-private engine, ``_window_stack``, which holds the package's one thread pool.
+private engine, ``_window_stack``, which prices only the ``x_f >= 0`` half of
+an oscillator stack when parity fixes the other half.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -442,30 +442,27 @@ def window_average_series(
 
 
 def _window_stack(
-    state: EigenstateSpec, p_c: NDArray, x_f: NDArray, T: float, grids: GridBundle, threads: int
+    state: EigenstateSpec, p_c: NDArray, x_f: NDArray, T: float, grids: GridBundle
 ) -> NDArray[np.complex128]:
     """Window averages on the ``(x_f, p_c)`` lattice at one time ``T``.
 
     Stationary systems take :func:`window_average`'s x_f stack.  Oscillator
-    rows are one :func:`window_average_series` call each, split into
-    ``min(threads, x_f.size)`` contiguous blocks on one executor; a row does
-    not depend on the split, so the stack is bit-identical across threads.
+    rows are one :func:`window_average_series` call each.  Eigenstate parity
+    gives ``W(-x_f, -p_c) = (-1)^n W(x_f, p_c)``, so when both grids are
+    exactly mirror-symmetric every ``x_f < 0`` row is the reversed row at
+    ``-x_f`` times ``(-1)^n`` instead of a call of its own.
     """
     if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
         return window_average(state, p_c, x_f, T, grids)
     n = x_f.size
-    n_blocks = max(1, min(threads, n))
     out = np.empty((n, p_c.size), dtype=np.complex128)
-
-    def fill(b: int) -> None:  # the rows of block b, in x_f order
-        for j in range(b * n // n_blocks, (b + 1) * n // n_blocks):
-            out[j] = window_average_series(state, p_c, float(x_f[j]), T, grids)
-
-    if n_blocks == 1:
-        fill(0)
-    else:
-        with ThreadPoolExecutor(max_workers=n_blocks) as pool:
-            list(pool.map(fill, range(n_blocks)))  # reading each result re-raises a worker's error
+    mirrored = np.array_equal(x_f, -x_f[::-1]) and np.array_equal(p_c, -p_c[::-1])
+    first = n // 2 if mirrored else 0  # x_f[:n // 2] are the negative nodes
+    for j in range(first, n):
+        out[j] = window_average_series(state, p_c, float(x_f[j]), T, grids)
+    if mirrored:
+        sign = -1.0 if int(state.quantum_number) % 2 else 1.0
+        out[:first] = sign * out[::-1, ::-1][:first]
     return out
 
 

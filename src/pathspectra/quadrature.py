@@ -3,13 +3,12 @@
 Everything downstream integrates on grids built here.  Three things matter:
 
 * **Determinism.**  Every reduction runs in a fixed order (ascending
-  abscissa), so results are bit-reproducible no matter how the evaluation
-  work was parallelised.  Only :func:`trapezoid` and :func:`compensated_sum`
-  are compensated (``math.fsum``, 1-D input only); :func:`trapezoid_rows`
-  (one ``np.sum`` per row, used by the Wigner marginal tables in
-  ``compare``), :func:`cumulative_trapezoid` (``np.cumsum``) and the x_f
-  average in ``distribution`` (``np.sum`` over axis 0) are plain ordered
-  sums.
+  abscissa), so results are bit-reproducible.  Only :func:`trapezoid` and
+  :func:`compensated_sum` are compensated (``math.fsum``, 1-D input only);
+  :func:`trapezoid_rows` (one ``np.sum`` per row, used by the Wigner
+  marginal tables in ``compare``), :func:`cumulative_trapezoid`
+  (``np.cumsum``) and the x_f average in ``distribution`` (``np.sum`` over
+  axis 0) are plain ordered sums.
 * **The inverse-square-root patch.**  Oscillator integrands carry a factor
   ``|p| / sqrt(p^2 - b^2)`` with ``b = M*omega*|x_f|`` that diverges
   (integrably) at ``|p| = b``.  Substituting ``v = sqrt(p^2 - b^2)`` turns
@@ -78,9 +77,8 @@ def _cells(x: NDArray, y: NDArray) -> NDArray:
 def trapezoid(x: NDArray, y: NDArray) -> complex:
     """Trapezoid-rule integral of 1-D samples ``y`` over abscissae ``x``.
 
-    Cells are accumulated with compensated summation in ascending order;
-    the result is independent of any upstream parallelism.  A stack of
-    sample rows goes through :func:`trapezoid_rows`.
+    Cells are accumulated with compensated summation in ascending order.
+    A stack of sample rows goes through :func:`trapezoid_rows`.
     """
     return compensated_sum(_cells(np.asarray(x, dtype=float), np.asarray(y)))
 
@@ -142,16 +140,19 @@ class GridBundle:
     n_p_slope: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.hbar_mass <= 0:
-            raise DomainError("hbar_mass must be positive")
-        if self.n_p_floor <= 0 or self.n_p_slope < 0:
-            raise DomainError("inner-resolution parameters must be positive")
-        if len(self.T_samples) == 0 or any(t <= 0 for t in self.T_samples):
-            raise DomainError("T_samples must be positive")
+        # written as "not (ok)" so that NaN, which fails every comparison, is refused
+        if not (math.isfinite(self.hbar_mass) and self.hbar_mass > 0):
+            raise DomainError("hbar_mass must be positive and finite")
+        if not (math.isfinite(self.n_p_floor) and self.n_p_floor > 0):
+            raise DomainError("n_p_floor must be positive and finite")
+        if not (math.isfinite(self.n_p_slope) and self.n_p_slope >= 0):
+            raise DomainError("n_p_slope must be non-negative and finite")
+        if not (self.T_samples and all(math.isfinite(t) and t > 0 for t in self.T_samples)):
+            raise DomainError("T_samples must be positive and finite")
         for name in ("p_c_grid", "x_f_grid"):
             g = getattr(self, name)
-            if g.size < 2 or np.any(np.diff(g) <= 0):
-                raise DomainError(f"{name} must be ascending with at least 2 points")
+            if g.size < 2 or not (np.all(np.isfinite(g)) and np.all(np.diff(g) > 0)):
+                raise DomainError(f"{name} must be finite and ascending with at least 2 points")
 
     def window_halfwidth(self, T: float) -> float:
         return math.sqrt(self.hbar_mass / T)
@@ -173,12 +174,16 @@ def paper_grids(state: EigenstateSpec, T: float, **overrides: float) -> GridBund
     * ``x_f`` from ``-5*sqrt(2n+1)`` to ``+5*sqrt(2n+1)`` in steps of 0.1;
     * output momentum grid out to ``max(3*sqrt(2*M*E_n), M*omega*max|x_f| +
       10*sqrt(hbar*M/T))`` in steps of 0.02;
+    * both grids are whole multiples of their step, so each is exactly
+      mirror-symmetric about 0 (the oscillator stack uses that to price
+      only half its rows);
     * fallback inner resolution ``n_p = max(50, 150*|x_f|/sqrt(2n+1))``
       (used only by columns the closed form cannot take; see
       :class:`GridBundle`).
 
     Keyword overrides: ``delta_p_c``, ``p_c_max``, ``delta_x_f``, ``x_f_span``,
-    ``delta_T``, ``n_time``, ``n_p_floor``, ``n_p_slope``.
+    ``delta_T``, ``n_time``, ``n_p_floor``, ``n_p_slope``.  Each must be
+    finite; all but ``n_p_slope`` must also be positive.
     """
     system = state.system
     if system.kind is not SystemKind.HARMONIC_OSCILLATOR:
@@ -189,31 +194,32 @@ def paper_grids(state: EigenstateSpec, T: float, **overrides: float) -> GridBund
     width = math.sqrt(2.0 * n + 1.0)
     energy = state.energy
 
-    delta_x_f = float(overrides.pop("delta_x_f", 0.1))
-    delta_p_c = float(overrides.pop("delta_p_c", 0.02))
-    delta_T = float(overrides.pop("delta_T", math.pi / 16.0))
-    for name, step in (("delta_x_f", delta_x_f), ("delta_p_c", delta_p_c), ("delta_T", delta_T)):
-        if not step > 0:
-            raise DomainError(f"{name} must be positive, got {step}")
-    x_span = float(overrides.pop("x_f_span", 5.0 * width * math.sqrt(system.hbar / (system.mass * system.omega))))
+    def positive(name: str, default: float) -> float:
+        value = float(overrides.pop(name, default))
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be positive and finite, got {value}")
+        return value
+
+    delta_x_f = positive("delta_x_f", 0.1)
+    delta_p_c = positive("delta_p_c", 0.02)
+    delta_T = positive("delta_T", math.pi / 16.0)
+    x_span = positive("x_f_span", 5.0 * width * math.sqrt(system.hbar / (system.mass * system.omega)))
     m_steps = max(1, round(x_span / delta_x_f))
-    x_f_grid = np.linspace(-m_steps * delta_x_f, m_steps * delta_x_f, 2 * m_steps + 1)
+    x_f_grid = delta_x_f * np.arange(-m_steps, m_steps + 1)
 
     halfwidth = math.sqrt(system.hbar * system.mass / T)
-    p_c_max = float(
-        overrides.pop(
-            "p_c_max",
-            max(
-                3.0 * math.sqrt(2.0 * system.mass * energy),
-                system.mass * system.omega * float(np.max(np.abs(x_f_grid))) + 10.0 * halfwidth,
-            ),
-        )
+    p_c_max = positive(
+        "p_c_max",
+        max(
+            3.0 * math.sqrt(2.0 * system.mass * energy),
+            system.mass * system.omega * float(np.max(np.abs(x_f_grid))) + 10.0 * halfwidth,
+        ),
     )
     k_steps = max(1, round(p_c_max / delta_p_c))
-    p_c_grid = np.linspace(-k_steps * delta_p_c, k_steps * delta_p_c, 2 * k_steps + 1)
+    p_c_grid = delta_p_c * np.arange(-k_steps, k_steps + 1)
 
     period = 2.0 * math.pi / system.omega
-    n_time = int(overrides.pop("n_time", max(1, round(period / delta_T))))
+    n_time = int(positive("n_time", max(1, round(period / delta_T))))
     if n_time < 1:
         raise DomainError(f"n_time must be at least 1, got {n_time}")
     T_samples = tuple(T + (j + 0.5) * delta_T for j in range(n_time))

@@ -17,7 +17,7 @@ cells as (p1,p3).
 
 Each time sample prices one ``(x_f, band node)`` stack through the engine
 the distributions use (``phasor._window_stack``), and every row is reduced
-by the same two ordered trapezoids, so ``threads`` never changes a result.
+by the same two ordered trapezoids.
 """
 
 from __future__ import annotations
@@ -70,8 +70,6 @@ def reconstruct(
     band: tuple[float, float] | None,
     T: float,
     grids: GridBundle,
-    *,
-    threads: int = 1,
 ) -> ReconstructionResult:
     """Integrate window averages over ``|p_c| in (p1, p2)`` for every ``x_f``.
 
@@ -81,8 +79,6 @@ def reconstruct(
     result should match the eigenfunction itself.
     """
     _check_travel_time(T)
-    if threads < 1:
-        raise DomainError("threads must be >= 1")
     if band is None:
         p1, p2 = 0.0, _full_band_cutoff(state, grids, T)
     else:
@@ -108,7 +104,7 @@ def reconstruct(
     t_samples = grids.T_samples if time_averaged else (float(T),)
     totals = [0.0 + 0.0j] * x_grid.size
     for t_prime in t_samples:
-        stack = _window_stack(state, nodes, x_grid, float(t_prime), grids, threads)
+        stack = _window_stack(state, nodes, x_grid, float(t_prime), grids)
         for j, series in enumerate(stack):
             totals[j] += trapezoid(nodes[:n_half], series[:n_half])
             totals[j] += trapezoid(nodes[n_half:], series[n_half:])

@@ -25,7 +25,6 @@ MANIFEST_KEYS = {
     "command",
     "version",
     "effective_config",
-    "threads_used",
     "outputs",
     "checks",
     "runtime_seconds",
@@ -235,6 +234,34 @@ def test_reconstruct_stage_thin_band_writes_zeros(tmp_path):
     assert np.all(table[:, 2] == 0.0)
 
 
+def test_reconstruct_stage_checks_the_circle_on_its_seam(tmp_path):
+    # the default circle x_f grid ends on the seam 2*pi
+    code = main(
+        [
+            "reconstruct",
+            "--set", "system=circle",
+            "--set", "quantum_number=2",
+            "--set", "T=100.41315519036377",
+            "--set", "band_lo=0.5",
+            "--set", "band_hi=3.0",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_OK
+    assert math.isfinite(_manifest(tmp_path, "reconstruct")["checks"]["max_abs_dev_from_psi"])
+
+
+def test_threads_flag_is_ignored_and_hidden(tmp_path, capsys):
+    argv = ["phasor", "--set", "system=free_line", "--set", "p_c_lo=0.5", "--set", "p_c_hi=1.5"]
+    argv += ["--out", str(tmp_path)]
+    assert main([*argv, "--threads", "3"]) == EXIT_OK
+    assert "threads" not in _manifest(tmp_path, "phasor")["effective_config"]
+    assert main([*argv, "--set", "threads=3"]) == EXIT_USAGE
+    capsys.readouterr()
+    assert main(["--help"]) == EXIT_OK
+    assert "--threads" not in capsys.readouterr().out
+
+
 def test_json_format(tmp_path):
     assert main(["fig10", "--format", "json", "--out", str(tmp_path)]) == EXIT_OK
     payload = json.loads((tmp_path / "fig10_n0.json").read_text())
@@ -261,7 +288,6 @@ def test_config_file_echoed_in_manifest(tmp_path):
     assert effective["T"] == 400.0
     assert effective["system"] == "free_line"
     assert effective["delta_p_c"] == 0.001
-    assert _manifest(out, "phasor")["threads_used"] >= 1
 
 
 def test_time_average_bytes_identical_across_threads(tmp_path):
@@ -280,7 +306,6 @@ def test_time_average_bytes_identical_across_threads(tmp_path):
             ]
         )
         assert code == EXIT_OK
-        assert _manifest(out, "time-average")["threads_used"] == threads
         blobs[threads] = (out / "time-average.csv").read_bytes()
     assert blobs[1] == blobs[2] == blobs[8]
 
@@ -379,7 +404,6 @@ def test_threaded_stage_bytes_identical_across_threads(tmp_path, command, sets):
         for item in sets:
             argv += ["--set", item]
         assert main(argv) == EXIT_OK
-        assert _manifest(out, command)["threads_used"] == threads
         blobs[threads] = (out / f"{command}.csv").read_bytes()
     assert blobs[1] == blobs[2] == blobs[8]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -145,7 +146,7 @@ def test_circle_norm_and_peak():
 def test_hard_wall_norm_even_mean_and_peaks():
     st = ps.EigenstateSpec(system=ps.hard_wall(), quantum_number=2.0)
     g = stationary_grids(st, 300.0, tail_budget=1e-4)
-    m = moments(spatial_average(st, 300.0, g, threads=4))
+    m = moments(spatial_average(st, 300.0, g))
     assert abs(m["norm"] - 1.0) < 1e-4
     assert abs(m["mean"]) < 1e-8          # even in p_c: two mirrored ridges
     assert abs(m["peak_location"]) == pytest.approx(2.0, abs=1e-3)
@@ -154,7 +155,7 @@ def test_hard_wall_norm_even_mean_and_peaks():
 def test_square_well_norm_and_even_mean():
     st = ps.EigenstateSpec(system=ps.square_well(width=math.pi), quantum_number=2.0)
     g = stationary_grids(st, 300.0, tail_budget=1e-4)
-    m = moments(spatial_average(st, 300.0, g, threads=4))
+    m = moments(spatial_average(st, 300.0, g))
     assert abs(m["norm"] - 1.0) < 1e-4
     assert abs(m["mean"]) < 1e-8
 
@@ -165,8 +166,8 @@ def test_hard_wall_window_choice_is_immaterial():
     st = ps.EigenstateSpec(system=ps.hard_wall(), quantum_number=2.0)
     g1 = stationary_grids(st, 300.0, tail_budget=1e-4)
     g2 = stationary_grids(st, 300.0, tail_budget=1e-4, x_window=8.0 * math.pi)
-    d1 = spatial_average(st, 300.0, g1, threads=4)
-    d2 = spatial_average(st, 300.0, g2, threads=4)
+    d1 = spatial_average(st, 300.0, g1)
+    d2 = spatial_average(st, 300.0, g2)
     assert np.max(np.abs(d1.values - d2.values)) < 1e-12
 
 
@@ -212,9 +213,8 @@ def test_hoisted_stack_is_bit_identical_to_per_column_windows(st, T):
     weights = _trapezoid_weights(g.x_f_grid) * psi.conj()
     norm = trapezoid(g.x_f_grid, (psi.conj() * psi).real).real
     reduced = np.sum(want * weights[:, None], axis=0) / norm
-    for threads in (1, 2):
-        d = spatial_average(st, T, g, threads=threads, method="grid")
-        assert d.values.tobytes() == reduced.tobytes()
+    d = spatial_average(st, T, g, method="grid")
+    assert d.values.tobytes() == reduced.tobytes()
 
 
 def test_window_average_x_f_shapes():
@@ -238,8 +238,6 @@ def test_spatial_average_validation():
         spatial_average(K1, -5.0, g)
     with pytest.raises(DomainError):
         spatial_average(K1, 100.0, g, method="fancy")
-    with pytest.raises(DomainError):
-        spatial_average(K1, 100.0, g, threads=0)
 
 
 WALL2 = STATIONARY_STATES[0]
@@ -273,8 +271,8 @@ def test_bare_oscillator_distribution_never_settles():
     xg = np.linspace(-8.7, 8.7, 175)
     pg = np.arange(0.9, 2.6 + 1e-9, 0.02)
     g = GridBundle(p_c_grid=pg, x_f_grid=xg, T_samples=(T32 + 0.4,), hbar_mass=1.0)
-    dA = spatial_average(st, T32 + 0.4, g, threads=4)
-    dB = spatial_average(st, T32 + 0.4 + math.pi / 2.0, g, threads=4)
+    dA = spatial_average(st, T32 + 0.4, g)
+    dB = spatial_average(st, T32 + 0.4 + math.pi / 2.0, g)
     rel = np.max(np.abs(dA.values - dB.values)) / np.max(np.abs(dA.values))
     assert rel > 0.5
 
@@ -285,10 +283,10 @@ def test_time_average_is_mean_of_spatial_averages():
     pg = np.arange(0.9, 2.6 + 1e-9, 0.02)
     ts = (T32 + 0.3, T32 + 1.1)
     g = GridBundle(p_c_grid=pg, x_f_grid=xg, T_samples=ts, hbar_mass=1.0)
-    d = time_average(st, T32, g, threads=4)
+    d = time_average(st, T32, g)
     manual = 0.5 * (
-        spatial_average(st, ts[0], g, threads=4).values
-        + spatial_average(st, ts[1], g, threads=4).values
+        spatial_average(st, ts[0], g).values
+        + spatial_average(st, ts[1], g).values
     )
     assert d.time_averaged
     assert np.max(np.abs(d.values - manual)) == 0.0
@@ -300,23 +298,39 @@ def test_time_average_is_oscillator_only():
         time_average(K1, 100.0, g)
 
 
-def test_time_average_refuses_zero_threads():
-    with pytest.raises(DomainError, match="threads"):
-        time_average(HO1, T32, paper_grids(HO1, T32), threads=0)
+def _per_row_time_average(st, g):
+    """Reference: every x_f row through window_average_series, no mirror."""
+    psi = _psi_values(st, g.x_f_grid)
+    weights = _trapezoid_weights(g.x_f_grid) * psi.conj()
+    norm = trapezoid(g.x_f_grid, (psi.conj() * psi).real).real
+    per_sample = []
+    for t in g.T_samples:
+        stack = np.array(
+            [window_average_series(st, g.p_c_grid, float(x), float(t), g) for x in g.x_f_grid]
+        )
+        per_sample.append(np.sum(stack * weights[:, None], axis=0) / norm)
+    return np.sum(np.asarray(per_sample), axis=0) / len(per_sample)
 
 
-@pytest.mark.parametrize("average", [spatial_average, time_average], ids=lambda f: f.__name__)
-def test_oscillator_averages_are_bit_identical_across_threads(average):
-    # 8 x_f rows: 3 threads split them into uneven blocks (2, 3, 3)
-    g = GridBundle(
-        p_c_grid=np.arange(0.9, 2.6 + 1e-9, 0.05),
-        x_f_grid=np.linspace(-2.0, 2.0, 8),
-        T_samples=(T32 + 0.3, T32 + 1.1),
-        hbar_mass=1.0,
-    )
-    blobs = {n: average(HO1, T32 + 0.3, g, threads=n).values.tobytes() for n in (1, 2, 3)}
-    assert blobs[2] == blobs[1]
-    assert blobs[3] == blobs[1]
+def _small_paper_grids(st, T):
+    return paper_grids(st, T, delta_x_f=0.5, delta_p_c=0.1, delta_T=math.pi / 2.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 8])
+def test_mirrored_time_average_matches_per_row_reference(n):
+    st = ps.EigenstateSpec(system=HO, quantum_number=n)
+    g = _small_paper_grids(st, T32 + 0.3)
+    want = _per_row_time_average(st, g)
+    got = time_average(st, T32 + 0.3, g).values
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dropped", ["x_f_grid", "p_c_grid"])
+def test_asymmetric_grid_time_average_is_bit_identical_to_per_row_loop(dropped):
+    g = _small_paper_grids(HO1, T32 + 0.3)
+    g = dataclasses.replace(g, **{dropped: getattr(g, dropped)[1:]})
+    want = _per_row_time_average(HO1, g)
+    assert time_average(HO1, T32 + 0.3, g).values.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------- moments

@@ -153,6 +153,35 @@ def test_paper_grids_delta_T_override_keeps_full_period():
     assert g.T_samples[-1] == pytest.approx(32.0 * math.pi + 2.0 * math.pi - math.pi / 64.0)
 
 
+@pytest.mark.parametrize("n", [0, 1, 3, 8])
+@pytest.mark.parametrize("overrides", [{}, {"delta_x_f": 0.4, "delta_p_c": 0.03}, {"x_f_span": 7.7}])
+def test_paper_grids_are_bitwise_mirror_symmetric(n, overrides):
+    g = paper_grids(EigenstateSpec(harmonic_oscillator(), n), 32.0 * math.pi, **overrides)
+    for grid in (g.x_f_grid, g.p_c_grid):
+        assert np.array_equal(grid, -grid[::-1])
+
+
+_HO0 = EigenstateSpec(harmonic_oscillator(), 0)
+_NAN_GRID = np.array([0.0, math.nan, 1.0])
+NON_FINITE_GRIDS = {
+    "delta_x_f=inf": lambda: paper_grids(_HO0, 100.0, delta_x_f=math.inf),
+    "delta_p_c=inf": lambda: paper_grids(_HO0, 100.0, delta_p_c=math.inf),
+    "delta_T=inf": lambda: paper_grids(_HO0, 100.0, delta_T=math.inf),
+    "p_c_max=nan": lambda: paper_grids(_HO0, 100.0, p_c_max=math.nan),
+    "x_f_span=inf": lambda: paper_grids(_HO0, 100.0, x_f_span=math.inf),
+    "n_p_floor=nan": lambda: paper_grids(_HO0, 100.0, n_p_floor=math.nan),
+    "bundle p_c_grid": lambda: GridBundle(_NAN_GRID, np.array([0.0, 1.0]), (1.0,), 1.0),
+    "bundle T_samples": lambda: GridBundle(np.array([0.0, 1.0]), np.array([0.0, 1.0]), (math.nan,), 1.0),
+    "bundle hbar_mass": lambda: GridBundle(np.array([0.0, 1.0]), np.array([0.0, 1.0]), (1.0,), math.nan),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_GRIDS))
+def test_non_finite_grid_inputs_are_refused(case):
+    with pytest.raises(DomainError, match="finite"):
+        NON_FINITE_GRIDS[case]()
+
+
 def test_paper_grids_rejects_unknown_overrides_and_other_systems():
     state = EigenstateSpec(harmonic_oscillator(), 0)
     with pytest.raises(DomainError):

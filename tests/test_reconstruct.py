@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -53,8 +54,6 @@ def test_band_argument_validation():
         reconstruct(K1, (0.5, 0.5), T_FREE, g)
     with pytest.raises(DomainError):
         reconstruct(K1, (0.0, 1.0), 0.0, g)
-    with pytest.raises(DomainError):
-        reconstruct(K1, (0.0, 1.0), T_FREE, g, threads=0)
 
 
 def test_truncation_error_decreases_with_cutoff():
@@ -89,7 +88,7 @@ def test_oscillator_full_band_rebuilds_ground_state():
         T_samples=ts,
         hbar_mass=1.0,
     )
-    r = reconstruct(st, None, T, g, threads=4)
+    r = reconstruct(st, None, T, g)
     psi = np.asarray(ps.eigenfunction(st, x))
     assert r.time_averaged
     assert np.max(np.abs(r.values - psi)) < 1e-2 * np.max(np.abs(psi))
@@ -116,7 +115,7 @@ def test_narrow_band_vanishes_beyond_turning_points():
     st = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=0.0)
     T = 512.0 * math.pi
     g = ps.paper_grids(st, T)
-    r = reconstruct(st, (0.98, 1.02), T, g, threads=4)
+    r = reconstruct(st, (0.98, 1.02), T, g)
     x = g.x_f_grid
     outside = np.abs(x) >= 1.1
     assert np.max(np.abs(r.values[outside])) == 0.0
@@ -171,25 +170,31 @@ def test_stationary_reconstruct_is_bit_identical_to_per_column_loop(st):
     T = 100.41315519036377
     g = stationary_grids(st, T, p_c_span=(-6.0, 6.0))
     want = _per_column_reconstruct(st, (0.5, 3.0), T, g)
-    for threads in (1, 2):
-        got = reconstruct(st, (0.5, 3.0), T, g, threads=threads).values
-        assert got.tobytes() == want.tobytes()
+    got = reconstruct(st, (0.5, 3.0), T, g).values
+    assert got.tobytes() == want.tobytes()
 
 
-def test_oscillator_reconstruct_is_bit_identical_across_threads():
-    # 8 x_f rows: 3 threads split them into uneven blocks (2, 3, 3)
+def _small_oscillator_grids(st, T):
+    return ps.paper_grids(st, T, delta_x_f=0.5, delta_p_c=0.1, delta_T=math.pi / 2.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 8])
+def test_mirrored_oscillator_reconstruct_matches_per_row_reference(n):
+    st = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=n)
+    T = 32.0 * math.pi + 0.3
+    g = _small_oscillator_grids(st, T)
+    want = _per_column_reconstruct(st, (0.5, 4.5), T, g)
+    got = reconstruct(st, (0.5, 4.5), T, g).values
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_asymmetric_grid_reconstruct_is_bit_identical_to_per_row_loop():
     st = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=1.0)
-    T = 32.0 * math.pi
-    g = GridBundle(
-        p_c_grid=np.arange(0.0, 3.0 + 1e-9, 0.05),
-        x_f_grid=np.linspace(-2.0, 2.0, 8),
-        T_samples=(T + 0.3, T + 1.1),
-        hbar_mass=1.0,
-    )
+    T = 32.0 * math.pi + 0.3
+    g = _small_oscillator_grids(st, T)
+    g = dataclasses.replace(g, x_f_grid=g.x_f_grid[1:])
     want = _per_column_reconstruct(st, (0.5, 2.5), T, g)
-    for threads in (1, 2, 3):
-        got = reconstruct(st, (0.5, 2.5), T, g, threads=threads).values
-        assert got.tobytes() == want.tobytes()
+    assert reconstruct(st, (0.5, 2.5), T, g).values.tobytes() == want.tobytes()
 
 
 def test_dominant_path_phase_telescopes():
