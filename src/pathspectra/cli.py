@@ -238,15 +238,9 @@ def _curve_grid(state: EigenstateSpec, cfg: RunConfig) -> np.ndarray:
             system.mass * (system.omega or 1.0) * abs(cfg.x_f) + 10.0 * h,
         )
         return uniform_grid(-p_max, p_max, step)
-    center = system.hbar * (
-        state.wavenumber
-        if system.kind in (SystemKind.HARD_WALL, SystemKind.SQUARE_WELL)
-        else float(state.quantum_number)
-    )
-    lo = center - 50.0 * h
-    if system.kind in (SystemKind.HARD_WALL, SystemKind.SQUARE_WELL):
-        lo = -center - 50.0 * h
-    return uniform_grid(lo, center + 50.0 * h, step)
+    standing = system.kind in (SystemKind.HARD_WALL, SystemKind.SQUARE_WELL)
+    center = system.hbar * (state.wavenumber if standing else float(state.quantum_number))
+    return uniform_grid((-center if standing else center) - 50.0 * h, center + 50.0 * h, step)
 
 
 def _marginal_table(write: Writer, name: str, n: int, system: SystemSpec, delta_p: float | None) -> float:
@@ -298,26 +292,13 @@ def _pinned(command: str, cfg: RunConfig) -> RunConfig:
 
 
 def _fig1(cfg: RunConfig, write: Writer) -> dict:
-    state = build_state(cfg)
-    h = math.sqrt(1.0 / cfg.T)
-    offset = cfg.segment_offset if cfg.segment_offset != 0.0 else h
-    grid = uniform_grid(cfg.p_c_lo, cfg.p_c_hi, cfg.delta_p_c)
-    log.info("fig1: phasor curve, %d samples", grid.size)
-    curve = phasor_curve(state, cfg.x_f, cfg.T, grid)
-    write("fig1_curve", ("p_c", "re", "im"), (grid, curve.cumulative))
-    centers, windows = segment_windows(
-        state, cfg.x_f, cfg.T, offset, cfg.p_c_lo, cfg.p_c_hi
-    )
+    checks = _stage_phasor(cfg, write, name="fig1_curve")
+    offset = cfg.segment_offset if cfg.segment_offset != 0.0 else math.sqrt(1.0 / cfg.T)
+    centers, windows = segment_windows(build_state(cfg), cfg.x_f, cfg.T, offset, cfg.p_c_lo, cfg.p_c_hi)
     write("fig1_segments", ("p_c", "re", "im"), (centers, windows))
     seg_sum = complex(np.sum(windows))
-    return {
-        "endpoint_re": float(curve.endpoint.real),
-        "endpoint_im": float(curve.endpoint.imag),
-        "endpoint_abs_error": abs(curve.endpoint - 1.0),
-        "segment_offset": offset,
-        "segment_sum_re": seg_sum.real,
-        "segment_sum_im": seg_sum.imag,
-    }
+    checks.update(segment_offset=offset, segment_sum_re=seg_sum.real, segment_sum_im=seg_sum.imag)
+    return checks
 
 
 def _fig2(cfg: RunConfig, write: Writer) -> dict:
@@ -404,12 +385,12 @@ def _fig10(cfg: RunConfig, write: Writer) -> dict:
 # generic stages
 
 
-def _stage_phasor(cfg: RunConfig, write: Writer) -> dict:
+def _stage_phasor(cfg: RunConfig, write: Writer, *, name: str = "phasor") -> dict:
     state = build_state(cfg)
     grid = _curve_grid(state, cfg)
-    log.info("phasor: %s curve, %d samples", cfg.system, grid.size)
+    log.info("%s: %s curve, %d samples", name, cfg.system, grid.size)
     curve = phasor_curve(state, cfg.x_f, cfg.T, grid)
-    write("phasor", ("p_c", "re", "im"), (grid, curve.cumulative))
+    write(name, ("p_c", "re", "im"), (grid, curve.cumulative))
     target = complex(eigenfunction(state, cfg.x_f))
     return {
         "endpoint_re": curve.endpoint.real,

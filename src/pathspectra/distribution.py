@@ -16,8 +16,7 @@ Normalization note: the x_f integral and N are always computed over the same
 window, so distributions integrate to 1 regardless of the window size.  For
 the phase-like eigenfunctions (free line, circle) the conjugate weight cancels
 the only x_f dependence of the window average exactly, and the quotient of
-integrals collapses to the window kernel itself -- ``spatial_average`` uses
-that collapsed form unless asked not to (``method="grid"``).
+integrals collapses to the window kernel itself, which ``spatial_average`` uses.
 
 Cost note: each x_f average reduces one ``(x_f, p_c)`` stack of windows from
 ``phasor._window_stack``, the engine reconstruction shares; the reduction is
@@ -209,37 +208,13 @@ def _grid_average(
     return np.sum(stacked, axis=0)
 
 
-def spatial_average(
-    state: EigenstateSpec,
-    T: float,
-    grids: GridBundle,
-    *,
-    method: str = "auto",
-) -> PathDistribution:
-    """Average the window integrals against the conjugated eigenfunction.
+def spatial_average(state: EigenstateSpec, T: float, grids: GridBundle) -> PathDistribution:
+    """Average the window integrals against the conjugated eigenfunction at ``T``.
 
-    ``method="auto"`` uses the exact collapsed form for free line and circle
-    (their x_f dependence cancels identically, so the x_f window provably
-    cannot matter); ``method="grid"`` forces the literal x_f trapezoid for any
-    system, which is how the collapse itself is cross-checked.
+    Free line and circle use the collapsed form: their x_f dependence cancels
+    identically, so the x_f window provably cannot matter.
     """
-    _check_travel_time(T)
-    if method not in ("auto", "grid"):
-        raise DomainError(f"unknown spatial_average method {method!r}")
-    weights, norm = _x_f_weights(state, grids)
-    if method == "auto" and state.system.kind in _PLANE_KINDS:
-        values = window_average(state, grids.p_c_grid, 0.0, T, grids)
-    else:
-        values = _grid_average(state, T, grids, weights) / norm
-    return PathDistribution(
-        p_c_grid=grids.p_c_grid,
-        values=np.asarray(values, dtype=np.complex128),
-        state=state,
-        T=float(T),
-        time_averaged=False,
-        normalization_N=float(norm),
-        grids=grids,
-    )
+    return _distribution(state, T, grids, time_averaged=False)
 
 
 def time_average(state: EigenstateSpec, T: float, grids: GridBundle) -> PathDistribution:
@@ -256,16 +231,27 @@ def time_average(state: EigenstateSpec, T: float, grids: GridBundle) -> PathDist
     """
     if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
         raise DomainError("time averaging over a classical period is an oscillator operation")
+    return _distribution(state, T, grids, time_averaged=True)
+
+
+def _distribution(
+    state: EigenstateSpec, T: float, grids: GridBundle, *, time_averaged: bool
+) -> PathDistribution:
+    """Mean of ``_grid_average / N`` over ``(T,)`` or ``grids.T_samples``; free line and circle collapse."""
     _check_travel_time(T)
     weights, norm = _x_f_weights(state, grids)
-    per_sample = [_grid_average(state, float(t), grids, weights) / norm for t in grids.T_samples]
-    values = np.sum(np.asarray(per_sample), axis=0) / len(per_sample)
+    if state.system.kind in _PLANE_KINDS:
+        values = window_average(state, grids.p_c_grid, 0.0, T, grids)
+    else:
+        samples = grids.T_samples if time_averaged else (T,)
+        per_sample = [_grid_average(state, float(t), grids, weights) / norm for t in samples]
+        values = np.sum(np.asarray(per_sample), axis=0) / len(per_sample)
     return PathDistribution(
         p_c_grid=grids.p_c_grid,
         values=np.asarray(values, dtype=np.complex128),
         state=state,
         T=float(T),
-        time_averaged=True,
+        time_averaged=time_averaged,
         normalization_N=float(norm),
         grids=grids,
     )

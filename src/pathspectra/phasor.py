@@ -54,7 +54,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import DivergentSampleError, DomainError
-from .quadrature import GridBundle, compensated_sum, cumulative_trapezoid
+from .quadrature import GridBundle, _check_node_count, compensated_sum, cumulative_trapezoid
 from .specfun import (
     gaussian_phase_integral,
     hermite_phase_gain,
@@ -80,8 +80,6 @@ __all__ = [
     "segment_windows",
     "segment_sum_check",
 ]
-
-_CHUNK = 1 << 20  # phasor-curve evaluation chunk (keeps peak memory modest)
 
 # Largest ladder error bound G_n * eps (relative to the column's scale) that
 # the closed-form oscillator column accepts; the default inner grid's own
@@ -132,12 +130,9 @@ def _plane_terms(
     m = mass_parameter(sys_)
     amp = complex(np.sqrt(T / (2j * np.pi * sys_.hbar * m)))
     kind = sys_.kind
-    if kind is SystemKind.FREE_LINE:
+    if kind in (SystemKind.FREE_LINE, SystemKind.CIRCLE):
         k = state.quantum_number
         return [(amp * complex(np.exp(1j * k * x_f)), sys_.hbar * k)]
-    if kind is SystemKind.CIRCLE:
-        ell = state.quantum_number
-        return [(amp * complex(np.exp(1j * ell * x_f)), sys_.hbar * ell)]
     if kind in (SystemKind.HARD_WALL, SystemKind.SQUARE_WELL):
         k = state.wavenumber
         pref = amp / 2j
@@ -197,6 +192,8 @@ def integrand(
     touching it must go through the singular quadrature instead.
     """
     _check_travel_time(T)
+    if not math.isfinite(x_f):
+        raise DomainError(f"x_f must be finite, got {x_f!r}")
     pa = np.asarray(p_c, dtype=float)
     scalar = pa.ndim == 0
     if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
@@ -228,33 +225,13 @@ def integrand(
 def phasor_curve(
     state: EigenstateSpec, x_f: float, T: float, p_grid: ArrayLike
 ) -> PhasorCurve:
-    """Cumulative trapezoid of the integrand along ``p_grid``.
-
-    Evaluation is chunked so multi-million-point grids stay within a couple of
-    working arrays; the running sum is carried across chunks in order, so the
-    result is identical to one monolithic pass.
-    """
+    """Cumulative trapezoid of the integrand along ``p_grid``, in one pass."""
     grid = np.asarray(p_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise DomainError("p_grid must be 1-D with at least 2 points")
-    if np.any(np.diff(grid) <= 0):
-        raise DomainError("p_grid must be strictly increasing")
-    cumulative = np.empty(grid.size, dtype=np.complex128)
-    cumulative[0] = 0.0
-    carry = 0.0 + 0.0j
-    prev_tail: complex | None = None
-    for start in range(0, grid.size, _CHUNK):
-        stop = min(grid.size, start + _CHUNK)
-        lo = start - 1 if start > 0 else 0
-        vals = integrand(state, grid[lo:stop], x_f, T)
-        vals = np.atleast_1d(np.asarray(vals, dtype=np.complex128))
-        if prev_tail is not None:
-            vals[0] = prev_tail  # re-use the boundary sample: bit-identical carry
-        cells = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid[lo:stop])
-        block = np.cumsum(cells) + carry
-        cumulative[lo + 1 : stop] = block
-        carry = block[-1]
-        prev_tail = complex(vals[-1])
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+        raise DomainError("p_grid must be finite and strictly increasing")
+    cumulative = cumulative_trapezoid(grid, np.asarray(integrand(state, grid, x_f, T)))
     return PhasorCurve(p_c_grid=grid, cumulative=cumulative, state=state, x_f=x_f, T=T)
 
 
@@ -287,8 +264,8 @@ def window_average(
     pa = np.asarray(p_c, dtype=float)
     scalar = pa.ndim == 0
     xa = np.asarray(x_f, dtype=float)
-    if xa.ndim > 1:
-        raise DomainError("x_f must be a scalar or a 1-D array")
+    if xa.ndim > 1 or not np.all(np.isfinite(xa)):
+        raise DomainError("x_f must be a finite scalar or 1-D array")
     if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
         if xa.ndim:
             raise DomainError("oscillator windows take one x_f per call")
@@ -434,6 +411,8 @@ def window_average_series(
         return np.asarray(window_average(state, pa, x_f, T, grids), dtype=np.complex128)
     _check_bundle(state, grids)
     _check_travel_time(T)
+    if not math.isfinite(x_f):
+        raise DomainError(f"x_f must be finite, got {x_f!r}")
     h = grids.window_halfwidth(T)
     edges = np.concatenate([pa - h, pa + h])
     a_vals = _ho_antiderivative_at(state, x_f, T, edges, grids)
@@ -479,27 +458,32 @@ def segment_windows(
     """Window integrals of the contiguous tiling ``p_nu = 2*nu*h + delta_p``.
 
     The momentum line tiles exactly into windows ``[p_nu - h, p_nu + h]`` for
-    *any* offset ``delta_p``; this evaluates each window over one shared
-    integrand grid.  ``delta_p`` is snapped to the grid (spacing ``2h /
-    cells_per_window``) so every window edge is a grid node and the windows
-    re-bracket the same trapezoid cells exactly; windows overhanging the
-    extent are clipped to it.  Returns (window centers, window integrals).
+    *any* offset ``delta_p``; each window is a difference of one
+    :func:`phasor_curve` over the extent.  ``delta_p`` is snapped to the
+    curve's grid (spacing ``2h / cells_per_window``) so every window edge is
+    a grid node and the windows re-bracket the same trapezoid cells;
+    windows overhanging the extent are clipped to it.  Returns (window
+    centers, window integrals).
     """
+    _check_travel_time(T)
     if cells_per_window < 2 or cells_per_window % 2:
         raise DomainError("cells_per_window must be an even integer >= 2")
     if not p_hi > p_lo:
         raise DomainError("extent must have p_hi > p_lo")
-    h = math.sqrt(
-        state.system.hbar * mass_parameter(state.system) / T
-    )
+    h = math.sqrt(state.system.hbar * mass_parameter(state.system) / T)
     step = 2.0 * h / cells_per_window
-    n_cells = int(math.floor((p_hi - p_lo) / step + 1e-9))
+    cells = (p_hi - p_lo) / step + 1e-9
+    _check_node_count(cells + 1.0, "segment tiling grid")
+    n_cells = int(math.floor(cells))
     if n_cells < cells_per_window:
         raise DomainError("extent narrower than a single window")
+    offset = (delta_p - p_lo) / step
+    if not math.isfinite(offset):  # NaN or inf delta_p, or one too far out to snap
+        raise DomainError(f"delta_p must be finite and within reach of the grid, got {delta_p!r}")
     grid = p_lo + step * np.arange(n_cells + 1)
-    curve = cumulative_trapezoid(grid, np.asarray(integrand(state, grid, x_f, T)))
+    curve = phasor_curve(state, x_f, T, grid).cumulative
     half = cells_per_window // 2
-    base = round((delta_p - p_lo) / step)
+    base = round(offset)
     # windows nu with [base + nu*cpw - half, base + nu*cpw + half] meeting [0, n]
     nu_lo = math.ceil((-half - base) / cells_per_window)
     nu_hi = math.floor((n_cells + half - 1 - base) / cells_per_window)

@@ -50,6 +50,17 @@ __all__ = [
     "paper_grids",
 ]
 
+# Largest node or sample count any grid may have: 14x the largest grid the
+# test suite builds, and 128 MiB as one float64 array.
+_MAX_NODES = 1 << 24
+
+
+def _check_node_count(count: float, what: str) -> float:
+    """``count`` (a float quotient), refused above ``_MAX_NODES`` before anything is allocated."""
+    if not count <= _MAX_NODES:  # also refuses NaN and inf
+        raise DomainError(f"{what} would have {count:.3g} nodes, more than the limit {_MAX_NODES}")
+    return count
+
 
 def compensated_sum(terms: NDArray) -> complex:
     """Exactly rounded sum of a 1-D array of (complex) terms, in index order."""
@@ -69,7 +80,7 @@ def _cells(x: NDArray, y: NDArray) -> NDArray:
     if x.size < 2:
         raise DomainError("trapezoid needs at least 2 samples")
     dx = np.diff(x)
-    if np.any(dx <= 0):
+    if not np.all(dx > 0):
         raise DomainError("abscissae must be strictly increasing")
     return 0.5 * (y[..., 1:] + y[..., :-1]) * dx
 
@@ -106,14 +117,19 @@ def cumulative_trapezoid(x: NDArray, y: NDArray) -> NDArray:
 def uniform_grid(lo: float, hi: float, step: float) -> NDArray[np.float64]:
     """Uniform grid from lo to hi with spacing as close to ``step`` as fits.
 
-    The endpoint count is rounded so the grid lands exactly on both ends,
-    keeping symmetric ranges exactly symmetric in floating point.
+    The cell count is rounded so the grid lands exactly on both ends.  The
+    interior comes from ``np.linspace`` and is symmetric only to rounding
+    (a few ulp of the range); :func:`paper_grids`' ``step * arange`` grids
+    are the exactly mirror-symmetric ones.  More than ``_MAX_NODES`` nodes
+    are refused before any is allocated.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise DomainError(f"grid range must be finite with hi > lo, got [{lo}, {hi}]")
     if not (math.isfinite(step) and step > 0):
         raise DomainError(f"grid step must be positive and finite, got {step}")
-    n = max(1, round((hi - lo) / step))
+    cells = (hi - lo) / step
+    _check_node_count(cells + 1.0, "uniform grid")
+    n = max(1, round(cells))
     return np.linspace(lo, hi, n + 1)
 
 
@@ -183,7 +199,8 @@ def paper_grids(state: EigenstateSpec, T: float, **overrides: float) -> GridBund
 
     Keyword overrides: ``delta_p_c``, ``p_c_max``, ``delta_x_f``, ``x_f_span``,
     ``delta_T``, ``n_time``, ``n_p_floor``, ``n_p_slope``.  Each must be
-    finite; all but ``n_p_slope`` must also be positive.
+    finite; all but ``n_p_slope`` must also be positive.  A grid or time
+    sampling of more than ``_MAX_NODES`` nodes is refused before it is built.
     """
     system = state.system
     if system.kind is not SystemKind.HARMONIC_OSCILLATOR:
@@ -203,7 +220,18 @@ def paper_grids(state: EigenstateSpec, T: float, **overrides: float) -> GridBund
     delta_x_f = positive("delta_x_f", 0.1)
     delta_p_c = positive("delta_p_c", 0.02)
     delta_T = positive("delta_T", math.pi / 16.0)
+
+    period = 2.0 * math.pi / system.omega
+    if "n_time" in overrides:
+        n_time = int(_check_node_count(positive("n_time", 1.0), "T' sampling"))
+    else:
+        n_time = max(1, round(_check_node_count(period / delta_T, "T' sampling")))
+    if n_time < 1:
+        raise DomainError(f"n_time must be at least 1, got {n_time}")
+    T_samples = tuple(T + (j + 0.5) * delta_T for j in range(n_time))
+
     x_span = positive("x_f_span", 5.0 * width * math.sqrt(system.hbar / (system.mass * system.omega)))
+    _check_node_count(2.0 * (x_span / delta_x_f) + 1.0, "x_f grid")
     m_steps = max(1, round(x_span / delta_x_f))
     x_f_grid = delta_x_f * np.arange(-m_steps, m_steps + 1)
 
@@ -215,14 +243,9 @@ def paper_grids(state: EigenstateSpec, T: float, **overrides: float) -> GridBund
             system.mass * system.omega * float(np.max(np.abs(x_f_grid))) + 10.0 * halfwidth,
         ),
     )
+    _check_node_count(2.0 * (p_c_max / delta_p_c) + 1.0, "p_c grid")
     k_steps = max(1, round(p_c_max / delta_p_c))
     p_c_grid = delta_p_c * np.arange(-k_steps, k_steps + 1)
-
-    period = 2.0 * math.pi / system.omega
-    n_time = int(positive("n_time", max(1, round(period / delta_T))))
-    if n_time < 1:
-        raise DomainError(f"n_time must be at least 1, got {n_time}")
-    T_samples = tuple(T + (j + 0.5) * delta_T for j in range(n_time))
 
     bundle = GridBundle(
         p_c_grid=p_c_grid,

@@ -11,9 +11,10 @@ classical period, same as the distributions, but without the x_f integral:
 Narrow bands centred on sqrt(2*M*E_n) reproduce the state only between the
 classical turning points -- the band selects the paths that classically exist.
 
-Band edges are snapped to the bundle's momentum lattice, which is what makes
-adjacent bands add exactly: (p1,p2) + (p2,p3) re-brackets the same trapezoid
-cells as (p1,p3).
+Band edges are snapped to the bundle's momentum lattice, so (p1,p2) + (p2,p3)
+re-brackets the same trapezoid cells as (p1,p3).  The sums are rounded
+separately, so adjacent bands add only to rounding: measured 5.9e-17 for
+the oscillator n = 3 and 1.2e-16 for the wall k = 2.
 
 Each time sample prices one ``(x_f, band node)`` stack through the engine
 the distributions use (``phasor._window_stack``), and every row is reduced
@@ -30,7 +31,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from .errors import DomainError
 from .phasor import _window_stack
-from .quadrature import GridBundle, trapezoid
+from .quadrature import GridBundle, _check_node_count, trapezoid
 from .systems import EigenstateSpec, SystemKind, _check_travel_time
 
 __all__ = ["ReconstructionResult", "reconstruct", "dominant_path_phase"]
@@ -83,12 +84,15 @@ def reconstruct(
         p1, p2 = 0.0, _full_band_cutoff(state, grids, T)
     else:
         p1, p2 = float(band[0]), float(band[1])
+    if not (math.isfinite(p1) and math.isfinite(p2)):
+        raise DomainError(f"band edges must be finite, got ({p1!r}, {p2!r})")
     if p1 < 0:
         raise DomainError("band edges are magnitudes: p1 must be >= 0")
     if p1 >= p2:
         raise DomainError(f"band must have p1 < p2, got ({p1!r}, {p2!r})")
 
     step = float(np.min(np.diff(grids.p_c_grid)))
+    _check_node_count(2.0 * ((p2 - p1) / step + 1.0), "band node grid")
     i1 = round(p1 / step)
     i2 = round(p2 / step)
     x_grid = grids.x_f_grid

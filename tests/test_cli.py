@@ -151,6 +151,14 @@ def test_fig1_smoke(tmp_path):
     assert abs(seg - complex(manifest["checks"]["endpoint_re"], manifest["checks"]["endpoint_im"])) < 1e-2
 
 
+def test_fig1_curve_is_the_phasor_stage_on_the_pinned_grid(tmp_path):
+    assert main(["fig1", "--out", str(tmp_path / "fig1")]) == EXIT_OK
+    pinned = ["system=free_line", "quantum_number=1", "T=1e4", "p_c_lo=0.5", "p_c_hi=1.5", "delta_p_c=1e-4"]
+    argv = ["phasor", *[arg for item in pinned for arg in ("--set", item)], "--out", str(tmp_path / "phasor")]
+    assert main(argv) == EXIT_OK
+    assert (tmp_path / "fig1" / "fig1_curve.csv").read_bytes() == (tmp_path / "phasor" / "phasor.csv").read_bytes()
+
+
 def test_fig9_marginals_match_closed_form(tmp_path):
     assert main(["fig9", "--set", "delta_p_c=0.25", "--out", str(tmp_path)]) == EXIT_OK
     manifest = _manifest(tmp_path, "fig9")
@@ -415,3 +423,18 @@ def test_compare_stage_tables_match_fig9_and_fig10(tmp_path):
     compare = tmp_path / "compare"
     assert (compare / "compare_marginal.csv").read_bytes() == (tmp_path / "fig9" / "fig9_n0.csv").read_bytes()
     assert (compare / "compare_overlap.csv").read_bytes() == (tmp_path / "fig10" / "fig10_n0.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig1", "--set", "p_c_hi=1e300"],
+        ["reconstruct", "--set", "T=100.41315519036377", "--set", "band_hi=1e300"],
+        ["window", "--set", "p_c_max=1e300", "--set", "T=100.41315519036377"],
+        ["distribution", "--set", "system=hard_wall", "--set", "quantum_number=2", "--set", "delta_x_f=1e-300"],
+    ],
+    ids=["fig1", "reconstruct", "window", "distribution"],
+)
+def test_oversized_grids_are_domain_errors(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_DOMAIN
+    assert not list(tmp_path.glob("*.csv"))

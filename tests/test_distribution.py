@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -11,8 +12,10 @@ import pytest
 import pathspectra as ps
 from pathspectra.distribution import (
     PathDistribution,
+    _grid_average,
     _psi_values,
     _trapezoid_weights,
+    _x_f_weights,
     moments,
     spatial_average,
     stationary_grids,
@@ -124,8 +127,9 @@ def test_collapsed_form_matches_grid_route():
     # so the collapsed evaluation and the literal trapezoid must agree
     g = stationary_grids(K1, 1.0e3, p_c_span=(-2.0, 4.0), x_window=2.0 * math.pi)
     d_auto = spatial_average(K1, 1.0e3, g)
-    d_grid = spatial_average(K1, 1.0e3, g, method="grid")
-    assert np.max(np.abs(d_auto.values - d_grid.values)) < 1e-12
+    weights, norm = _x_f_weights(K1, g)
+    d_grid = _grid_average(K1, 1.0e3, g, weights) / norm
+    assert np.max(np.abs(d_auto.values - d_grid)) < 1e-12
 
 
 def test_free_line_norm_and_mean():
@@ -213,8 +217,7 @@ def test_hoisted_stack_is_bit_identical_to_per_column_windows(st, T):
     weights = _trapezoid_weights(g.x_f_grid) * psi.conj()
     norm = trapezoid(g.x_f_grid, (psi.conj() * psi).real).real
     reduced = np.sum(want * weights[:, None], axis=0) / norm
-    d = spatial_average(st, T, g, method="grid")
-    assert d.values.tobytes() == reduced.tobytes()
+    assert (_grid_average(st, T, g, weights) / norm).tobytes() == reduced.tobytes()
 
 
 def test_window_average_x_f_shapes():
@@ -236,8 +239,10 @@ def test_spatial_average_validation():
     g = stationary_grids(K1, 100.0, p_c_span=(0.0, 2.0))
     with pytest.raises(DomainError):
         spatial_average(K1, -5.0, g)
-    with pytest.raises(DomainError):
-        spatial_average(K1, 100.0, g, method="fancy")
+
+
+def test_spatial_average_has_no_method_knob():
+    assert list(inspect.signature(spatial_average).parameters) == ["state", "T", "grids"]
 
 
 WALL2 = STATIONARY_STATES[0]

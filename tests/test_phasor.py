@@ -20,7 +20,8 @@ from pathspectra.phasor import (
     window_average,
     window_average_series,
 )
-from pathspectra.quadrature import GridBundle, paper_grids, singular_window_integral
+from pathspectra.quadrature import GridBundle, cumulative_trapezoid, paper_grids, singular_window_integral
+from pathspectra.reconstruct import reconstruct
 from pathspectra.specfun import hermite_phase_gain
 
 T_LONG = 1.0e4
@@ -140,6 +141,14 @@ def test_midpoint_is_half_the_endpoint():
     g = 0.5 + 1e-4 * np.arange(10001)
     c = phasor_curve(K1, 0.0, T_LONG, g)
     assert abs(c.value_at(1.0) - 0.5 * c.endpoint) < 1e-9
+
+
+def test_phasor_curve_is_one_cumulative_trapezoid_past_a_million_nodes():
+    # more than 2**20 nodes: the curve is one running sum, with no seam in it
+    g = 0.5 + 1e-6 * np.arange((1 << 20) + 4097)
+    c = phasor_curve(K1, 0.0, T_LONG, g)
+    want = cumulative_trapezoid(g, integrand(K1, g, 0.0, T_LONG))
+    assert c.cumulative.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------ window_average
@@ -319,3 +328,47 @@ def test_segment_windows_argument_validation():
     with pytest.raises(DomainError):
         # extent narrower than one window
         segment_windows(K1, 0.0, T_LONG, 0.0, 0.5, 0.5 + H_LONG)
+
+
+# ------------------------------------------------------------ hostile inputs
+
+_HO0 = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=0.0)
+_T_HO = 32.0 * math.pi + 0.3
+_WALL2 = ps.EigenstateSpec(system=ps.hard_wall(), quantum_number=2.0)
+_WALL_GRIDS = GridBundle(
+    p_c_grid=np.linspace(-3.0, 3.0, 61), x_f_grid=np.linspace(0.0, math.pi, 9), T_samples=(100.0,), hbar_mass=1.0
+)
+
+HOSTILE = {
+    **{
+        f"segment_windows-T={T}": (lambda T=T: segment_windows(K1, 0.0, T, 0.0, 0.5, 1.5))
+        for T in (math.nan, math.inf, -1.0)
+    },
+    **{
+        f"segment_windows-delta_p={dp}": (lambda dp=dp: segment_windows(K1, 0.0, T_LONG, dp, 0.5, 1.5))
+        for dp in (math.nan, math.inf, 1e308)
+    },
+    "segment_sum_check-T=nan": lambda: segment_sum_check(K1, 0.0, math.nan, 0.0, 0.5, 1.5),
+    "segment_sum_check-delta_p=inf": lambda: segment_sum_check(K1, 0.0, T_LONG, math.inf, 0.5, 1.5),
+    **{
+        f"reconstruct-band={band}": (lambda band=band: reconstruct(_WALL2, band, 100.0, _WALL_GRIDS))
+        for band in ((0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0))
+    },
+    "phasor_curve-nan-node": lambda: phasor_curve(K1, 0.0, T_LONG, np.array([0.5, math.nan, 1.5])),
+    "phasor_curve-inf-node": lambda: phasor_curve(K1, 0.0, T_LONG, np.array([-math.inf, 0.5, 1.5])),
+    **{
+        f"oscillator-{name}-x_f={x_f}": (lambda call=call, x_f=x_f: call(x_f))
+        for x_f in (math.nan, math.inf, -math.inf)
+        for name, call in (
+            ("integrand", lambda x: integrand(_HO0, np.array([0.5, 1.0]), x, _T_HO)),
+            ("window_average", lambda x: window_average(_HO0, np.array([0.5, 1.0]), x, _T_HO, _bundle(_T_HO))),
+            ("window_average_series", lambda x: window_average_series(_HO0, [0.5, 1.0], x, _T_HO, _bundle(_T_HO))),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("call", HOSTILE.values(), ids=HOSTILE.keys())
+def test_hostile_inputs_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()

@@ -1,8 +1,10 @@
-"""Property tests: grid recipes and the parity of oscillator results.
+"""Property tests: grid recipes, parity, and band additivity.
 
 Derandomized, so every run draws the same examples.  Finite overrides are
-drawn from ranges that keep each grid to a few thousand nodes; the
-non-finite, zero and negative values are drawn alongside them.
+drawn from ranges that keep each grid to a few thousand nodes, so every
+example runs in milliseconds; the node limit alone would still let a grid
+reach 2^24 nodes.  The non-finite, zero and negative values are drawn
+alongside them.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pathspectra as ps
+from pathspectra.distribution import stationary_grids
 from pathspectra.errors import DomainError
 from pathspectra.quadrature import paper_grids
 
@@ -77,3 +80,39 @@ def test_oscillator_band_reconstruction_has_the_state_parity(n, T, band):
     values = ps.reconstruct(state, (lo, lo + width), T, paper_grids(state, T, **_SMALL)).values
     sign = (-1.0) ** n
     assert np.max(np.abs(values[::-1] - sign * values)) <= 1e-13 * max(np.max(np.abs(values)), 1e-300)
+
+
+def _band_case(kind: str, n: int, T: float) -> tuple[ps.EigenstateSpec, ps.GridBundle]:
+    if kind == "oscillator":
+        state = ps.EigenstateSpec(HO, n)
+        return state, paper_grids(state, T, **_SMALL)
+    system = ps.hard_wall() if kind == "wall" else ps.square_well(width=math.pi)
+    state = ps.EigenstateSpec(system, float(n))
+    return state, stationary_grids(state, T, p_c_span=(-6.0, 6.0))
+
+
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(
+    kind=st.sampled_from(["oscillator", "wall", "well"]),
+    n=st.integers(1, 4),
+    T=_TRAVEL_TIME,
+    edges=st.lists(st.floats(0.0, 5.0), min_size=3, max_size=3, unique=True).map(sorted),
+)
+def test_adjacent_bands_add_up_to_the_joined_band(kind, n, T, edges):
+    state, grids = _band_case(kind, n, T)
+    p1, p2, p3 = edges
+    left, right, joined = (
+        ps.reconstruct(state, band, T, grids).values for band in ((p1, p2), (p2, p3), (p1, p3))
+    )
+    scale = max(np.max(np.abs(joined)), np.max(np.abs(left)), np.max(np.abs(right)), 1e-300)
+    assert np.max(np.abs(left + right - joined)) <= 1e-14 * scale
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(kind=st.sampled_from(["wall", "well"]), n=st.integers(1, 4), T=st.floats(5.0, 200.0))
+def test_standing_wave_distributions_are_even_in_momentum(kind, n, T):
+    # each P(p_c) node is evaluated on its own, so a symmetric span tests the
+    # parity that the default (wider) grids have too
+    state, grids = _band_case(kind, n, T)
+    values = ps.spatial_average(state, T, grids).values
+    assert np.max(np.abs(values - values[::-1])) <= 1e-10 * np.max(np.abs(values))

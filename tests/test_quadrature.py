@@ -9,8 +9,11 @@ import pytest
 from scipy.integrate import quad
 
 from pathspectra.errors import DomainError
+from pathspectra.phasor import segment_windows
 from pathspectra.quadrature import (
+    _MAX_NODES,
     GridBundle,
+    _check_node_count,
     compensated_sum,
     cumulative_trapezoid,
     paper_grids,
@@ -19,6 +22,7 @@ from pathspectra.quadrature import (
     trapezoid_rows,
     uniform_grid,
 )
+from pathspectra.reconstruct import reconstruct
 from pathspectra.systems import EigenstateSpec, free_line, harmonic_oscillator
 
 
@@ -188,6 +192,45 @@ def test_paper_grids_rejects_unknown_overrides_and_other_systems():
         paper_grids(state, 1.0, delta_q=0.1)
     with pytest.raises(DomainError):
         paper_grids(EigenstateSpec(free_line(), 1.0), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the node limit: every case is refused before its grid is allocated
+
+_OSC1 = EigenstateSpec(harmonic_oscillator(), 1)
+_T32 = 32.0 * math.pi
+_SMALL_BUNDLE = GridBundle(
+    p_c_grid=0.02 * np.arange(-100, 101), x_f_grid=np.linspace(-1.0, 1.0, 5), T_samples=(_T32 + 0.3,), hbar_mass=1.0
+)
+OVERSIZED = {
+    "uniform_grid-tiny-step": lambda: uniform_grid(0.0, 1.0, 1e-300),
+    "uniform_grid-range-overflows": lambda: uniform_grid(-1e308, 1e308, 1.0),
+    "uniform_grid-one-past-the-limit": lambda: uniform_grid(0.0, 1.0, 1.0 / _MAX_NODES),
+    "paper_grids-delta_x_f=1e-300": lambda: paper_grids(_OSC1, _T32, delta_x_f=1e-300),
+    "paper_grids-delta_x_f=1e308": lambda: paper_grids(_OSC1, _T32, delta_x_f=1e308),
+    "paper_grids-delta_p_c=1e-300": lambda: paper_grids(_OSC1, _T32, delta_p_c=1e-300),
+    "paper_grids-p_c_max=1e300": lambda: paper_grids(_OSC1, _T32, p_c_max=1e300),
+    "paper_grids-delta_T=1e-300": lambda: paper_grids(_OSC1, _T32, delta_T=1e-300),
+    "paper_grids-delta_T=1e-9": lambda: paper_grids(_OSC1, _T32, delta_T=1e-9),
+    "paper_grids-n_time=1e30": lambda: paper_grids(_OSC1, _T32, n_time=1e30),
+    "reconstruct-band_hi=1e300": lambda: reconstruct(_OSC1, (0.0, 1e300), _T32 + 0.3, _SMALL_BUNDLE),
+    "segment_windows-p_hi=1e300": lambda: segment_windows(_OSC1, 0.5, _T32 + 0.3, 0.0, 0.0, 1e300),
+}
+
+
+@pytest.mark.parametrize("call", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_grids_past_the_node_limit_are_refused(call):
+    with pytest.raises(DomainError, match="more than the limit"):
+        call()
+
+
+def test_node_limit_boundary_and_explicit_sample_count():
+    assert _check_node_count(float(_MAX_NODES), "grid") == _MAX_NODES
+    for count in (_MAX_NODES + 1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            _check_node_count(count, "grid")
+    # an explicit n_time replaces the period / delta_T count
+    assert len(paper_grids(_OSC1, _T32, delta_T=1e-9, n_time=4).T_samples) == 4
 
 
 # ---------------------------------------------------------------------------
