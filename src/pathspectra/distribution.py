@@ -18,10 +18,9 @@ the phase-like eigenfunctions (free line, circle) the conjugate weight cancels
 the only x_f dependence of the window average exactly, and the quotient of
 integrals collapses to the window kernel itself, which ``spatial_average`` uses.
 
-Cost note: each x_f average reduces one ``(x_f, p_c)`` stack of windows from
-``phasor._window_stack``, the engine reconstruction shares; the reduction is
-an ordered ``np.sum`` over the weighted stack.  The weights and N do not
-depend on T', so a time average builds them once.
+Cost note: ``phasor._window_stack``, the engine reconstruction shares,
+returns the ``(x_f, p_c)`` stack already averaged over the T' samples, so
+the T'-independent weights and N apply once, with one ordered ``np.sum``.
 """
 
 from __future__ import annotations
@@ -198,12 +197,12 @@ def _x_f_weights(state: EigenstateSpec, grids: GridBundle) -> tuple[NDArray[np.c
     return _trapezoid_weights(x_grid) * psi.conj(), norm
 
 
-# perfbench's tracer wraps this helper and calls it as (state, T, grids, weights)
+# perfbench's tracer wraps this helper and calls it as (state, times, grids, weights)
 def _grid_average(
-    state: EigenstateSpec, T: float, grids: GridBundle, weights: NDArray[np.complex128]
+    state: EigenstateSpec, times: tuple[float, ...], grids: GridBundle, weights: NDArray[np.complex128]
 ) -> NDArray[np.complex128]:
-    """One x_f-trapezoid pass at time ``T``: the unnormalised values."""
-    stacked = _window_stack(state, grids.p_c_grid, grids.x_f_grid, T, grids)
+    """One x_f-trapezoid pass over the mean stack at ``times``: the unnormalised values."""
+    stacked = _window_stack(state, grids.p_c_grid, grids.x_f_grid, times, grids)
     stacked *= weights[:, None]
     return np.sum(stacked, axis=0)
 
@@ -220,10 +219,10 @@ def spatial_average(state: EigenstateSpec, T: float, grids: GridBundle) -> PathD
 def time_average(state: EigenstateSpec, T: float, grids: GridBundle) -> PathDistribution:
     """Oscillator distribution averaged over one classical period after ``T``.
 
-    Evaluates the spatial average at each sample in ``grids.T_samples`` and
-    takes their mean: for the midpoint samples of :func:`paper_grids` that
-    is the midpoint rule for ``(omega/2pi) * int_T^{T+2pi/omega} P_n(p_c,
-    T') dT'``.  The samples avoid the singular times ``omega*T' = k*pi``,
+    The x_f average of the mean window stack over ``grids.T_samples``, i.e.
+    the mean of the spatial averages there to rounding: for the midpoint
+    samples of :func:`paper_grids` that is the midpoint rule for
+    ``(omega/2pi) * int_T^{T+2pi/omega} P_n(p_c, T') dT'``.  The samples avoid the singular times ``omega*T' = k*pi``,
     but those still sit at the ends and the middle of the period, so the
     rule converges only to second order in ``delta_T``: for n = 0 at
     ``delta_x_f = 0.1`` its error measured 1.1e-1, 1.7e-2, 2.0e-3 and 5.0e-4
@@ -237,15 +236,14 @@ def time_average(state: EigenstateSpec, T: float, grids: GridBundle) -> PathDist
 def _distribution(
     state: EigenstateSpec, T: float, grids: GridBundle, *, time_averaged: bool
 ) -> PathDistribution:
-    """Mean of ``_grid_average / N`` over ``(T,)`` or ``grids.T_samples``; free line and circle collapse."""
+    """``_grid_average / N`` over ``(T,)`` or ``grids.T_samples``; free line and circle collapse."""
     _check_travel_time(T)
     weights, norm = _x_f_weights(state, grids)
     if state.system.kind in _PLANE_KINDS:
         values = window_average(state, grids.p_c_grid, 0.0, T, grids)
     else:
-        samples = grids.T_samples if time_averaged else (T,)
-        per_sample = [_grid_average(state, float(t), grids, weights) / norm for t in samples]
-        values = np.sum(np.asarray(per_sample), axis=0) / len(per_sample)
+        times = grids.T_samples if time_averaged else (float(T),)
+        values = _grid_average(state, times, grids, weights) / norm
     return PathDistribution(
         p_c_grid=grids.p_c_grid,
         values=np.asarray(values, dtype=np.complex128),

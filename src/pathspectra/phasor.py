@@ -40,8 +40,8 @@ keeps the trapezoid rule, uniform in v with the spacing
 reference oracle for both.
 
 Distributions, time averages and reconstruction take their windows from one
-private engine, ``_window_stack``, which prices only the ``x_f >= 0`` half of
-an oscillator stack when parity fixes the other half.
+private engine, ``_window_stack``: the mean over T' of an ``(x_f, p_c)``
+stack, pricing only its ``x_f >= 0`` half when parity fixes the rest.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import DivergentSampleError, DomainError
-from .quadrature import GridBundle, _check_node_count, compensated_sum, cumulative_trapezoid
+from .quadrature import _MAX_NODES, GridBundle, _check_node_count, _check_stack_size, compensated_sum
+from .quadrature import cumulative_trapezoid
 from .specfun import (
     gaussian_phase_integral,
     hermite_phase_gain,
@@ -293,6 +294,7 @@ def _plane_window_stack(
     ``(x_f.size, p_c.size)`` stack.  Every element follows the per-column
     arithmetic ``(0 + pref_1*G_1 + pref_2*G_2) / (2h)`` exactly.
     """
+    _check_stack_size(x_f.size, p_c.size)
     h = grids.window_halfwidth(T)
     gamma = _gamma(state, T)
     # prefactors stay Python complex products, as in the per-column form:
@@ -421,24 +423,31 @@ def window_average_series(
 
 
 def _window_stack(
-    state: EigenstateSpec, p_c: NDArray, x_f: NDArray, T: float, grids: GridBundle
+    state: EigenstateSpec, p_c: NDArray, x_f: NDArray, times: tuple[float, ...], grids: GridBundle
 ) -> NDArray[np.complex128]:
-    """Window averages on the ``(x_f, p_c)`` lattice at one time ``T``.
+    """Mean over ``times`` of the window averages on the ``(x_f, p_c)`` lattice.
 
-    Stationary systems take :func:`window_average`'s x_f stack.  Oscillator
-    rows are one :func:`window_average_series` call each.  Eigenstate parity
-    gives ``W(-x_f, -p_c) = (-1)^n W(x_f, p_c)``, so when both grids are
-    exactly mirror-symmetric every ``x_f < 0`` row is the reversed row at
-    ``-x_f`` times ``(-1)^n`` instead of a call of its own.
+    The only loop over travel times: stationary x_f stacks from
+    :func:`window_average` add up in place, as do oscillator rows, one
+    :func:`window_average_series` call per row and time.  Parity gives
+    ``W(-x_f, -p_c) = (-1)^n W(x_f, p_c)``, so on exactly mirror-symmetric
+    grids each ``x_f < 0`` row of the mean is the reversed ``-x_f`` row times ``(-1)^n``.
     """
     if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
-        return window_average(state, p_c, x_f, T, grids)
+        out = window_average(state, p_c, x_f, times[0], grids)
+        for t in times[1:]:
+            out += window_average(state, p_c, x_f, t, grids)
+        out /= len(times)
+        return out
+    _check_stack_size(x_f.size, p_c.size)
     n = x_f.size
-    out = np.empty((n, p_c.size), dtype=np.complex128)
+    out = np.zeros((n, p_c.size), dtype=np.complex128)
     mirrored = np.array_equal(x_f, -x_f[::-1]) and np.array_equal(p_c, -p_c[::-1])
     first = n // 2 if mirrored else 0  # x_f[:n // 2] are the negative nodes
-    for j in range(first, n):
-        out[j] = window_average_series(state, p_c, float(x_f[j]), T, grids)
+    for t in times:
+        for j in range(first, n):
+            out[j] += window_average_series(state, p_c, float(x_f[j]), float(t), grids)
+    out /= len(times)
     if mirrored:
         sign = -1.0 if int(state.quantum_number) % 2 else 1.0
         out[:first] = sign * out[::-1, ::-1][:first]
@@ -466,8 +475,9 @@ def segment_windows(
     centers, window integrals).
     """
     _check_travel_time(T)
-    if cells_per_window < 2 or cells_per_window % 2:
-        raise DomainError("cells_per_window must be an even integer >= 2")
+    cpw = cells_per_window
+    if not (isinstance(cpw, (int, np.integer)) and 2 <= cpw <= _MAX_NODES and cpw % 2 == 0):
+        raise DomainError(f"cells_per_window must be an even integer in [2, 2^24], got {cpw!r}")
     if not p_hi > p_lo:
         raise DomainError("extent must have p_hi > p_lo")
     h = math.sqrt(state.system.hbar * mass_parameter(state.system) / T)

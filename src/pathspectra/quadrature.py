@@ -5,8 +5,8 @@ Everything downstream integrates on grids built here.  Three things matter:
 * **Determinism.**  Every reduction runs in a fixed order (ascending
   abscissa), so results are bit-reproducible.  Only :func:`trapezoid` and
   :func:`compensated_sum` are compensated (``math.fsum``, 1-D input only);
-  :func:`trapezoid_rows` (one ``np.sum`` per row, used by the Wigner
-  marginal tables in ``compare``), :func:`cumulative_trapezoid`
+  :func:`trapezoid_rows` (``np.sum`` per row: the Wigner marginals in
+  ``compare``, the bands in ``reconstruct``), :func:`cumulative_trapezoid`
   (``np.cumsum``) and the x_f average in ``distribution`` (``np.sum`` over
   axis 0) are plain ordered sums.
 * **The inverse-square-root patch.**  Oscillator integrands carry a factor
@@ -60,6 +60,15 @@ def _check_node_count(count: float, what: str) -> float:
     if not count <= _MAX_NODES:  # also refuses NaN and inf
         raise DomainError(f"{what} would have {count:.3g} nodes, more than the limit {_MAX_NODES}")
     return count
+
+
+_MAX_CELLS = 1 << 26  # largest (x_f, p_c) window stack, 1 GiB; the default wall builds 2.25e7
+
+
+def _check_stack_size(rows: int, columns: int) -> None:
+    """Refuse a ``rows x columns`` window stack over ``_MAX_CELLS`` before it is allocated."""
+    if rows * columns > _MAX_CELLS:
+        raise DomainError(f"a {rows} x {columns} window stack is more than the limit of {_MAX_CELLS} cells")
 
 
 def compensated_sum(terms: NDArray) -> complex:

@@ -222,7 +222,7 @@ def test_band_limited_reconstruction_recovers_eigenfunctions():
         assert out_max <= 5e-2 * full_max
     elapsed = time.perf_counter() - t0
     print(f"[acceptance] reconstruction: ({elapsed:.0f}s)")
-    assert elapsed < 60.0
+    assert elapsed < 30.0
 
 
 def test_singular_window_sum_reproduces_oscillator_eigenfunctions():

@@ -438,3 +438,10 @@ def test_compare_stage_tables_match_fig9_and_fig10(tmp_path):
 def test_oversized_grids_are_domain_errors(tmp_path, argv):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_DOMAIN
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_oversized_window_stack_exits_3_before_allocating(tmp_path):
+    # n = 0 default x_f grid (101 nodes) over 2 x 5e5 band nodes: 1.0e8 cells
+    argv = ["reconstruct", "--set", "T=100.83096491487338", "--set", "delta_p_c=0.2", "--set", "band_hi=1e5"]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_DOMAIN
+    assert not list(tmp_path.glob("*.csv"))

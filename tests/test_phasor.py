@@ -372,3 +372,69 @@ HOSTILE = {
 def test_hostile_inputs_are_domain_errors(call):
     with pytest.raises(DomainError):
         call()
+
+
+# ------------------------------------------------------- the T' mean stack
+
+_HO1 = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=1.0)
+
+
+def _small_grids(st, T):
+    return paper_grids(st, T, delta_x_f=0.5, delta_p_c=0.1, delta_T=math.pi / 2.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_window_stack_is_the_mean_of_single_time_stacks(n):
+    st = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=n)
+    g = _small_grids(st, _T_HO)
+    args = (st, g.p_c_grid, g.x_f_grid)
+    got = phasor._window_stack(*args, g.T_samples, g)
+    want = sum(phasor._window_stack(*args, (t,), g) for t in g.T_samples) / len(g.T_samples)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_stationary_window_stack_is_the_mean_of_single_time_stacks():
+    times = (100.0, 103.7, 111.2)
+    args = (_WALL2, _WALL_GRIDS.p_c_grid, _WALL_GRIDS.x_f_grid)
+    got = phasor._window_stack(*args, times, _WALL_GRIDS)
+    want = sum(window_average(*args, t, _WALL_GRIDS) for t in times) / len(times)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    # one time is the x_f stack itself, byte for byte
+    assert phasor._window_stack(*args, (100.0,), _WALL_GRIDS).tobytes() == window_average(
+        *args, 100.0, _WALL_GRIDS
+    ).tobytes()
+
+
+def test_window_stack_prices_the_kept_rows_once_per_time(monkeypatch):
+    g = _small_grids(_HO1, _T_HO)
+    original = phasor.window_average_series
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(phasor, "window_average_series", counted)
+    n = g.x_f_grid.size
+    expected = len(g.T_samples) * (n - n // 2)
+    phasor._window_stack(_HO1, g.p_c_grid, g.x_f_grid, g.T_samples, g)
+    assert len(calls) == expected
+    assert min(calls) >= 0.0  # the x_f < 0 rows are the mirror of the mean
+    calls.clear()
+    ps.time_average(_HO1, _T_HO, g)
+    assert len(calls) == expected
+    calls.clear()
+    reconstruct(_HO1, (0.5, 2.5), _T_HO, g)
+    assert len(calls) == expected
+
+
+# ----------------------------------------------------- cells_per_window type
+
+def test_segment_windows_take_only_integer_cells_per_window():
+    centers, _ = segment_windows(K1, 0.0, T_LONG, 0.0, 0.5, 1.5, cells_per_window=np.int64(64))
+    assert centers.size == 51
+    for bad in (64.0, np.float64(64.0), True, 2**25, 2**1100, "64"):
+        with pytest.raises(DomainError, match="cells_per_window"):
+            segment_windows(K1, 0.0, T_LONG, 0.0, 0.5, 1.5, cells_per_window=bad)
+        with pytest.raises(DomainError, match="cells_per_window"):
+            segment_sum_check(K1, 0.0, T_LONG, 0.0, 0.5, 1.5, cells_per_window=bad)

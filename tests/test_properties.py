@@ -1,10 +1,11 @@
-"""Property tests: grid recipes, parity, and band additivity.
+"""Property tests: grid recipes, parity, band additivity, and hostile inputs.
 
 Derandomized, so every run draws the same examples.  Finite overrides are
-drawn from ranges that keep each grid to a few thousand nodes, so every
-example runs in milliseconds; the node limit alone would still let a grid
-reach 2^24 nodes.  The non-finite, zero and negative values are drawn
-alongside them.
+drawn from ranges that keep each grid to a few thousand nodes and each
+window stack under about 1e6 cells, so every example runs in milliseconds;
+the node and stack limits alone would still let a grid reach 2^24 nodes and
+a stack 2^26 cells (those refusals have explicit examples).  The non-finite,
+zero and negative values are drawn alongside them.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pathspectra as ps
 from pathspectra.distribution import stationary_grids
-from pathspectra.errors import DomainError
-from pathspectra.quadrature import paper_grids
+from pathspectra.errors import DomainError, PathspectraError
+from pathspectra.phasor import segment_sum_check, segment_windows
+from pathspectra.quadrature import GridBundle, paper_grids
 
 HO = ps.harmonic_oscillator()
 T32 = 32.0 * math.pi
@@ -116,3 +118,68 @@ def test_standing_wave_distributions_are_even_in_momentum(kind, n, T):
     state, grids = _band_case(kind, n, T)
     values = ps.spatial_average(state, T, grids).values
     assert np.max(np.abs(values - values[::-1])) <= 1e-10 * np.max(np.abs(values))
+
+
+# ------------------------------------------------ hostile inputs at the entry points
+
+_HOSTILE_T = st.one_of(_SPECIAL, st.sampled_from([1e-300, 1e300, T32, 2.0 * T32]), st.floats(0.5, 1e4))
+_HOSTILE_EDGE = st.one_of(_SPECIAL, st.sampled_from([1e300, -1e300]), st.floats(-5.0, 30.0))
+_WALL2 = ps.EigenstateSpec(ps.hard_wall(), 2.0)
+_WALL_GRIDS = GridBundle(
+    p_c_grid=0.1 * np.arange(-30, 31), x_f_grid=np.linspace(0.0, math.pi, 9), T_samples=(100.0,), hbar_mass=1.0
+)
+_HO_GRIDS = {n: paper_grids(ps.EigenstateSpec(HO, n), T32 + 0.3, **_SMALL) for n in range(3)}
+_CELLS_PER_WINDOW = st.one_of(
+    st.integers(-4, 300),
+    st.integers(-4, 300).map(np.int64),
+    st.floats(-4.0, 300.0),
+    st.booleans(),
+    st.sampled_from([64.0, 2**25, 2**64, 2**1100, np.int64(2**62)]),
+)
+_EXTENT = st.tuples(
+    st.one_of(_SPECIAL, st.sampled_from([-1e308, 1e308]), st.floats(-3.0, 3.0)),
+    st.one_of(_SPECIAL, st.sampled_from([-1e308, 1e308]), st.floats(-3.0, 3.0)),
+)
+_X_F = st.one_of(_SPECIAL, st.sampled_from([1e308, -1e308]), st.floats(-10.0, 10.0))
+
+
+def _returns_or_refuses(call) -> None:
+    try:
+        call()
+    except PathspectraError:
+        pass
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(0, 2), T=_HOSTILE_T, band=st.tuples(_HOSTILE_EDGE, _HOSTILE_EDGE))
+# a wide band: 2 x 2e6 nodes over 21 x_f rows is refused as a stack, before allocation
+@example(n=0, T=T32 + 0.3, band=(0.0, 2e5))
+def test_reconstruct_returns_or_raises_pathspectra_errors(n, T, band):
+    state = ps.EigenstateSpec(HO, n)
+    _returns_or_refuses(lambda: ps.reconstruct(state, band, T, _HO_GRIDS[n]))
+    _returns_or_refuses(lambda: ps.reconstruct(_WALL2, band, T, _WALL_GRIDS))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    cells=_CELLS_PER_WINDOW,
+    T=st.one_of(_SPECIAL, st.floats(1.0, 1e4)),
+    delta_p=st.one_of(_SPECIAL, st.sampled_from([1e308, -1e308]), st.floats(-1e3, 1e3)),
+    extent=_EXTENT,
+    x_f=_X_F,
+)
+@example(cells=64, T=1e4, delta_p=0.0, extent=(0.0, 1e300), x_f=0.0)  # past the node limit
+def test_segment_windows_return_or_raise_pathspectra_errors(cells, T, delta_p, extent, x_f):
+    for state in (ps.EigenstateSpec(ps.free_line(), 1.0), _WALL2):
+        args = (state, x_f, T, delta_p, *extent)
+        _returns_or_refuses(lambda: segment_windows(*args, cells_per_window=cells))
+        _returns_or_refuses(lambda: segment_sum_check(*args, cells_per_window=cells))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n=st.integers(0, 2), T=_HOSTILE_T)
+def test_averages_return_or_raise_pathspectra_errors(n, T):
+    state = ps.EigenstateSpec(HO, n)
+    _returns_or_refuses(lambda: ps.time_average(state, T, _HO_GRIDS[n]))
+    _returns_or_refuses(lambda: ps.spatial_average(state, T, _HO_GRIDS[n]))
+    _returns_or_refuses(lambda: ps.spatial_average(_WALL2, T, _WALL_GRIDS))

@@ -9,11 +9,13 @@ import pytest
 from scipy.integrate import quad
 
 from pathspectra.errors import DomainError
-from pathspectra.phasor import segment_windows
+from pathspectra.phasor import segment_windows, window_average
 from pathspectra.quadrature import (
+    _MAX_CELLS,
     _MAX_NODES,
     GridBundle,
     _check_node_count,
+    _check_stack_size,
     compensated_sum,
     cumulative_trapezoid,
     paper_grids,
@@ -23,7 +25,7 @@ from pathspectra.quadrature import (
     uniform_grid,
 )
 from pathspectra.reconstruct import reconstruct
-from pathspectra.systems import EigenstateSpec, free_line, harmonic_oscillator
+from pathspectra.systems import EigenstateSpec, free_line, hard_wall, harmonic_oscillator
 
 
 def test_uniform_grid_hits_both_endpoints():
@@ -231,6 +233,37 @@ def test_node_limit_boundary_and_explicit_sample_count():
             _check_node_count(count, "grid")
     # an explicit n_time replaces the period / delta_T count
     assert len(paper_grids(_OSC1, _T32, delta_T=1e-9, n_time=4).T_samples) == 4
+
+
+# the stack limit: (x_f, p_c) window stacks are refused before allocation
+
+_COARSE_BUNDLE = GridBundle(
+    p_c_grid=0.2 * np.arange(-50, 51), x_f_grid=np.linspace(-5.0, 5.0, 101), T_samples=(_T32 + 0.3,), hbar_mass=1.0
+)
+_WALL = EigenstateSpec(hard_wall(), 2.0)
+OVERSIZED_STACKS = {
+    # 2 x 5e5 band nodes (8 MB) over 101 rows: 1.0e8 cells
+    "reconstruct-oscillator": lambda: reconstruct(_OSC1, (0.0, 1e5), _T32 + 0.3, _COARSE_BUNDLE),
+    "window_average-x_f-stack": lambda: window_average(
+        _WALL, np.linspace(-3.0, 3.0, 1 << 16), np.linspace(0.0, 1.0, 1025), 100.0, _COARSE_BUNDLE
+    ),
+}
+
+
+@pytest.mark.parametrize("call", OVERSIZED_STACKS.values(), ids=OVERSIZED_STACKS.keys())
+def test_window_stacks_past_the_cell_limit_are_refused(call):
+    with pytest.raises(DomainError, match="window stack .* more than the limit"):
+        call()
+
+
+def test_stack_limit_boundary():
+    _check_stack_size(1 << 13, 1 << 13)
+    _check_stack_size(1, _MAX_CELLS)
+    # the largest default stack, the hard-wall distribution at T = 100.41
+    _check_stack_size(129, 174_446)
+    for rows, columns in (((1 << 13) + 1, 1 << 13), (1, _MAX_CELLS + 1)):
+        with pytest.raises(DomainError):
+            _check_stack_size(rows, columns)
 
 
 # ---------------------------------------------------------------------------

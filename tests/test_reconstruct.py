@@ -12,7 +12,7 @@ import pathspectra as ps
 from pathspectra.distribution import stationary_grids
 from pathspectra.errors import DomainError
 from pathspectra.phasor import _plane_terms, window_average_series
-from pathspectra.quadrature import GridBundle, trapezoid
+from pathspectra.quadrature import GridBundle, trapezoid_rows
 from pathspectra.reconstruct import dominant_path_phase, reconstruct
 from pathspectra.specfun import gaussian_phase_integral
 from pathspectra.systems import SystemKind
@@ -137,8 +137,8 @@ def _column_series(st, nodes, x_f, T, g):
 
 
 def _per_column_reconstruct(st, band, T, g):
-    """Reference: one window series per (x_f, T') column, each reduced by two
-    ordered trapezoids (negative momenta first), averaged over T'."""
+    """Reference: one window series per (x_f, T') column, each column's mean
+    over T', then two ordered np.sum trapezoids (negative momenta first)."""
     step = float(np.min(np.diff(g.p_c_grid)))
     pos = step * np.arange(round(band[0] / step), round(band[1] / step) + 1)
     nodes = np.concatenate([-pos[::-1], pos])
@@ -147,12 +147,13 @@ def _per_column_reconstruct(st, band, T, g):
     t_samples = g.T_samples if oscillator else (T,)
     values = []
     for x_f in g.x_f_grid:
-        total = 0.0 + 0.0j
+        mean = np.zeros(nodes.shape, dtype=np.complex128)
         for t_prime in t_samples:
-            series = _column_series(st, nodes, float(x_f), float(t_prime), g)
-            total += trapezoid(nodes[:n_half], series[:n_half])
-            total += trapezoid(nodes[n_half:], series[n_half:])
-        values.append(total / len(t_samples))
+            mean += _column_series(st, nodes, float(x_f), float(t_prime), g)
+        mean /= len(t_samples)
+        values.append(
+            trapezoid_rows(nodes[:n_half], mean[:n_half]) + trapezoid_rows(nodes[n_half:], mean[n_half:])
+        )
     return np.asarray(values, dtype=np.complex128)
 
 
@@ -219,3 +220,15 @@ def test_dominant_path_phase_validation():
         dominant_path_phase(free_st, 0.0, np.array([1.0, 0.5]))
     with pytest.raises(DomainError):
         dominant_path_phase(free_st, 0.0, np.array([-1.0, 0.5]))
+
+
+def test_thin_oscillator_band_is_time_averaged():
+    st = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=1.0)
+    T = 32.0 * math.pi + 0.3
+    g = _small_oscillator_grids(st, T)
+    thin = reconstruct(st, (1.001, 1.002), T, g)
+    assert not np.any(thin.values)
+    assert thin.time_averaged
+    assert reconstruct(st, (0.5, 2.5), T, g).time_averaged
+    wall = ps.EigenstateSpec(system=ps.hard_wall(), quantum_number=2.0)
+    assert not reconstruct(wall, (1.001, 1.002), 100.0, stationary_grids(wall, 100.0, p_c_span=(-3.0, 3.0))).time_averaged
