@@ -66,6 +66,7 @@ from .systems import (
     maslov_index,
     propagator,
     square_well,
+    window_halfwidth,
 )
 
 __version__ = "0.1.0"
@@ -90,6 +91,7 @@ __all__ = [
     "ho_max_momentum",
     "ho_trajectory",
     "ho_action",
+    "window_halfwidth",
     # quadrature
     "GridBundle",
     "paper_grids",

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .compare import coherent_overlap, momentum_density, wigner_momentum_marginal
-from .distribution import PathDistribution, _psi_values, moments, spatial_average, stationary_grids, time_average
+from .distribution import PathDistribution, moments, spatial_average, stationary_grids, time_average
 from .errors import (
     DivergentSampleError,
     DomainError,
@@ -36,7 +36,7 @@ from .errors import (
 from .phasor import integrand, phasor_curve, segment_windows, window_average_series
 from .quadrature import GridBundle, paper_grids, trapezoid, uniform_grid
 from .reconstruct import reconstruct
-from .systems import SHAPE_CONSTANT, EigenstateSpec, SystemKind, SystemSpec, eigenfunction, mass_parameter
+from .systems import SHAPE_CONSTANT, EigenstateSpec, SystemKind, SystemSpec, eigenfunction, window_halfwidth
 
 log = logging.getLogger("pathspectra")
 
@@ -84,7 +84,7 @@ class RunConfig:
     n_p_slope: float | None = None
     band_lo: float = 0.0
     band_hi: float | None = None
-    segment_offset: float = 0.0
+    segment_offset: float | None = None
     out: str = "."
     format: str = "csv"
 
@@ -154,11 +154,7 @@ def build_system(cfg: RunConfig) -> SystemSpec:
 
 
 def build_state(cfg: RunConfig) -> EigenstateSpec:
-    system = build_system(cfg)
-    q = cfg.quantum_number
-    if system.kind in (SystemKind.CIRCLE, SystemKind.SQUARE_WELL, SystemKind.HARMONIC_OSCILLATOR):
-        q = int(round(q))
-    return EigenstateSpec(system, q)
+    return EigenstateSpec(build_system(cfg), cfg.quantum_number)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +224,7 @@ def _curve_grid(state: EigenstateSpec, cfg: RunConfig) -> np.ndarray:
     centred spans; oscillator spans are symmetric about 0.
     """
     system = state.system
-    h = math.sqrt(system.hbar * mass_parameter(system) / cfg.T)
+    h = window_halfwidth(system, cfg.T)
     step = cfg.delta_p_c if cfg.delta_p_c is not None else h / 100.0
     if cfg.p_c_lo is not None and cfg.p_c_hi is not None:
         return uniform_grid(cfg.p_c_lo, cfg.p_c_hi, step)
@@ -293,7 +289,7 @@ def _pinned(command: str, cfg: RunConfig) -> RunConfig:
 
 def _fig1(cfg: RunConfig, write: Writer) -> dict:
     checks = _stage_phasor(cfg, write, name="fig1_curve")
-    offset = cfg.segment_offset if cfg.segment_offset != 0.0 else math.sqrt(1.0 / cfg.T)
+    offset = window_halfwidth(build_system(cfg), cfg.T) if cfg.segment_offset is None else cfg.segment_offset
     centers, windows = segment_windows(build_state(cfg), cfg.x_f, cfg.T, offset, cfg.p_c_lo, cfg.p_c_hi)
     write("fig1_segments", ("p_c", "re", "im"), (centers, windows))
     seg_sum = complex(np.sum(windows))
@@ -443,7 +439,7 @@ def _stage_reconstruct(cfg: RunConfig, write: Writer) -> dict:
     log.info("reconstruct: %s band=%s", cfg.system, band if band else "full")
     rec = reconstruct(state, band, cfg.T, bundle)
     write("reconstruct", ("x_f", "re", "im"), (rec.x_f_grid, rec.values))
-    psi = _psi_values(state, rec.x_f_grid)
+    psi = np.asarray(eigenfunction(state, rec.x_f_grid), dtype=np.complex128)
     return {
         "band": list(band) if band else "full",
         "max_abs_dev_from_psi": float(np.max(np.abs(rec.values - psi))),
@@ -454,7 +450,7 @@ def _stage_reconstruct(cfg: RunConfig, write: Writer) -> dict:
 def _stage_compare(cfg: RunConfig, write: Writer) -> dict:
     if cfg.system != "harmonic_oscillator":
         raise DomainError("the compare stage is defined for the oscillator")
-    n = int(cfg.quantum_number)
+    n = int(build_state(cfg).quantum_number)
     return {
         "marginal_max_abs_dev": _marginal_table(write, "compare_marginal", n, build_system(cfg), cfg.delta_p_c),
         "overlap_argmax_alpha": _overlap_table(write, "compare_overlap", n),

@@ -34,7 +34,7 @@ from numpy.typing import NDArray
 from .errors import DegenerateDistributionError, DomainError
 from .phasor import _window_stack, window_average
 from .quadrature import GridBundle, trapezoid, uniform_grid
-from .systems import EigenstateSpec, SystemKind, _check_travel_time, eigenfunction, mass_parameter
+from .systems import EigenstateSpec, SystemKind, _check_travel_time, eigenfunction, mass_parameter, window_halfwidth
 
 __all__ = [
     "PathDistribution",
@@ -104,7 +104,6 @@ def stationary_grids(
     get a finite window (hard wall: snapped to half-periods of the standing
     wave so the boundary cross terms cancel identically).
     """
-    _check_travel_time(T)
     system = state.system
     kind = system.kind
     if kind is SystemKind.HARMONIC_OSCILLATOR:
@@ -112,7 +111,7 @@ def stationary_grids(
     if not (math.isfinite(tail_budget) and tail_budget > 0):
         raise DomainError(f"tail_budget must be positive and finite, got {tail_budget}")
     hbar_mass = system.hbar * mass_parameter(system)
-    h = math.sqrt(hbar_mass / T)
+    h = window_halfwidth(system, T)
     step = h / 10.0 if delta_p_c is None else float(delta_p_c)
     if not (math.isfinite(step) and step > 0):
         raise DomainError(f"delta_p_c must be positive and finite, got {step}")
@@ -167,18 +166,7 @@ def stationary_grids(
         p_c_grid=p_c_grid,
         x_f_grid=x_f_grid,
         T_samples=(float(T),),
-        hbar_mass=hbar_mass,
     )
-
-
-def _psi_values(state: EigenstateSpec, x: NDArray) -> NDArray[np.complex128]:
-    """Eigenfunction samples; the circle is evaluated periodically so a grid
-    ending exactly at the seam (2*pi) stays legal."""
-    if state.system.kind is SystemKind.CIRCLE:
-        return np.exp(1j * state.quantum_number * np.asarray(x, dtype=float)).astype(
-            np.complex128
-        )
-    return np.asarray(eigenfunction(state, x), dtype=np.complex128)
 
 
 def _trapezoid_weights(x: NDArray) -> NDArray[np.float64]:
@@ -192,7 +180,7 @@ def _trapezoid_weights(x: NDArray) -> NDArray[np.float64]:
 def _x_f_weights(state: EigenstateSpec, grids: GridBundle) -> tuple[NDArray[np.complex128], float]:
     """The T'-independent half of the x_f average: (psi* x trapezoid weights, N)."""
     x_grid = grids.x_f_grid
-    psi = _psi_values(state, x_grid)
+    psi = np.asarray(eigenfunction(state, x_grid), dtype=np.complex128)
     norm = trapezoid(x_grid, (psi.conj() * psi).real).real
     return _trapezoid_weights(x_grid) * psi.conj(), norm
 

@@ -39,6 +39,10 @@ keeps the trapezoid rule, uniform in v with the spacing
 :func:`~pathspectra.quadrature.singular_window_integral`, which stays the
 reference oracle for both.
 
+The half-width ``h`` is :func:`~pathspectra.systems.window_halfwidth`; the
+grid bundle only supplies the fallback spacing.  Results that are not finite
+(NaN momenta, phases past float range) are refused with a ``DomainError``.
+
 Distributions, time averages and reconstruction take their windows from one
 private engine, ``_window_stack``: the mean over T' of an ``(x_f, p_c)``
 stack, pricing only its ``x_f >= 0`` half when parity fixes the rest.
@@ -46,6 +50,7 @@ stack, pricing only its ``x_f >= 0`` half when parity fixes the rest.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -69,6 +74,7 @@ from .systems import (
     maslov_index,
     mass_parameter,
     regular_sin,
+    window_halfwidth,
 )
 
 __all__ = [
@@ -115,6 +121,23 @@ class PhasorCurve:
         return complex(np.interp(p_c, self.p_c_grid, self.cumulative))
 
 
+def _finite_result(func: Callable) -> Callable:
+    """Quiet NumPy's float warnings inside ``func`` and refuse a result that is not finite."""
+
+    @functools.wraps(func)
+    def guarded(*args, **kwargs):
+        try:
+            with np.errstate(all="ignore"):
+                out = func(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:  # Python floats raise where NumPy gives inf
+            raise DomainError(f"{func.__name__}: an input is past float range") from exc
+        if not np.isfinite(getattr(out, "cumulative", out)).all():
+            raise DomainError(f"{func.__name__}: result not finite (NaN momentum, or input past float range)")
+        return out
+
+    return guarded
+
+
 def _gamma(state: EigenstateSpec, T: float) -> float:
     return T / (2.0 * state.system.hbar * mass_parameter(state.system))
 
@@ -144,6 +167,18 @@ def _plane_terms(
     raise DomainError("oscillator integrands are not quadratic in p_c")
 
 
+def _ho_kernel(state: EigenstateSpec, T: float) -> tuple[float, float, complex, float]:
+    """``sin(wT)``, ``cos(wT)``, the kernel amplitude and the energy-plus-Maslov phase."""
+    sys_ = state.system
+    assert sys_.omega is not None
+    hbar, m, omega = sys_.hbar, sys_.mass, sys_.omega
+    s = regular_sin(omega * T)
+    c = math.cos(omega * T)
+    pref = complex(np.sqrt(abs(s) / (2j * np.pi * hbar * m * omega)))
+    phase = state.energy * T / hbar - 0.5 * np.pi * maslov_index(omega * T)
+    return s, c, pref, phase
+
+
 def ho_regular_factor(
     state: EigenstateSpec, x_f: float, T: float
 ) -> Callable[[NDArray], NDArray[np.complex128]]:
@@ -160,13 +195,9 @@ def ho_regular_factor(
         raise DomainError("regular-factor split applies to the oscillator only")
     assert sys_.omega is not None
     hbar, m, omega = sys_.hbar, sys_.mass, sys_.omega
-    s = regular_sin(omega * T)
-    mu = maslov_index(omega * T)
-    c = math.cos(omega * T)
+    s, c, pref, base_phase = _ho_kernel(state, T)
     n = int(state.quantum_number)
     b = m * omega * abs(x_f)
-    pref = complex(np.sqrt(abs(s) / (2j * np.pi * hbar * m * omega)))
-    base_phase = state.energy * T / hbar - 0.5 * np.pi * mu
 
     def factor(p: NDArray) -> NDArray[np.complex128]:
         pa = np.asarray(p, dtype=float)
@@ -181,6 +212,7 @@ def ho_regular_factor(
     return factor
 
 
+@_finite_result
 def integrand(
     state: EigenstateSpec, p_c: ArrayLike, x_f: float, T: float
 ) -> NDArray[np.complex128] | complex:
@@ -206,14 +238,11 @@ def integrand(
                 f"integrand diverges at |p_c| = M*omega*|x_f| = {b:.6g}"
             )
         out = np.zeros(pa.shape, dtype=np.complex128)
-        live = mag > b
+        live = ~(mag <= b)  # NaN is live, so that it reaches the finiteness check
         if np.any(live):
             factor = ho_regular_factor(state, x_f, T)
-            p_live = pa[live] if not scalar else pa
-            vals = factor(p_live) * np.abs(p_live) / np.sqrt(p_live * p_live - b * b)
-            if scalar:
-                return complex(vals)
-            out[live] = vals
+            p_live = pa[live]
+            out[live] = factor(p_live) * np.abs(p_live) / np.sqrt(p_live * p_live - b * b)
         return complex(out) if scalar else out
     gamma = _gamma(state, T)
     out = np.zeros(pa.shape, dtype=np.complex128)
@@ -223,6 +252,7 @@ def integrand(
     return complex(out) if scalar else out
 
 
+@_finite_result
 def phasor_curve(
     state: EigenstateSpec, x_f: float, T: float, p_grid: ArrayLike
 ) -> PhasorCurve:
@@ -236,15 +266,7 @@ def phasor_curve(
     return PhasorCurve(p_c_grid=grid, cumulative=cumulative, state=state, x_f=x_f, T=T)
 
 
-def _check_bundle(state: EigenstateSpec, grids: GridBundle) -> None:
-    expected = state.system.hbar * mass_parameter(state.system)
-    if not math.isclose(grids.hbar_mass, expected, rel_tol=1e-12):
-        raise DomainError(
-            "grid bundle was built for a different system "
-            f"(hbar*m {grids.hbar_mass!r} != {expected!r})"
-        )
-
-
+@_finite_result
 def window_average(
     state: EigenstateSpec,
     p_c: ArrayLike,
@@ -261,7 +283,6 @@ def window_average(
     one Fresnel kernel per plane term shared by every row.  The oscillator
     takes one ``x_f`` per call.
     """
-    _check_travel_time(T)
     pa = np.asarray(p_c, dtype=float)
     scalar = pa.ndim == 0
     xa = np.asarray(x_f, dtype=float)
@@ -272,8 +293,7 @@ def window_average(
             raise DomainError("oscillator windows take one x_f per call")
         out = window_average_series(state, pa.ravel(), x_f, T, grids)
         return complex(out[0]) if scalar else out.reshape(pa.shape)
-    _check_bundle(state, grids)
-    out = _plane_window_stack(state, pa.ravel(), np.atleast_1d(xa), T, grids)
+    out = _plane_window_stack(state, pa.ravel(), np.atleast_1d(xa), T)
     if xa.ndim:
         return out.reshape(xa.shape + pa.shape)
     return complex(out[0, 0]) if scalar else out[0].reshape(pa.shape)
@@ -284,7 +304,6 @@ def _plane_window_stack(
     p_c: NDArray[np.float64],
     x_f: NDArray[np.float64],
     T: float,
-    grids: GridBundle,
 ) -> NDArray[np.complex128]:
     """Windows of a quadratic-exponent system on the ``(x_f, p_c)`` lattice.
 
@@ -295,7 +314,7 @@ def _plane_window_stack(
     arithmetic ``(0 + pref_1*G_1 + pref_2*G_2) / (2h)`` exactly.
     """
     _check_stack_size(x_f.size, p_c.size)
-    h = grids.window_halfwidth(T)
+    h = window_halfwidth(state.system, T)
     gamma = _gamma(state, T)
     # prefactors stay Python complex products, as in the per-column form:
     # NumPy's complex multiply can round differently in the last bit
@@ -329,8 +348,7 @@ def _ho_antiderivative_at(
     assert sys_.omega is not None
     hbar, m, omega = sys_.hbar, sys_.mass, sys_.omega
     n = int(state.quantum_number)
-    s = regular_sin(omega * T)
-    c = math.cos(omega * T)
+    s, c, pref, phase = _ho_kernel(state, T)
     kappa = math.sqrt(m * omega / hbar)
     q = 0.5 * c / s
     r = -kappa * x_f / s
@@ -338,15 +356,13 @@ def _ho_antiderivative_at(
         return _ho_antiderivative_grid(state, x_f, T, edges, grids.inner_spacing(x_f, T))
     b = m * omega * abs(x_f)
     out = np.zeros(edges.shape, dtype=np.complex128)
-    live = np.abs(edges) >= b
+    live = ~(np.abs(edges) < b)  # NaN is live, so that it reaches the finiteness check
     if not np.any(live):
         return out
     e = edges[live]
     v = np.sqrt(np.maximum(e * e - b * b, 0.0))
     xi_b = kappa * x_f * c
     xi = xi_b - np.sign(e) * (kappa * s / (m * omega)) * v
-    pref = complex(np.sqrt(abs(s) / (2j * np.pi * hbar * m * omega)))
-    phase = state.energy * T / hbar - 0.5 * np.pi * maslov_index(omega * T)
     # pref * psi_n's kappa^(1/2) * the xi-independent action * dv/dxi
     column = (
         pref
@@ -377,6 +393,7 @@ def _ho_antiderivative_grid(
     v_max = math.sqrt(max(p_max * p_max - b * b, 0.0))
     if v_max == 0.0:
         return np.zeros(edges.shape, dtype=np.complex128)
+    _check_node_count(v_max / dv + 1.0, "oscillator inner v-grid")
     n_cells = max(1, math.ceil(v_max / dv))
     v = np.linspace(0.0, v_max, n_cells + 1)
     p_side = np.sqrt(v * v + b * b)
@@ -394,6 +411,7 @@ def _ho_antiderivative_grid(
     return out
 
 
+@_finite_result
 def window_average_series(
     state: EigenstateSpec,
     p_c_values: ArrayLike,
@@ -411,11 +429,9 @@ def window_average_series(
     pa = np.atleast_1d(np.asarray(p_c_values, dtype=float))
     if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
         return np.asarray(window_average(state, pa, x_f, T, grids), dtype=np.complex128)
-    _check_bundle(state, grids)
-    _check_travel_time(T)
     if not math.isfinite(x_f):
         raise DomainError(f"x_f must be finite, got {x_f!r}")
-    h = grids.window_halfwidth(T)
+    h = window_halfwidth(state.system, T)
     edges = np.concatenate([pa - h, pa + h])
     a_vals = _ho_antiderivative_at(state, x_f, T, edges, grids)
     n = pa.size
@@ -474,13 +490,12 @@ def segment_windows(
     windows overhanging the extent are clipped to it.  Returns (window
     centers, window integrals).
     """
-    _check_travel_time(T)
     cpw = cells_per_window
     if not (isinstance(cpw, (int, np.integer)) and 2 <= cpw <= _MAX_NODES and cpw % 2 == 0):
         raise DomainError(f"cells_per_window must be an even integer in [2, 2^24], got {cpw!r}")
     if not p_hi > p_lo:
         raise DomainError("extent must have p_hi > p_lo")
-    h = math.sqrt(state.system.hbar * mass_parameter(state.system) / T)
+    h = window_halfwidth(state.system, T)
     step = 2.0 * h / cells_per_window
     cells = (p_hi - p_lo) / step + 1e-9
     _check_node_count(cells + 1.0, "segment tiling grid")

@@ -24,7 +24,9 @@ Everything downstream integrates on grids built here.  Three things matter:
 * **Grid recipes.**  :func:`paper_grids` packages the oscillator defaults
   (32 midpoint time samples over one period, x_f out to 5*sqrt(2n+1), and
   the fallback inner momentum resolution, growing with |x_f|) into a
-  :class:`GridBundle`.
+  :class:`GridBundle`.  A bundle says only where to sample; the window
+  half-width is physics of the state, from
+  :func:`~pathspectra.systems.window_halfwidth`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainError
-from .systems import EigenstateSpec, SystemKind, SystemSpec, _check_travel_time
+from .systems import EigenstateSpec, SystemKind, SystemSpec, _check_travel_time, window_halfwidth
 
 __all__ = [
     "GridBundle",
@@ -146,28 +148,25 @@ def uniform_grid(lo: float, hi: float, step: float) -> NDArray[np.float64]:
 class GridBundle:
     """All grid choices for one distribution/reconstruction computation.
 
-    ``hbar_mass`` is the product of hbar with the mass-like constant of the
-    momentum variable (M, or the moment of inertia for angular momentum); it
-    sets the window half-width ``sqrt(hbar_mass/T)``.  Oscillator windows
-    are closed-form; only the columns whose Hermite ladder would amplify
-    round-off too far (high ``n`` well outside the turning points) fall back
-    to a trapezoid in the substituted variable, with spacing
-    ``1/(n_p * sqrt(T))``, ``n_p = max(n_p_floor, n_p_slope * |x_f|)``, finer
-    where the integrand oscillates faster.  ``n_p_floor``/``n_p_slope`` set
-    that fallback spacing and nothing else.
+    A bundle says only where to sample; the physics (the window half-width
+    :func:`~pathspectra.systems.window_halfwidth`, the kernel) comes from
+    the state it is used with.  Oscillator windows are closed-form; only the
+    columns whose Hermite ladder would amplify round-off too far (high ``n``
+    well outside the turning points) fall back to a trapezoid in the
+    substituted variable, with spacing ``1/(n_p * sqrt(T))``,
+    ``n_p = max(n_p_floor, n_p_slope * |x_f|)``, finer where the integrand
+    oscillates faster.  ``n_p_floor``/``n_p_slope`` set that fallback
+    spacing and nothing else.
     """
 
     p_c_grid: NDArray[np.float64]
     x_f_grid: NDArray[np.float64]
     T_samples: tuple[float, ...]
-    hbar_mass: float
     n_p_floor: float = 50.0
     n_p_slope: float = 0.0
 
     def __post_init__(self) -> None:
         # written as "not (ok)" so that NaN, which fails every comparison, is refused
-        if not (math.isfinite(self.hbar_mass) and self.hbar_mass > 0):
-            raise DomainError("hbar_mass must be positive and finite")
         if not (math.isfinite(self.n_p_floor) and self.n_p_floor > 0):
             raise DomainError("n_p_floor must be positive and finite")
         if not (math.isfinite(self.n_p_slope) and self.n_p_slope >= 0):
@@ -178,9 +177,6 @@ class GridBundle:
             g = getattr(self, name)
             if g.size < 2 or not (np.all(np.isfinite(g)) and np.all(np.diff(g) > 0)):
                 raise DomainError(f"{name} must be finite and ascending with at least 2 points")
-
-    def window_halfwidth(self, T: float) -> float:
-        return math.sqrt(self.hbar_mass / T)
 
     def inner_spacing(self, x_f: float, T: float) -> float:
         n_p = max(self.n_p_floor, self.n_p_slope * abs(x_f))
@@ -244,12 +240,11 @@ def paper_grids(state: EigenstateSpec, T: float, **overrides: float) -> GridBund
     m_steps = max(1, round(x_span / delta_x_f))
     x_f_grid = delta_x_f * np.arange(-m_steps, m_steps + 1)
 
-    halfwidth = math.sqrt(system.hbar * system.mass / T)
     p_c_max = positive(
         "p_c_max",
         max(
             3.0 * math.sqrt(2.0 * system.mass * energy),
-            system.mass * system.omega * float(np.max(np.abs(x_f_grid))) + 10.0 * halfwidth,
+            system.mass * system.omega * float(np.max(np.abs(x_f_grid))) + 10.0 * window_halfwidth(system, T),
         ),
     )
     _check_node_count(2.0 * (p_c_max / delta_p_c) + 1.0, "p_c grid")
@@ -260,7 +255,6 @@ def paper_grids(state: EigenstateSpec, T: float, **overrides: float) -> GridBund
         p_c_grid=p_c_grid,
         x_f_grid=x_f_grid,
         T_samples=T_samples,
-        hbar_mass=system.hbar * system.mass,
         n_p_floor=float(overrides.pop("n_p_floor", 50.0)),
         n_p_slope=float(overrides.pop("n_p_slope", 150.0 / width)),
     )

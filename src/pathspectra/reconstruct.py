@@ -31,8 +31,8 @@ from numpy.typing import ArrayLike, NDArray
 
 from .errors import DomainError
 from .phasor import _window_stack
-from .quadrature import GridBundle, _check_node_count, trapezoid_rows
-from .systems import EigenstateSpec, SystemKind, _check_travel_time
+from .quadrature import GridBundle, _check_node_count, _check_stack_size, trapezoid_rows
+from .systems import EigenstateSpec, SystemKind, _check_travel_time, window_halfwidth
 
 __all__ = ["ReconstructionResult", "reconstruct", "dominant_path_phase"]
 
@@ -58,11 +58,7 @@ def _full_band_cutoff(state: EigenstateSpec, grids: GridBundle, T: float) -> flo
     if system.kind is SystemKind.HARMONIC_OSCILLATOR:
         assert system.omega is not None
         scale = math.sqrt(system.hbar * system.mass * system.omega)
-        h = grids.window_halfwidth(T)
-        return max(
-            10.0 * scale,
-            math.sqrt(2.0 * system.mass * state.energy) + 14.0 * h,
-        )
+        return max(10.0 * scale, math.sqrt(2.0 * system.mass * state.energy) + 14.0 * window_halfwidth(system, T))
     return float(grids.p_c_grid[-1])
 
 
@@ -100,6 +96,7 @@ def reconstruct(
     if i2 - i1 < 1:  # band thinner than one lattice cell: nothing to integrate
         values = np.zeros(x_grid.size, dtype=np.complex128)
     else:
+        _check_stack_size(x_grid.size, 2 * (i2 - i1 + 1))  # before the band nodes are built
         pos = step * np.arange(i1, i2 + 1)
         neg = -pos[::-1]
         times = grids.T_samples if time_averaged else (float(T),)

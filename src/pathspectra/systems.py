@@ -12,6 +12,8 @@ Conventions that matter downstream:
 * The oscillator kernel carries the Morse-index phase ``exp(-i pi/2 *
   floor(omega T / pi))`` and is singular whenever ``sin(omega T) == 0``;
   :func:`regular_sin` refuses every time within float resolution of one.
+* :func:`window_halfwidth` ``h = sqrt(hbar*m/T)`` is the one resolution
+  scale; every window and default spacing downstream takes it from there.
 * Bounded systems use image sums.  Those sums have unit-magnitude terms and
   converge only in the smeared sense, so the truncation count is an explicit
   argument with a documented default rather than something silently hidden.
@@ -52,6 +54,7 @@ __all__ = [
     "ho_action",
     "default_winding_terms",
     "mass_parameter",
+    "window_halfwidth",
 ]
 
 # Fallback truncation for the circle/well image sums when the caller supplies
@@ -159,6 +162,12 @@ def mass_parameter(system: SystemSpec) -> float:
     return system.mass
 
 
+def window_halfwidth(system: SystemSpec, T: float) -> float:
+    """``h = sqrt(hbar*m/T)``: ``T`` cannot tell apart characteristic momenta closer than ``h``."""
+    _check_travel_time(T)
+    return math.sqrt(system.hbar * mass_parameter(system) / T)
+
+
 @dataclass(frozen=True)
 class EigenstateSpec:
     """An energy eigenstate: a system plus its quantum label.
@@ -190,9 +199,7 @@ class EigenstateSpec:
     def wavenumber(self) -> float:
         """Spatial frequency of the eigenfunction (k, l, n*pi/a, or None-like 0 for HO)."""
         kind = self.system.kind
-        if kind in (SystemKind.FREE_LINE, SystemKind.HARD_WALL):
-            return float(self.quantum_number)
-        if kind is SystemKind.CIRCLE:
+        if kind in (SystemKind.FREE_LINE, SystemKind.HARD_WALL, SystemKind.CIRCLE):
             return float(self.quantum_number)
         if kind is SystemKind.SQUARE_WELL:
             assert self.system.width is not None
@@ -224,16 +231,15 @@ def eigenfunction(
 
     Unbounded systems accept any real x.  Bounded systems enforce their
     configuration interval, boundaries included (the wall/well functions
-    vanish there); the circle takes angles in ``[0, 2*pi)``.
+    vanish there); the circle takes angles in ``[0, 2*pi]``, the seam
+    included so that grids closing the circle stay legal.
     """
     xa = np.asarray(x, dtype=float)
     sys_ = state.system
     kind = sys_.kind
-    if kind is SystemKind.CIRCLE:
-        if np.any(xa < 0.0) or np.any(xa >= 2.0 * np.pi):
-            raise DomainError("circle angles must lie in [0, 2*pi)")
-        out = np.exp(1j * state.quantum_number * xa)
-    elif kind is SystemKind.FREE_LINE:
+    if kind is SystemKind.CIRCLE and (np.any(xa < 0.0) or np.any(xa > 2.0 * np.pi)):
+        raise DomainError("circle angles must lie in [0, 2*pi]")
+    if kind in (SystemKind.FREE_LINE, SystemKind.CIRCLE):
         out = np.exp(1j * state.quantum_number * xa)
     elif kind is SystemKind.HARD_WALL:
         if np.any(xa < 0.0):

@@ -115,6 +115,34 @@ def test_exit_singular_on_divergent_sample(tmp_path):
     assert code == EXIT_SINGULAR
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["time-average", "--set", "quantum_number=0.6"],
+        ["compare", "--set", "quantum_number=0.6"],
+        ["distribution", "--set", "system=circle", "--set", "quantum_number=2.5", "--set", "T=100"],
+        ["distribution", "--set", "system=square_well", "--set", "quantum_number=1.5", "--set", "T=100"],
+    ],
+    ids=["time-average", "compare", "circle", "well"],
+)
+def test_non_integer_quantum_numbers_are_domain_errors(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_DOMAIN
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_integer_valued_quantum_numbers_give_the_same_bytes(tmp_path):
+    for q in ("2", "2.0"):
+        argv = ["distribution", "--set", "system=circle", "--set", f"quantum_number={q}", "--set", "T=100"]
+        assert main([*argv, "--out", str(tmp_path / q)]) == EXIT_OK
+    assert (tmp_path / "2" / "distribution.csv").read_bytes() == (tmp_path / "2.0" / "distribution.csv").read_bytes()
+
+
+@pytest.mark.parametrize("T", ["0", "-1"])
+def test_non_positive_travel_time_is_a_domain_error(tmp_path, T):
+    argv = ["phasor", "--set", "system=free_line", "--set", "quantum_number=1", "--set", f"T={T}"]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_DOMAIN
+
+
 def test_exit_io_when_out_dir_is_a_file(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("occupied")
@@ -149,6 +177,20 @@ def test_fig1_smoke(tmp_path):
         manifest["checks"]["segment_sum_re"], manifest["checks"]["segment_sum_im"]
     )
     assert abs(seg - complex(manifest["checks"]["endpoint_re"], manifest["checks"]["endpoint_im"])) < 1e-2
+
+
+def test_fig1_honours_an_explicit_zero_segment_offset(tmp_path):
+    assert main(["fig1", "--out", str(tmp_path / "default")]) == EXIT_OK
+    assert main(["fig1", "--set", "segment_offset=0", "--out", str(tmp_path / "zero")]) == EXIT_OK
+    default, zero = _manifest(tmp_path / "default", "fig1"), _manifest(tmp_path / "zero", "fig1")
+    assert default["effective_config"]["segment_offset"] is None
+    assert default["checks"]["segment_offset"] == 0.01  # the window half-width at T = 1e4
+    assert zero["effective_config"]["segment_offset"] == 0.0
+    assert zero["checks"]["segment_offset"] == 0.0
+    # windows are 2h = 0.02 wide: offset 0 centres them on multiples of 0.02, the default between them
+    for run, shift in (("zero", 0.0), ("default", 0.01)):
+        centers = np.loadtxt(tmp_path / run / "fig1_segments.csv", delimiter=",", skiprows=1)[:, 0]
+        assert np.allclose(np.round((centers - shift) / 0.02) * 0.02 + shift, centers, rtol=0, atol=1e-9)
 
 
 def test_fig1_curve_is_the_phasor_stage_on_the_pinned_grid(tmp_path):

@@ -13,7 +13,6 @@ import pathspectra as ps
 from pathspectra.distribution import (
     PathDistribution,
     _grid_average,
-    _psi_values,
     _trapezoid_weights,
     _x_f_weights,
     moments,
@@ -27,6 +26,7 @@ from pathspectra.phasor import _plane_terms, integrand, window_average, window_a
 from pathspectra.quadrature import GridBundle, paper_grids, trapezoid
 from pathspectra.reconstruct import reconstruct
 from pathspectra.specfun import gaussian_phase_integral
+from pathspectra.systems import mass_parameter
 
 FREE = ps.free_line()
 K1 = ps.EigenstateSpec(system=FREE, quantum_number=1.0)
@@ -39,7 +39,6 @@ def _synthetic(p, values, state=K1, T=100.0) -> PathDistribution:
         p_c_grid=np.asarray(p, dtype=float),
         x_f_grid=np.array([0.0, 1.0]),
         T_samples=(T,),
-        hbar_mass=1.0,
     )
     return PathDistribution(
         p_c_grid=g.p_c_grid,
@@ -192,8 +191,8 @@ STATIONARY_STATES = (
 def _per_column_windows(st, g, T):
     """Reference: one window series per x_f column, each pricing its own
     Fresnel kernels, in the order (0 + pref_1*G_1 + pref_2*G_2) / (2h)."""
-    h = g.window_halfwidth(T)
-    gamma = T / (2.0 * g.hbar_mass)
+    h = ps.window_halfwidth(st.system, T)
+    gamma = T / (2.0 * st.system.hbar * mass_parameter(st.system))
     columns = []
     for x_f in g.x_f_grid:
         out = np.zeros(g.p_c_grid.shape, dtype=np.complex128)
@@ -213,7 +212,7 @@ def test_hoisted_stack_is_bit_identical_to_per_column_windows(st, T):
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     # the x_f reduction keeps its order: weights, then an axis-0 np.sum
-    psi = _psi_values(st, g.x_f_grid)
+    psi = np.asarray(ps.eigenfunction(st, g.x_f_grid), dtype=np.complex128)
     weights = _trapezoid_weights(g.x_f_grid) * psi.conj()
     norm = trapezoid(g.x_f_grid, (psi.conj() * psi).real).real
     reduced = np.sum(want * weights[:, None], axis=0) / norm
@@ -275,7 +274,7 @@ def test_bare_oscillator_distribution_never_settles():
     st = ps.EigenstateSpec(system=HO, quantum_number=1.0)
     xg = np.linspace(-8.7, 8.7, 175)
     pg = np.arange(0.9, 2.6 + 1e-9, 0.02)
-    g = GridBundle(p_c_grid=pg, x_f_grid=xg, T_samples=(T32 + 0.4,), hbar_mass=1.0)
+    g = GridBundle(p_c_grid=pg, x_f_grid=xg, T_samples=(T32 + 0.4,))
     dA = spatial_average(st, T32 + 0.4, g)
     dB = spatial_average(st, T32 + 0.4 + math.pi / 2.0, g)
     rel = np.max(np.abs(dA.values - dB.values)) / np.max(np.abs(dA.values))
@@ -287,7 +286,7 @@ def test_time_average_is_mean_of_spatial_averages():
     xg = np.linspace(-8.7, 8.7, 175)
     pg = np.arange(0.9, 2.6 + 1e-9, 0.02)
     ts = (T32 + 0.3, T32 + 1.1)
-    g = GridBundle(p_c_grid=pg, x_f_grid=xg, T_samples=ts, hbar_mass=1.0)
+    g = GridBundle(p_c_grid=pg, x_f_grid=xg, T_samples=ts)
     d = time_average(st, T32, g)
     manual = 0.5 * (
         spatial_average(st, ts[0], g).values
@@ -307,7 +306,7 @@ def test_time_average_is_oscillator_only():
 def _per_row_time_average(st, g):
     """Reference: every x_f row through window_average_series, no mirror;
     the T' mean of the stacks (in sample order), then the weighted x_f sum."""
-    psi = _psi_values(st, g.x_f_grid)
+    psi = np.asarray(ps.eigenfunction(st, g.x_f_grid), dtype=np.complex128)
     weights = _trapezoid_weights(g.x_f_grid) * psi.conj()
     norm = trapezoid(g.x_f_grid, (psi.conj() * psi).real).real
     mean = np.zeros((g.x_f_grid.size, g.p_c_grid.size), dtype=np.complex128)

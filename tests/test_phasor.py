@@ -31,14 +31,13 @@ FREE = ps.free_line()
 K1 = ps.EigenstateSpec(system=FREE, quantum_number=1.0)
 
 
-def _bundle(T: float, hbar_mass: float = 1.0, n_p_floor: float = 50.0) -> GridBundle:
-    # minimal bundle: only T_samples / hbar_mass (and, for oscillator columns
-    # the closed form cannot take, n_p_floor) matter for window averages
+def _bundle(T: float, n_p_floor: float = 50.0) -> GridBundle:
+    # minimal bundle: only n_p_floor (for oscillator columns the closed form
+    # cannot take) matters for window averages
     return GridBundle(
         p_c_grid=np.array([0.0, 1.0]),
         x_f_grid=np.array([0.0, 1.0]),
         T_samples=(T,),
-        hbar_mass=hbar_mass,
         n_p_floor=n_p_floor,
     )
 
@@ -180,11 +179,44 @@ def test_window_average_oscillator_gap_window_is_zero():
     assert window_average(st, 0.0, 3.0, 25.0, gb) == 0.0
 
 
-def test_window_average_rejects_foreign_bundle():
-    circ = ps.circle(radius=2.0)
-    st = ps.EigenstateSpec(system=circ, quantum_number=1.0)
-    with pytest.raises(DomainError):
-        window_average(st, 1.0, 0.0, 100.0, _bundle(100.0, hbar_mass=1.0))
+@pytest.mark.parametrize("p_c", [math.nan, math.inf])
+def test_non_finite_momenta_are_refused(p_c):
+    st = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=1.0)
+    T = 32.0 * math.pi + 0.3
+    for call in (
+        lambda: integrand(st, [0.5, p_c], 0.3, T),
+        lambda: window_average(st, p_c, 0.3, T, _bundle(T)),
+        lambda: window_average_series(st, [p_c], 0.3, T, _bundle(T)),
+        lambda: integrand(K1, p_c, 0.3, T),
+    ):
+        with pytest.raises(DomainError, match="result not finite"):
+            call()
+    # a Fresnel window has a limit at infinite momentum: 0
+    if math.isinf(p_c):
+        assert window_average(K1, p_c, 0.3, T, _bundle(T)) == 0.0
+    else:
+        with pytest.raises(DomainError, match="result not finite"):
+            window_average(K1, p_c, 0.3, T, _bundle(T))
+
+
+def test_overflowing_phases_are_refused():
+    """Finite inputs past float range are refused, not returned as NaN."""
+    ho = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=1.0)
+    with pytest.raises(DomainError, match="float range"):
+        integrand(K1, 1e300, 0.0, 100.0)  # gamma * p^2 overflows
+    with pytest.raises(DomainError, match="float range"):
+        window_average_series(ho, [1e200], 0.0, 100.0, _bundle(100.0))  # edge^2 overflows
+    with pytest.raises(DomainError, match="float range"):
+        phasor_curve(K1, 0.0, 1e300, [-1e300, 1e300])  # one cell of 2e300 * 1e150
+
+
+def test_fallback_column_refuses_an_oversized_inner_grid():
+    # n = 60 at x_f = 15 is a fallback column; a window at p_c = 1e10 would
+    # need a 2e13-node inner v-grid
+    st = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=60.0)
+    T = 32.0 * math.pi + 0.3
+    with pytest.raises(DomainError, match="inner v-grid"):
+        window_average_series(st, [1e10], 15.0, T, _bundle(T))
 
 
 def test_window_series_matches_pointwise_oscillator():
@@ -336,7 +368,7 @@ _HO0 = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=0.0)
 _T_HO = 32.0 * math.pi + 0.3
 _WALL2 = ps.EigenstateSpec(system=ps.hard_wall(), quantum_number=2.0)
 _WALL_GRIDS = GridBundle(
-    p_c_grid=np.linspace(-3.0, 3.0, 61), x_f_grid=np.linspace(0.0, math.pi, 9), T_samples=(100.0,), hbar_mass=1.0
+    p_c_grid=np.linspace(-3.0, 3.0, 61), x_f_grid=np.linspace(0.0, math.pi, 9), T_samples=(100.0,)
 )
 
 HOSTILE = {

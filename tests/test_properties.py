@@ -19,7 +19,14 @@ from hypothesis import strategies as st
 import pathspectra as ps
 from pathspectra.distribution import stationary_grids
 from pathspectra.errors import DomainError, PathspectraError
-from pathspectra.phasor import segment_sum_check, segment_windows
+from pathspectra.phasor import (
+    integrand,
+    phasor_curve,
+    segment_sum_check,
+    segment_windows,
+    window_average,
+    window_average_series,
+)
 from pathspectra.quadrature import GridBundle, paper_grids
 
 HO = ps.harmonic_oscillator()
@@ -126,7 +133,7 @@ _HOSTILE_T = st.one_of(_SPECIAL, st.sampled_from([1e-300, 1e300, T32, 2.0 * T32]
 _HOSTILE_EDGE = st.one_of(_SPECIAL, st.sampled_from([1e300, -1e300]), st.floats(-5.0, 30.0))
 _WALL2 = ps.EigenstateSpec(ps.hard_wall(), 2.0)
 _WALL_GRIDS = GridBundle(
-    p_c_grid=0.1 * np.arange(-30, 31), x_f_grid=np.linspace(0.0, math.pi, 9), T_samples=(100.0,), hbar_mass=1.0
+    p_c_grid=0.1 * np.arange(-30, 31), x_f_grid=np.linspace(0.0, math.pi, 9), T_samples=(100.0,)
 )
 _HO_GRIDS = {n: paper_grids(ps.EigenstateSpec(HO, n), T32 + 0.3, **_SMALL) for n in range(3)}
 _CELLS_PER_WINDOW = st.one_of(
@@ -183,3 +190,31 @@ def test_averages_return_or_raise_pathspectra_errors(n, T):
     _returns_or_refuses(lambda: ps.time_average(state, T, _HO_GRIDS[n]))
     _returns_or_refuses(lambda: ps.spatial_average(state, T, _HO_GRIDS[n]))
     _returns_or_refuses(lambda: ps.spatial_average(_WALL2, T, _WALL_GRIDS))
+
+
+_HOSTILE_P = st.one_of(_SPECIAL, st.sampled_from([1e300, -1e300]), st.floats(-30.0, 30.0))
+_WINDOW_STATES = (
+    *(ps.EigenstateSpec(HO, n) for n in range(3)),
+    _WALL2,
+    ps.EigenstateSpec(ps.square_well(math.pi), 3),
+    ps.EigenstateSpec(ps.free_line(), 1.0),
+    ps.EigenstateSpec(ps.circle(2.0), 2),
+)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    state=st.sampled_from(_WINDOW_STATES),
+    p_c=st.one_of(_HOSTILE_P, st.lists(_HOSTILE_P, max_size=6).map(np.array)),
+    x_f=_X_F,
+    x_f_rows=st.lists(_X_F, min_size=1, max_size=4).map(np.array),
+    T=_HOSTILE_T,
+)
+def test_window_entry_points_return_or_raise_pathspectra_errors(state, p_c, x_f, x_f_rows, T):
+    ho = state.system.kind is ps.SystemKind.HARMONIC_OSCILLATOR
+    grids = _HO_GRIDS[int(state.quantum_number)] if ho else _WALL_GRIDS
+    for x in (x_f, x_f_rows):  # only window_average takes a 1-D x_f
+        _returns_or_refuses(lambda: window_average(state, p_c, x, T, grids))
+    _returns_or_refuses(lambda: window_average_series(state, p_c, x_f, T, grids))
+    _returns_or_refuses(lambda: integrand(state, p_c, x_f, T))
+    _returns_or_refuses(lambda: phasor_curve(state, x_f, T, p_c))

@@ -110,7 +110,6 @@ def test_grid_bundle_rejects_descending_grids():
             p_c_grid=np.array([1.0, 0.0]),
             x_f_grid=np.array([0.0, 1.0]),
             T_samples=(1.0,),
-            hbar_mass=1.0,
             n_p_floor=50.0,
             n_p_slope=150.0,
         )
@@ -121,11 +120,9 @@ def test_grid_bundle_spacings():
         p_c_grid=np.array([0.0, 1.0]),
         x_f_grid=np.array([0.0, 1.0]),
         T_samples=(1.0,),
-        hbar_mass=2.0,
         n_p_floor=50.0,
         n_p_slope=150.0,
     )
-    assert bundle.window_halfwidth(8.0) == pytest.approx(0.5)
     # the slope term takes over once 150*|x_f| exceeds the floor
     assert bundle.inner_spacing(0.1, 4.0) == pytest.approx(1.0 / (50.0 * 2.0))
     assert bundle.inner_spacing(2.0, 4.0) == pytest.approx(1.0 / (300.0 * 2.0))
@@ -176,9 +173,8 @@ NON_FINITE_GRIDS = {
     "p_c_max=nan": lambda: paper_grids(_HO0, 100.0, p_c_max=math.nan),
     "x_f_span=inf": lambda: paper_grids(_HO0, 100.0, x_f_span=math.inf),
     "n_p_floor=nan": lambda: paper_grids(_HO0, 100.0, n_p_floor=math.nan),
-    "bundle p_c_grid": lambda: GridBundle(_NAN_GRID, np.array([0.0, 1.0]), (1.0,), 1.0),
-    "bundle T_samples": lambda: GridBundle(np.array([0.0, 1.0]), np.array([0.0, 1.0]), (math.nan,), 1.0),
-    "bundle hbar_mass": lambda: GridBundle(np.array([0.0, 1.0]), np.array([0.0, 1.0]), (1.0,), math.nan),
+    "bundle p_c_grid": lambda: GridBundle(_NAN_GRID, np.array([0.0, 1.0]), (1.0,)),
+    "bundle T_samples": lambda: GridBundle(np.array([0.0, 1.0]), np.array([0.0, 1.0]), (math.nan,)),
 }
 
 
@@ -202,7 +198,7 @@ def test_paper_grids_rejects_unknown_overrides_and_other_systems():
 _OSC1 = EigenstateSpec(harmonic_oscillator(), 1)
 _T32 = 32.0 * math.pi
 _SMALL_BUNDLE = GridBundle(
-    p_c_grid=0.02 * np.arange(-100, 101), x_f_grid=np.linspace(-1.0, 1.0, 5), T_samples=(_T32 + 0.3,), hbar_mass=1.0
+    p_c_grid=0.02 * np.arange(-100, 101), x_f_grid=np.linspace(-1.0, 1.0, 5), T_samples=(_T32 + 0.3,)
 )
 OVERSIZED = {
     "uniform_grid-tiny-step": lambda: uniform_grid(0.0, 1.0, 1e-300),
@@ -238,7 +234,7 @@ def test_node_limit_boundary_and_explicit_sample_count():
 # the stack limit: (x_f, p_c) window stacks are refused before allocation
 
 _COARSE_BUNDLE = GridBundle(
-    p_c_grid=0.2 * np.arange(-50, 51), x_f_grid=np.linspace(-5.0, 5.0, 101), T_samples=(_T32 + 0.3,), hbar_mass=1.0
+    p_c_grid=0.2 * np.arange(-50, 51), x_f_grid=np.linspace(-5.0, 5.0, 101), T_samples=(_T32 + 0.3,)
 )
 _WALL = EigenstateSpec(hard_wall(), 2.0)
 OVERSIZED_STACKS = {

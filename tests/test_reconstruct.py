@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from pathspectra.phasor import _plane_terms, window_average_series
 from pathspectra.quadrature import GridBundle, trapezoid_rows
 from pathspectra.reconstruct import dominant_path_phase, reconstruct
 from pathspectra.specfun import gaussian_phase_integral
-from pathspectra.systems import SystemKind
+from pathspectra.systems import SystemKind, mass_parameter
 
 FREE = ps.free_line()
 K1 = ps.EigenstateSpec(system=FREE, quantum_number=1.0)
@@ -28,7 +29,6 @@ def _free_bundle(step: float) -> GridBundle:
         p_c_grid=np.arange(0.0, 8.0 + 1e-9, step),
         x_f_grid=X_FEW,
         T_samples=(T_FREE,),
-        hbar_mass=1.0,
     )
 
 
@@ -86,12 +86,26 @@ def test_oscillator_full_band_rebuilds_ground_state():
         p_c_grid=np.arange(0.0, 10.0 + 1e-9, 0.02),
         x_f_grid=x,
         T_samples=ts,
-        hbar_mass=1.0,
     )
     r = reconstruct(st, None, T, g)
     psi = np.asarray(ps.eigenfunction(st, x))
     assert r.time_averaged
     assert np.max(np.abs(r.values - psi)) < 1e-2 * np.max(np.abs(psi))
+
+
+def test_oversized_band_is_refused_before_its_nodes_are_built():
+    # 101 x_f rows over 2 x 5e6 band nodes: the nodes alone would take 160 MB
+    st = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=0.0)
+    T = 32.0 * math.pi + 0.3
+    g = ps.paper_grids(st, T)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="window stack"):
+            reconstruct(st, (0.0, 1e5), T, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_oscillator_band_respects_parity():
@@ -102,7 +116,6 @@ def test_oscillator_band_respects_parity():
         p_c_grid=np.arange(0.0, 4.0 + 1e-9, 0.02),
         x_f_grid=np.array([-1.2, -0.5, 0.0, 0.5, 1.2]),
         T_samples=ts,
-        hbar_mass=1.0,
     )
     v = reconstruct(st, (2.0, 2.6), T, g).values
     assert np.max(np.abs(v - v[::-1])) < 1e-13
@@ -127,8 +140,8 @@ def _column_series(st, nodes, x_f, T, g):
     kernels, in the order (0 + pref_1*G_1 + pref_2*G_2) / (2h)."""
     if st.system.kind is SystemKind.HARMONIC_OSCILLATOR:
         return window_average_series(st, nodes, x_f, T, g)
-    h = g.window_halfwidth(T)
-    gamma = T / (2.0 * g.hbar_mass)
+    h = ps.window_halfwidth(st.system, T)
+    gamma = T / (2.0 * st.system.hbar * mass_parameter(st.system))
     out = np.zeros(nodes.shape, dtype=np.complex128)
     for pref, center in _plane_terms(st, x_f, T):
         u = nodes - center

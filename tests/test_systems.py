@@ -31,6 +31,7 @@ from pathspectra.systems import (
     propagator,
     regular_sin,
     square_well,
+    window_halfwidth,
 )
 
 
@@ -103,6 +104,14 @@ def test_mass_parameter_is_inertia_on_the_circle():
     assert mass_parameter(hard_wall(mass=2.0)) == pytest.approx(2.0)
 
 
+def test_window_halfwidth_takes_hbar_and_the_mass_parameter():
+    assert window_halfwidth(hard_wall(hbar=2.0), 8.0) == pytest.approx(0.5)
+    assert window_halfwidth(circle(3.0, mass=2.0), 2.0) == pytest.approx(3.0)  # I = 18
+    for T in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            window_halfwidth(free_line(), T)
+
+
 # ---------------------------------------------------------------------------
 # eigenfunctions
 
@@ -119,8 +128,10 @@ def test_eigenfunction_domain_enforcement():
     ring = EigenstateSpec(circle(), 2)
     with pytest.raises(DomainError):
         eigenfunction(ring, -0.1)
+    # the seam 2*pi closes the circle: it gives the value at 0
+    assert abs(eigenfunction(ring, 2.0 * math.pi) - eigenfunction(ring, 0.0)) <= 1e-15
     with pytest.raises(DomainError):
-        eigenfunction(ring, 2.0 * math.pi)
+        eigenfunction(ring, 2.0 * math.pi + 0.1)
     with pytest.raises(DomainError):
         eigenfunction(EigenstateSpec(square_well(1.0), 1), 1.2)
 

@@ -52,6 +52,8 @@ COMMANDS: dict[str, list[str]] = {
     "distribution_circle": ["distribution", *_stationary("circle", 2.0)],
     "time_average": ["time-average"],
     "phasor_oscillator": ["phasor", "--set", "x_f=0.7", "--set", f"T={T_OSCILLATOR!r}"],
+    "window_oscillator": ["window", "--set", "quantum_number=1", "--set", "x_f=0.7", "--set", f"T={T_OSCILLATOR!r}"],
+    "distribution_oscillator": ["distribution", "--set", "quantum_number=1", "--set", f"T={T_OSCILLATOR!r}"],
     "phasor_wall": ["phasor", *_stationary("hard_wall", 2.0), "--set", "x_f=0.7"],
     "window": [
         "window", "--set", "system=free_line", "--set", "quantum_number=1", "--set", "T=400",
