@@ -82,7 +82,7 @@ class RunConfig:
     n_time: int | None = None
     n_p_floor: float | None = None
     n_p_slope: float | None = None
-    band_lo: float = 0.0
+    band_lo: float | None = None
     band_hi: float | None = None
     segment_offset: float | None = None
     out: str = "."
@@ -187,15 +187,23 @@ def _emit(
     return filename
 
 
+# grid keys only one recipe takes; both take delta_p_c, delta_x_f and x_f_span
+_OSCILLATOR_ONLY_KEYS = ("p_c_max", "delta_T", "n_time", "n_p_floor", "n_p_slope")
+_STATIONARY_ONLY_KEYS = ("p_c_lo", "p_c_hi")
+
+
 def _bundle_for(state: EigenstateSpec, cfg: RunConfig) -> GridBundle:
-    """Grid bundle from config, deferring unset knobs to the module defaults."""
-    if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
-        keys = ("delta_p_c", "p_c_max", "delta_x_f", "x_f_span", "delta_T", "n_time", "n_p_floor", "n_p_slope")
+    """Grid bundle from config, unset knobs left to the module defaults; foreign grid keys are usage errors."""
+    oscillator = state.system.kind is SystemKind.HARMONIC_OSCILLATOR
+    foreign = _STATIONARY_ONLY_KEYS if oscillator else _OSCILLATOR_ONLY_KEYS
+    ignored = [key for key in foreign if getattr(cfg, key) is not None]
+    if ignored:
+        raise UsageError(f"{state.system.kind.value} grids do not take {', '.join(ignored)}")
+    if oscillator:
+        keys = ("delta_p_c", "delta_x_f", "x_f_span", *_OSCILLATOR_ONLY_KEYS)
         overrides = {key: getattr(cfg, key) for key in keys if getattr(cfg, key) is not None}
         return paper_grids(state, cfg.T, **overrides)
-    span = None
-    if cfg.p_c_lo is not None and cfg.p_c_hi is not None:
-        span = (cfg.p_c_lo, cfg.p_c_hi)
+    span = None if cfg.p_c_lo is None else (cfg.p_c_lo, cfg.p_c_hi)
     return stationary_grids(
         state,
         cfg.T,
@@ -206,15 +214,16 @@ def _bundle_for(state: EigenstateSpec, cfg: RunConfig) -> GridBundle:
     )
 
 
-def _grid_report(bundle: GridBundle) -> dict[str, float]:
-    """The grid sizes a computation actually ran on, for the manifest."""
-    return {
+def _grid_report(state: EigenstateSpec, bundle: GridBundle) -> dict[str, float]:
+    """The grid sizes a computation actually ran on, for the manifest (inner v-grid: oscillator only)."""
+    report = {
         "n_time": len(bundle.T_samples),
         "x_f_nodes": int(bundle.x_f_grid.size),
         "p_c_nodes": int(bundle.p_c_grid.size),
-        "n_p_floor": bundle.n_p_floor,
-        "n_p_slope": bundle.n_p_slope,
     }
+    if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
+        report.update(n_p_floor=bundle.n_p_floor, n_p_slope=bundle.n_p_slope)
+    return report
 
 
 def _curve_grid(state: EigenstateSpec, cfg: RunConfig) -> np.ndarray:
@@ -226,7 +235,7 @@ def _curve_grid(state: EigenstateSpec, cfg: RunConfig) -> np.ndarray:
     system = state.system
     h = window_halfwidth(system, cfg.T)
     step = cfg.delta_p_c if cfg.delta_p_c is not None else h / 100.0
-    if cfg.p_c_lo is not None and cfg.p_c_hi is not None:
+    if cfg.p_c_lo is not None:
         return uniform_grid(cfg.p_c_lo, cfg.p_c_hi, step)
     if system.kind is SystemKind.HARMONIC_OSCILLATOR:
         p_max = max(
@@ -309,7 +318,7 @@ def _fig2(cfg: RunConfig, write: Writer) -> dict:
     return {
         "window_series_integral_re": window_integral.real,
         "window_series_integral_im": window_integral.imag,
-        "grids": _grid_report(bundle),
+        "grids": _grid_report(state, bundle),
     }
 
 
@@ -323,7 +332,7 @@ def _fig7(cfg: RunConfig, write: Writer) -> dict:
         write(f"fig7_n{n}", ("p_c", "re", "im"), (dist.p_c_grid, dist.values))
         checks[f"n{n}_moments"] = moments(dist)
         checks[f"n{n}_expected_peak"] = math.sqrt(2.0 * n + 1.0)
-        checks[f"n{n}_grids"] = _grid_report(bundle)
+        checks[f"n{n}_grids"] = _grid_report(state, bundle)
     return checks
 
 
@@ -332,7 +341,7 @@ def _fig8(cfg: RunConfig, write: Writer) -> dict:
     for n in (0, 3):
         state = EigenstateSpec(build_system(cfg), n)
         bundle = _bundle_for(state, cfg)
-        checks[f"n{n}_grids"] = _grid_report(bundle)
+        checks[f"n{n}_grids"] = _grid_report(state, bundle)
         b_n = math.sqrt(2.0 * state.system.mass * state.energy)
         bands: list[tuple[float, float]] = [
             (0.0, 10.0),
@@ -371,9 +380,7 @@ def _fig10(cfg: RunConfig, write: Writer) -> dict:
     for n in range(4):
         checks[f"n{n}_argmax_alpha"] = _overlap_table(write, f"fig10_n{n}", n)
         checks[f"n{n}_expected_argmax"] = math.sqrt(n)
-    checks["completeness_sum_alpha_1.5_n40"] = float(
-        math.fsum(coherent_overlap(m, 1.5) for m in range(41))
-    )
+    checks["completeness_sum_alpha_1.5_n40"] = float(np.sum([coherent_overlap(m, 1.5) for m in range(41)]))
     return checks
 
 
@@ -411,7 +418,7 @@ def _stage_window(cfg: RunConfig, write: Writer) -> dict:
         "series_integral_im": total.imag,
         "eigenfunction_re": target.real,
         "eigenfunction_im": target.imag,
-        "grids": _grid_report(bundle),
+        "grids": _grid_report(state, bundle),
     }
 
 
@@ -424,7 +431,7 @@ def _stage_distribution(
     log.info("%s: %s at T=%g, %d T' sample(s)", name, cfg.system, cfg.T, len(bundle.T_samples))
     dist = average(state, cfg.T, bundle)
     write(name, ("p_c", "re", "im"), (dist.p_c_grid, dist.values))
-    checks: dict[str, object] = {"normalization_N": dist.normalization_N, "grids": _grid_report(bundle)}
+    checks: dict[str, object] = {"normalization_N": dist.normalization_N, "grids": _grid_report(state, bundle)}
     try:
         checks["moments"] = moments(dist)
     except PathspectraError as exc:  # moments can be legitimately undefined
@@ -435,7 +442,7 @@ def _stage_distribution(
 def _stage_reconstruct(cfg: RunConfig, write: Writer) -> dict:
     state = build_state(cfg)
     bundle = _bundle_for(state, cfg)
-    band = None if cfg.band_hi is None else (cfg.band_lo, cfg.band_hi)
+    band = None if cfg.band_hi is None else (cfg.band_lo or 0.0, cfg.band_hi)
     log.info("reconstruct: %s band=%s", cfg.system, band if band else "full")
     rec = reconstruct(state, band, cfg.T, bundle)
     write("reconstruct", ("x_f", "re", "im"), (rec.x_f_grid, rec.values))
@@ -443,7 +450,7 @@ def _stage_reconstruct(cfg: RunConfig, write: Writer) -> dict:
     return {
         "band": list(band) if band else "full",
         "max_abs_dev_from_psi": float(np.max(np.abs(rec.values - psi))),
-        "grids": _grid_report(bundle),
+        "grids": _grid_report(state, bundle),
     }
 
 
@@ -475,6 +482,11 @@ _RUNNERS = {
 
 def _run_command(command: str, cfg: RunConfig) -> list[str]:
     cfg = _pinned(command, cfg)
+    # a key whose partner is unset would be silently ignored
+    if (cfg.p_c_lo is None) != (cfg.p_c_hi is None):
+        raise UsageError("p_c_lo and p_c_hi set the momentum span together: set both or neither")
+    if cfg.band_lo is not None and cfg.band_hi is None:
+        raise UsageError("band_lo needs band_hi: without it the full band runs")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()

@@ -13,9 +13,9 @@ Two standard descriptions of the oscillator eigenstates:
 Marginals are computed here by explicit quadrature and *tested* against the
 closed forms (:func:`momentum_density`); the cross-validation is the point.
 Both marginals broadcast over their fixed coordinate: the Wigner samples are
-built in row blocks of at most ``_BLOCK_CELLS`` and each row is one ordered
-``np.sum`` of trapezoid cells (not ``math.fsum``), a few ulp from the
-compensated sum and bit-identical whatever the block holds.
+built in row blocks of at most ``_BLOCK_CELLS`` and each row is one
+:func:`~pathspectra.quadrature.trapezoid`, bit-identical whatever the block
+holds.
 """
 
 from __future__ import annotations
@@ -23,15 +23,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import DomainError
-from .quadrature import trapezoid_rows
-from .specfun import hermite, laguerre
-from .systems import SystemKind, SystemSpec
+from .quadrature import trapezoid
+from .specfun import MAX_DEGREE, hermite, laguerre
+from .systems import SystemKind, SystemSpec, _finite
 
 __all__ = [
     "PhaseSpacePoint",
@@ -75,11 +74,21 @@ def _require_oscillator(system: SystemSpec) -> tuple[float, float, float]:
     return system.hbar, system.mass, system.omega
 
 
+def _level(n: float) -> int:
+    """Oscillator level ``n`` as an int: an integer in [0, MAX_DEGREE], as in :class:`EigenstateSpec`."""
+    if n not in range(MAX_DEGREE + 1):  # 2.0 is in; 1.5, -1, NaN and inf are not
+        raise DomainError(f"oscillator level must be an integer in [0, {MAX_DEGREE}], got {n!r}")
+    return int(n)
+
+
 def _wigner_values(n: int, x: NDArray, p: NDArray, system: SystemSpec) -> NDArray:
     hbar, mass, omega = _require_oscillator(system)
-    arg = 2.0 * mass * omega * x * x / hbar + 2.0 * p * p / (hbar * mass * omega)
     sign = -1.0 if n % 2 else 1.0
-    return sign / (math.pi * hbar) * np.exp(-0.5 * arg) * laguerre(n, arg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = 2.0 * mass * omega * x * x / hbar + 2.0 * p * p / (hbar * mass * omega)
+        values = sign / (math.pi * hbar) * np.exp(-0.5 * arg) * laguerre(n, arg)
+    # finite inputs give inf/NaN only as an underflowed Gaussian times an overflowed polynomial: limit 0
+    return np.where(np.isfinite(values), values, 0.0)
 
 
 def wigner(n: int, point: PhaseSpacePoint, system: SystemSpec) -> float:
@@ -89,18 +98,26 @@ def wigner(n: int, point: PhaseSpacePoint, system: SystemSpec) -> float:
     * L_n(2*M*omega*x^2/hbar + 2*p^2/(hbar*M*omega))`` -- real, and negative
     in rings for every n >= 1.
     """
-    val = _wigner_values(
-        int(n), np.asarray(point.x, dtype=float), np.asarray(point.p, dtype=float), system
-    )
-    return float(val)
+    return float(_wigner_values(_level(n), point.x, point.p, system))
 
 
-def _span_warning(n: int, reach: float, system: SystemSpec, label: str) -> None:
+def _marginal(
+    n: int, points: ArrayLike, grid: ArrayLike, system: SystemSpec, label: str
+) -> NDArray[np.float64] | float:
+    """Trapezoid of the Wigner function over the ``label`` ("x" or "p") grid, at every entry of ``points``.
+
+    Rows are built in blocks of at most ``_BLOCK_CELLS`` samples and each is
+    its own ``np.sum``, so the block size cannot change a result.  A grid
+    short of the state's extent warns with :class:`TailMassWarning`."""
+    n = _level(n)
+    grid = _finite(grid, f"{label}_grid")
+    span = float(grid.max()) - float(grid.min()) if grid.ndim == 1 and grid.size >= 2 else math.nan
+    if not (math.isfinite(span) and np.all(np.diff(grid) > 0)):
+        raise DomainError(f"{label}_grid must be 1-D and ascending, with at least 2 points and a finite span")
     hbar, mass, omega = _require_oscillator(system)
-    if label == "x":
-        needed = 5.0 * math.sqrt(2.0 * n + 1.0) * math.sqrt(hbar / (mass * omega))
-    else:
-        needed = 5.0 * math.sqrt(2.0 * n + 1.0) * math.sqrt(hbar * mass * omega)
+    scale = hbar / (mass * omega) if label == "x" else hbar * mass * omega
+    needed = 5.0 * math.sqrt(2.0 * n + 1.0) * math.sqrt(scale)
+    reach = float(min(-grid[0], grid[-1]))
     if reach < needed:
         warnings.warn(
             f"{label}-grid reaches {reach:.3g} but the state extends to ~{needed:.3g}; "
@@ -108,24 +125,14 @@ def _span_warning(n: int, reach: float, system: SystemSpec, label: str) -> None:
             TailMassWarning,
             stacklevel=3,
         )
-
-
-def _marginal(
-    points: ArrayLike, grid: NDArray, values: Callable[[NDArray], NDArray]
-) -> NDArray[np.float64] | float:
-    """Trapezoid over ``grid`` of ``values(rows)`` for every entry of ``points``.
-
-    ``values`` maps a column of fixed coordinates to their Wigner rows; the
-    rows are built in blocks of at most ``_BLOCK_CELLS`` samples, and each
-    row is reduced on its own, so the block size cannot change a result.
-    """
-    pts = np.asarray(points, dtype=float)
+    pts = _finite(points, "marginal points")
     flat = pts.ravel()
     out = np.empty(flat.size)
     rows = max(1, _BLOCK_CELLS // grid.size)
     for start in range(0, flat.size, rows):
         block = flat[start : start + rows, None]
-        out[start : start + rows] = trapezoid_rows(grid, values(block))
+        x, p = (grid, block) if label == "x" else (block, grid)
+        out[start : start + rows] = trapezoid(grid, _wigner_values(n, x, p, system))
     return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
 
 
@@ -134,12 +141,10 @@ def wigner_momentum_marginal(
 ) -> NDArray[np.float64] | float:
     """``int F_n(x, p) dx`` by trapezoid: the momentum-space density |psi~_n(p)|^2.
 
-    Broadcasts over ``p`` (a scalar gives a float); each momentum's cells
-    are an ordered ``np.sum`` (see :func:`~pathspectra.quadrature.trapezoid_rows`).
+    Broadcasts over ``p`` (a scalar gives a float); each momentum is one
+    :func:`~pathspectra.quadrature.trapezoid` row.
     """
-    x = np.asarray(x_grid, dtype=float)
-    _span_warning(int(n), float(min(-x[0], x[-1])), system, "x")
-    return _marginal(p, x, lambda rows: _wigner_values(int(n), x, rows, system))
+    return _marginal(n, p, x_grid, system, "x")
 
 
 def wigner_position_marginal(
@@ -149,9 +154,7 @@ def wigner_position_marginal(
 
     Broadcasts over ``x`` like :func:`wigner_momentum_marginal` over ``p``.
     """
-    p = np.asarray(p_grid, dtype=float)
-    _span_warning(int(n), float(min(-p[0], p[-1])), system, "p")
-    return _marginal(x, p, lambda rows: _wigner_values(int(n), rows, p, system))
+    return _marginal(n, x, p_grid, system, "p")
 
 
 def momentum_density(
@@ -162,30 +165,26 @@ def momentum_density(
     The momentum wavefunction of a Hermite-Gaussian is again a
     Hermite-Gaussian with scale sqrt(hbar*M*omega).
     """
+    n = _level(n)
     hbar, mass, omega = _require_oscillator(system)
     scale = math.sqrt(hbar * mass * omega)
-    pa = np.asarray(p, dtype=float)
-    xi = pa / scale
-    log_norm = int(n) * math.log(2.0) + math.lgamma(int(n) + 1.0)
-    out = (
-        np.exp(-xi * xi - log_norm)
-        * hermite(int(n), xi) ** 2
-        / (math.sqrt(math.pi) * scale)
-    )
-    return float(out) if pa.ndim == 0 else out
+    xi = _finite(p, "p") / scale
+    log_norm = n * math.log(2.0) + math.lgamma(n + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(-xi * xi - log_norm) * np.square(hermite(n, xi)) / (math.sqrt(math.pi) * scale)
+    out = np.where(np.isfinite(out), out, 0.0)  # past float range: the limit 0, as in _wigner_values
+    return float(out) if xi.ndim == 0 else out
 
 
 def coherent_overlap(n: int, alpha_magnitude: float) -> float:
     """``|<alpha|n>|^2 = exp(-|alpha|^2) |alpha|^{2n} / n!`` (a Poisson weight).
 
-    Evaluated in log space so large n stays finite.
+    Evaluated in log space, so no level up to ``MAX_DEGREE`` overflows.
     """
-    n = int(n)
-    if n < 0:
-        raise DomainError("quantum number must be nonnegative")
+    n = _level(n)
     a = float(alpha_magnitude)
-    if a < 0:
-        raise DomainError("alpha_magnitude is a magnitude: must be >= 0")
+    if not (math.isfinite(a) and a >= 0):
+        raise DomainError(f"alpha_magnitude is a magnitude: must be finite and >= 0, got {a!r}")
     if a == 0.0:
         return 1.0 if n == 0 else 0.0
     return math.exp(-a * a + 2.0 * n * math.log(a) - math.lgamma(n + 1.0))

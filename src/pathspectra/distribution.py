@@ -20,7 +20,7 @@ integrals collapses to the window kernel itself, which ``spatial_average`` uses.
 
 Cost note: ``phasor._window_stack``, the engine reconstruction shares,
 returns the ``(x_f, p_c)`` stack already averaged over the T' samples, so
-the T'-independent weights and N apply once, with one ordered ``np.sum``.
+the T'-independent weights and N apply once: one ordered ``np.sum`` (the x_f trapezoid as weights).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from numpy.typing import NDArray
 
 from .errors import DegenerateDistributionError, DomainError
 from .phasor import _window_stack, window_average
-from .quadrature import GridBundle, trapezoid, uniform_grid
+from .quadrature import GridBundle, _check_node_count, trapezoid, uniform_grid
 from .systems import EigenstateSpec, SystemKind, _check_travel_time, eigenfunction, mass_parameter, window_halfwidth
 
 __all__ = [
@@ -119,8 +119,10 @@ def stationary_grids(
     k = state.quantum_number if kind is not SystemKind.SQUARE_WELL else state.wavenumber
     mirrored = kind not in _PLANE_KINDS  # standing waves: stationary points at +-hbar*k
     center = system.hbar * (state.wavenumber if mirrored else float(k))
-    margin = max(50.0 * h, math.sqrt(75.0 * hbar_mass / (T * tail_budget)))
     if p_c_span is None:
+        # divided in turn, so that a tiny T * tail_budget overflows to inf (refused) instead of to 0
+        margin = max(50.0 * h, math.sqrt(75.0 * hbar_mass / T / tail_budget))
+        _check_node_count(2.0 * (margin / step + 1.0), "stationary p_c grid")
         image_spacing = 2.0 * math.pi * hbar_mass / (T * step)
         snapped = (math.floor(margin / image_spacing) + 0.5) * image_spacing
         if snapped < margin:
@@ -170,6 +172,8 @@ def stationary_grids(
 
 
 def _trapezoid_weights(x: NDArray) -> NDArray[np.float64]:
+    """Node weights of the x_f trapezoid: the rule of ``quadrature.trapezoid`` regrouped
+    by node, so the x_f average needs no (x_f, p_c) stack of cells beside the window stack."""
     w = np.empty(x.size)
     w[0] = 0.5 * (x[1] - x[0])
     w[-1] = 0.5 * (x[-1] - x[-2])

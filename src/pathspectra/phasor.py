@@ -40,8 +40,9 @@ keeps the trapezoid rule, uniform in v with the spacing
 reference oracle for both.
 
 The half-width ``h`` is :func:`~pathspectra.systems.window_halfwidth`; the
-grid bundle only supplies the fallback spacing.  Results that are not finite
-(NaN momenta, phases past float range) are refused with a ``DomainError``.
+grid bundle only supplies the fallback spacing.  Momenta must be finite for
+every system (NaN and +-inf are refused on entry), and results that are not
+finite (phases past float range) are refused too, both with a ``DomainError``.
 
 Distributions, time averages and reconstruction take their windows from one
 private engine, ``_window_stack``: the mean over T' of an ``(x_f, p_c)``
@@ -59,7 +60,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import DivergentSampleError, DomainError
-from .quadrature import _MAX_NODES, GridBundle, _check_node_count, _check_stack_size, compensated_sum
+from .quadrature import _MAX_NODES, GridBundle, _check_node_count, _check_stack_size
 from .quadrature import cumulative_trapezoid
 from .specfun import (
     gaussian_phase_integral,
@@ -71,6 +72,7 @@ from .systems import (
     EigenstateSpec,
     SystemKind,
     _check_travel_time,
+    _finite,
     maslov_index,
     mass_parameter,
     regular_sin,
@@ -132,7 +134,7 @@ def _finite_result(func: Callable) -> Callable:
         except (OverflowError, ZeroDivisionError) as exc:  # Python floats raise where NumPy gives inf
             raise DomainError(f"{func.__name__}: an input is past float range") from exc
         if not np.isfinite(getattr(out, "cumulative", out)).all():
-            raise DomainError(f"{func.__name__}: result not finite (NaN momentum, or input past float range)")
+            raise DomainError(f"{func.__name__}: result not finite (an input is past float range)")
         return out
 
     return guarded
@@ -227,7 +229,7 @@ def integrand(
     _check_travel_time(T)
     if not math.isfinite(x_f):
         raise DomainError(f"x_f must be finite, got {x_f!r}")
-    pa = np.asarray(p_c, dtype=float)
+    pa = _finite(p_c, "momenta p_c")
     scalar = pa.ndim == 0
     if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
         assert state.system.omega is not None
@@ -238,11 +240,12 @@ def integrand(
                 f"integrand diverges at |p_c| = M*omega*|x_f| = {b:.6g}"
             )
         out = np.zeros(pa.shape, dtype=np.complex128)
-        live = ~(mag <= b)  # NaN is live, so that it reaches the finiteness check
+        live = mag > b
         if np.any(live):
             factor = ho_regular_factor(state, x_f, T)
-            p_live = pa[live]
-            out[live] = factor(p_live) * np.abs(p_live) / np.sqrt(p_live * p_live - b * b)
+            m = mag[live]
+            # |p| / sqrt(p^2 - b^2), factored so that p^2 cannot underflow or overflow
+            out[live] = factor(pa[live]) * m / (np.sqrt(m - b) * np.sqrt(m + b))
         return complex(out) if scalar else out
     gamma = _gamma(state, T)
     out = np.zeros(pa.shape, dtype=np.complex128)
@@ -283,7 +286,7 @@ def window_average(
     one Fresnel kernel per plane term shared by every row.  The oscillator
     takes one ``x_f`` per call.
     """
-    pa = np.asarray(p_c, dtype=float)
+    pa = _finite(p_c, "momenta p_c")
     scalar = pa.ndim == 0
     xa = np.asarray(x_f, dtype=float)
     if xa.ndim > 1 or not np.all(np.isfinite(xa)):
@@ -356,7 +359,7 @@ def _ho_antiderivative_at(
         return _ho_antiderivative_grid(state, x_f, T, edges, grids.inner_spacing(x_f, T))
     b = m * omega * abs(x_f)
     out = np.zeros(edges.shape, dtype=np.complex128)
-    live = ~(np.abs(edges) < b)  # NaN is live, so that it reaches the finiteness check
+    live = np.abs(edges) >= b
     if not np.any(live):
         return out
     e = edges[live]
@@ -426,7 +429,7 @@ def window_average_series(
     column (see :func:`_ho_antiderivative_at`).  Other systems go through
     :func:`window_average`.
     """
-    pa = np.atleast_1d(np.asarray(p_c_values, dtype=float))
+    pa = np.atleast_1d(_finite(p_c_values, "momenta p_c"))
     if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
         return np.asarray(window_average(state, pa, x_f, T, grids), dtype=np.complex128)
     if not math.isfinite(x_f):
@@ -545,4 +548,4 @@ def segment_sum_check(
     _, windows = segment_windows(
         state, x_f, T, delta_p, p_lo, p_hi, cells_per_window=cells_per_window
     )
-    return compensated_sum(windows)
+    return complex(np.sum(windows))

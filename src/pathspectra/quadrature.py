@@ -2,13 +2,13 @@
 
 Everything downstream integrates on grids built here.  Three things matter:
 
-* **Determinism.**  Every reduction runs in a fixed order (ascending
-  abscissa), so results are bit-reproducible.  Only :func:`trapezoid` and
-  :func:`compensated_sum` are compensated (``math.fsum``, 1-D input only);
-  :func:`trapezoid_rows` (``np.sum`` per row: the Wigner marginals in
-  ``compare``, the bands in ``reconstruct``), :func:`cumulative_trapezoid`
-  (``np.cumsum``) and the x_f average in ``distribution`` (``np.sum`` over
-  axis 0) are plain ordered sums.
+* **Determinism.**  Every reduction is an ordered NumPy sum whose order
+  depends only on the row length: :func:`trapezoid` is ``np.sum`` of its
+  cells along the last axis (pairwise, error growing like log2(n)*eps), so
+  a row gives the same bits alone or in a stack; :func:`cumulative_trapezoid`
+  is ``np.cumsum``, and the x_f average in ``distribution`` is the same
+  trapezoid written as weights, summed along x_f.  Results are
+  bit-reproducible.
 * **The inverse-square-root patch.**  Oscillator integrands carry a factor
   ``|p| / sqrt(p^2 - b^2)`` with ``b = M*omega*|x_f|`` that diverges
   (integrably) at ``|p| = b``.  Substituting ``v = sqrt(p^2 - b^2)`` turns
@@ -44,9 +44,7 @@ from .systems import EigenstateSpec, SystemKind, SystemSpec, _check_travel_time,
 __all__ = [
     "GridBundle",
     "trapezoid",
-    "trapezoid_rows",
     "cumulative_trapezoid",
-    "compensated_sum",
     "uniform_grid",
     "singular_window_integral",
     "paper_grids",
@@ -73,18 +71,6 @@ def _check_stack_size(rows: int, columns: int) -> None:
         raise DomainError(f"a {rows} x {columns} window stack is more than the limit of {_MAX_CELLS} cells")
 
 
-def compensated_sum(terms: NDArray) -> complex:
-    """Exactly rounded sum of a 1-D array of (complex) terms, in index order."""
-    arr = np.asarray(terms)
-    if arr.ndim != 1:
-        raise DomainError(
-            f"compensated sums take 1-D terms, got {arr.ndim}-D (stacked rows: trapezoid_rows)"
-        )
-    if np.iscomplexobj(arr):
-        return complex(math.fsum(arr.real), math.fsum(arr.imag))
-    return complex(math.fsum(arr), 0.0)
-
-
 def _cells(x: NDArray, y: NDArray) -> NDArray:
     if x.ndim != 1 or x.shape != y.shape[-1:]:
         raise DomainError("abscissae must be 1-D and match the sample count")
@@ -96,22 +82,11 @@ def _cells(x: NDArray, y: NDArray) -> NDArray:
     return 0.5 * (y[..., 1:] + y[..., :-1]) * dx
 
 
-def trapezoid(x: NDArray, y: NDArray) -> complex:
-    """Trapezoid-rule integral of 1-D samples ``y`` over abscissae ``x``.
+def trapezoid(x: NDArray, y: NDArray) -> NDArray | np.number:
+    """Trapezoid integral of ``y`` over abscissae ``x`` along ``y``'s last axis.
 
-    Cells are accumulated with compensated summation in ascending order.
-    A stack of sample rows goes through :func:`trapezoid_rows`.
-    """
-    return compensated_sum(_cells(np.asarray(x, dtype=float), np.asarray(y)))
-
-
-def trapezoid_rows(x: NDArray, y: NDArray) -> NDArray:
-    """Trapezoid integral of every row of ``y`` (last axis) over abscissae ``x``.
-
-    Each row's cells are reduced by ``np.sum`` along the last axis: a fixed
-    (pairwise) order that depends only on the row length, so a row's result
-    does not depend on how many rows share the call.  Not compensated; it
-    agrees with :func:`trapezoid` to a few ulp of the row's cell magnitudes.
+    One ``np.sum`` of cells per row, so a row gives the same bits alone or in
+    a stack; 1-D ``y`` gives a NumPy scalar.
     """
     return np.sum(_cells(np.asarray(x, dtype=float), np.asarray(y)), axis=-1)
 
@@ -290,9 +265,7 @@ def _side_pieces(
     n_cells = max(1, math.ceil((v_hi - v_lo) / dv))
     v = np.linspace(v_lo, v_hi, n_cells + 1)
     p = np.sqrt(v * v + b * b)
-    vals = np.asarray(other(p), dtype=np.complex128)
-    cells = 0.5 * (vals[1:] + vals[:-1]) * np.diff(v)
-    return total + compensated_sum(cells)
+    return total + complex(trapezoid(v, np.asarray(other(p), dtype=np.complex128)))
 
 
 def singular_window_integral(

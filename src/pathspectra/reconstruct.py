@@ -17,8 +17,8 @@ separately, so adjacent bands add only to rounding: at most 4.0e-16
 (oscillator n = 3) and 3.9e-16 (wall k = 2) of max |value|, default grids.
 
 One ``phasor._window_stack`` call gives the T'-averaged ``(x_f, band
-node)`` stack; two ordered ``np.sum`` trapezoids (``trapezoid_rows``),
-negative momenta first, reduce every row.
+node)`` stack; two ``quadrature.trapezoid`` calls, negative momenta first,
+reduce every row (one ordered ``np.sum`` each).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from .errors import DomainError
 from .phasor import _window_stack
-from .quadrature import GridBundle, _check_node_count, _check_stack_size, trapezoid_rows
+from .quadrature import GridBundle, _check_node_count, _check_stack_size, trapezoid
 from .systems import EigenstateSpec, SystemKind, _check_travel_time, window_halfwidth
 
 __all__ = ["ReconstructionResult", "reconstruct", "dominant_path_phase"]
@@ -102,7 +102,7 @@ def reconstruct(
         times = grids.T_samples if time_averaged else (float(T),)
         stack = _window_stack(state, np.concatenate([neg, pos]), x_grid, times, grids)
         n_half = pos.size
-        values = trapezoid_rows(neg, stack[:, :n_half]) + trapezoid_rows(pos, stack[:, n_half:])
+        values = trapezoid(neg, stack[:, :n_half]) + trapezoid(pos, stack[:, n_half:])
     return ReconstructionResult(
         x_f_grid=x_grid,
         values=values,

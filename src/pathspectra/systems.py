@@ -271,6 +271,14 @@ def _check_travel_time(T: float) -> None:
         raise DomainError(f"travel time T must be positive and finite, got {T!r}")
 
 
+def _finite(values: ArrayLike, name: str) -> NDArray[np.float64]:
+    """``values`` as a float array, refused unless every entry is finite."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be finite")
+    return arr
+
+
 def regular_sin(omega_T: float) -> float:
     """``sin(omega*T)``, refused near the oscillator's singular times.
 

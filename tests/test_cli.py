@@ -487,3 +487,48 @@ def test_oversized_window_stack_exits_3_before_allocating(tmp_path):
     argv = ["reconstruct", "--set", "T=100.83096491487338", "--set", "delta_p_c=0.2", "--set", "band_hi=1e5"]
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_DOMAIN
     assert not list(tmp_path.glob("*.csv"))
+
+
+# ---------------------------------------------------------------------------
+# keys a run would silently ignore
+
+WALL = ["--set", "system=hard_wall", "--set", "quantum_number=2", "--set", "T=100.41315519036377"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distribution", *WALL, "--set", "p_c_lo=-3"],
+        ["distribution", *WALL, "--set", "p_c_hi=3"],
+        ["phasor", *WALL, "--set", "p_c_hi=3"],
+        ["reconstruct", "--set", "band_lo=1.5"],
+        ["distribution", *WALL, "--set", "n_p_floor=7"],
+        ["distribution", *WALL, "--set", "n_p_slope=7"],
+        ["distribution", *WALL, "--set", "delta_T=0.3"],
+        ["distribution", *WALL, "--set", "n_time=2"],
+        ["distribution", *WALL, "--set", "p_c_max=1"],
+        ["reconstruct", *WALL, "--set", "band_hi=3", "--set", "n_p_floor=7"],
+        ["fig2", "--set", "n_p_floor=7"],
+        ["time-average", "--set", "p_c_lo=-1", "--set", "p_c_hi=1"],
+        ["fig7", "--set", "p_c_lo=-1", "--set", "p_c_hi=1"],
+    ],
+    ids=[
+        "p_c_lo-alone", "p_c_hi-alone", "phasor-p_c_hi-alone", "band_lo-alone", "wall-n_p_floor",
+        "wall-n_p_slope", "wall-delta_T", "wall-n_time", "wall-p_c_max", "wall-reconstruct-n_p_floor",
+        "fig2-n_p_floor", "oscillator-p_c_span", "fig7-p_c_span",
+    ],
+)
+def test_keys_a_run_would_ignore_are_usage_errors(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
+    assert not list(tmp_path.iterdir())
+
+
+def test_stationary_manifests_report_only_the_grids_they_take(tmp_path):
+    argv = ["reconstruct", *WALL, "--set", "p_c_lo=-3", "--set", "p_c_hi=3", "--set", "band_hi=2"]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    manifest = _manifest(tmp_path, "reconstruct")
+    # no n_p_floor/n_p_slope: only oscillator columns have the fallback inner grid
+    assert set(manifest["checks"]["grids"]) == {"n_time", "x_f_nodes", "p_c_nodes"}
+    # band_hi alone integrates from 0; the unset band_lo is echoed as null
+    assert manifest["checks"]["band"] == [0.0, 2.0]
+    assert manifest["effective_config"]["band_lo"] is None

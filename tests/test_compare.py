@@ -92,7 +92,11 @@ def test_batched_marginal_stays_within_ulps_of_compensated_trapezoid():
     p = np.linspace(-4.0, 4.0, 161)
     for n in range(4):
         batched = wigner_momentum_marginal(n, p, HO, x)
-        exact_sum = np.array([trapezoid(x, _wigner_values(n, x, np.asarray(q), HO)).real for q in p])
+        rows = [_wigner_values(n, x, np.asarray(q), HO) for q in p]
+        # each momentum is one trapezoid row: its pairwise np.sum is within
+        # ulps of the exactly rounded (math.fsum) sum of the same cells
+        assert np.array_equal(batched, [trapezoid(x, row) for row in rows])
+        exact_sum = np.array([math.fsum(0.5 * (row[1:] + row[:-1]) * np.diff(x)) for row in rows])
         assert np.max(np.abs(batched - exact_sum)) <= 1e-15
 
 
@@ -141,3 +145,53 @@ def test_coherent_overlap_argument_validation():
         coherent_overlap(-1, 1.0)
     with pytest.raises(DomainError):
         coherent_overlap(2, -0.5)
+
+
+_GRID = np.linspace(-12.0, 12.0, 1201)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: momentum_density(-1, 0.3, HO),
+        lambda: momentum_density(1.5, 0.3, HO),
+        lambda: momentum_density(65, 0.3, HO),
+        lambda: momentum_density(1, [0.3, math.nan], HO),
+        lambda: coherent_overlap(1.5, 1.0),
+        lambda: coherent_overlap(math.nan, 1.0),
+        lambda: coherent_overlap(1, math.nan),
+        lambda: coherent_overlap(1, math.inf),
+        lambda: wigner(1.5, PhaseSpacePoint(0.0, 0.0), HO),
+        lambda: wigner_momentum_marginal(1.5, 0.3, HO, _GRID),
+        lambda: wigner_position_marginal(2.5, 0.3, HO, _GRID),
+        lambda: wigner_momentum_marginal(1, 0.3, HO, []),
+        lambda: wigner_momentum_marginal(1, 0.3, HO, [0.0]),
+        lambda: wigner_momentum_marginal(1, 0.3, HO, np.ones((3, 3))),
+        lambda: wigner_momentum_marginal(1, 0.3, HO, _GRID[::-1]),
+        lambda: wigner_momentum_marginal(1, 0.3, HO, [-1.0, math.nan, 1.0]),
+        lambda: wigner_momentum_marginal(1, 0.3, HO, [-1e308, 1e308]),  # span past float range
+        lambda: wigner_position_marginal(1, [0.3, math.inf], HO, _GRID),
+    ],
+    ids=[
+        "density-negative-n", "density-fractional-n", "density-n-past-max", "density-nan-p",
+        "overlap-fractional-n", "overlap-nan-n", "overlap-nan-alpha", "overlap-inf-alpha",
+        "wigner-fractional-n", "momentum-marginal-fractional-n", "position-marginal-fractional-n",
+        "empty-grid", "one-point-grid", "2d-grid", "descending-grid", "nan-grid", "overflowing-span",
+        "inf-point",
+    ],
+)
+def test_hostile_compare_input_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_compare_values_past_float_range_are_their_limit_zero():
+    # a Gaussian that underflows times a Hermite/Laguerre polynomial that
+    # overflows: 0, with no RuntimeWarning (warnings are errors in this suite)
+    assert momentum_density(1, 1e300, HO) == 0.0
+    assert np.array_equal(momentum_density(3, [1e100, -1e200], HO), [0.0, 0.0])
+    assert wigner(3, PhaseSpacePoint(1e200, 0.0), HO) == 0.0
+    assert wigner_momentum_marginal(2, 1e300, HO, _GRID) == 0.0
+    assert coherent_overlap(64, 1e300) == 0.0
+    # integer-valued floats are the same level
+    assert momentum_density(2.0, 0.7, HO) == momentum_density(2, 0.7, HO)

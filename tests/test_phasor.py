@@ -181,22 +181,35 @@ def test_window_average_oscillator_gap_window_is_zero():
 
 @pytest.mark.parametrize("p_c", [math.nan, math.inf])
 def test_non_finite_momenta_are_refused(p_c):
+    # one contract for every system: NaN and +-inf momenta are refused on
+    # entry (a Fresnel window's limit 0 at infinite momentum is not returned)
     st = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=1.0)
     T = 32.0 * math.pi + 0.3
-    for call in (
-        lambda: integrand(st, [0.5, p_c], 0.3, T),
-        lambda: window_average(st, p_c, 0.3, T, _bundle(T)),
-        lambda: window_average_series(st, [p_c], 0.3, T, _bundle(T)),
-        lambda: integrand(K1, p_c, 0.3, T),
-    ):
-        with pytest.raises(DomainError, match="result not finite"):
-            call()
-    # a Fresnel window has a limit at infinite momentum: 0
-    if math.isinf(p_c):
-        assert window_average(K1, p_c, 0.3, T, _bundle(T)) == 0.0
-    else:
-        with pytest.raises(DomainError, match="result not finite"):
-            window_average(K1, p_c, 0.3, T, _bundle(T))
+    for state in (st, K1, ps.EigenstateSpec(ps.hard_wall(), 2.0)):
+        for q in (p_c, -p_c):
+            for call in (
+                lambda: integrand(state, [0.5, q], 0.3, T),
+                lambda: window_average(state, q, 0.3, T, _bundle(T)),
+                lambda: window_average_series(state, [0.5, q], 0.3, T, _bundle(T)),
+            ):
+                with pytest.raises(DomainError, match="p_c must be finite"):
+                    call()
+    with pytest.raises(DomainError, match="p_c must be finite"):
+        window_average(K1, [0.5, p_c], np.array([0.0, 0.3]), T, _bundle(T))
+
+
+def test_oscillator_jacobian_survives_underflow():
+    """|p|/sqrt(p^2 - b^2) is read without squaring p, so tiny momenta keep their value."""
+    st = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=0.0)
+    T = 32.0 * math.pi + 0.3
+    for p_c, x_f, jacobian in ((1.4e-199, 0.0, 1.0), (2e-200, 1e-200, 2.0 / math.sqrt(3.0))):
+        factor = complex(ho_regular_factor(st, x_f, T)(np.array([p_c]))[0])
+        got = integrand(st, p_c, x_f, T)
+        assert got == pytest.approx(factor * jacobian, rel=4e-16)
+    # away from underflow the factored form agrees with |p| / sqrt(p^2 - b^2)
+    p = np.linspace(0.31, 6.0, 400)
+    old_form = ho_regular_factor(st, 0.3, T)(p) * p / np.sqrt(p * p - 0.09)
+    assert np.max(np.abs(integrand(st, p, 0.3, T) - old_form)) <= 4e-16 * np.max(np.abs(old_form))
 
 
 def test_overflowing_phases_are_refused():

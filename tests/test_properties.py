@@ -11,12 +11,22 @@ zero and negative values are drawn alongside them.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pathspectra as ps
+from pathspectra.compare import (
+    PhaseSpacePoint,
+    TailMassWarning,
+    coherent_overlap,
+    momentum_density,
+    wigner,
+    wigner_momentum_marginal,
+    wigner_position_marginal,
+)
 from pathspectra.distribution import stationary_grids
 from pathspectra.errors import DomainError, PathspectraError
 from pathspectra.phasor import (
@@ -218,3 +228,69 @@ def test_window_entry_points_return_or_raise_pathspectra_errors(state, p_c, x_f,
     _returns_or_refuses(lambda: window_average_series(state, p_c, x_f, T, grids))
     _returns_or_refuses(lambda: integrand(state, p_c, x_f, T))
     _returns_or_refuses(lambda: phasor_curve(state, x_f, T, p_c))
+
+
+# ------------------------------------------- compare functions and stationary grids
+
+_LEVEL = st.one_of(st.integers(-2, 70), st.sampled_from([1.5, 2.0, -0.5, math.nan, math.inf]))
+_PHASE_SPACE = st.one_of(_SPECIAL, st.sampled_from([1e300, -1e300, 1e154, 1e-300]), st.floats(-30.0, 30.0))
+_COMPARE_GRID = st.one_of(
+    st.lists(_PHASE_SPACE, max_size=6).map(np.array),
+    st.lists(_PHASE_SPACE, min_size=2, max_size=6, unique=True).map(sorted).map(np.array),
+)
+
+
+def _finite_or_refused(call) -> None:
+    try:
+        out = call()
+    except PathspectraError:
+        return
+    assert np.all(np.isfinite(out))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    n=_LEVEL,
+    system=st.sampled_from([HO, ps.harmonic_oscillator(hbar=0.5, mass=2.0, omega=3.0), ps.free_line()]),
+    value=_PHASE_SPACE,
+    points=st.one_of(_PHASE_SPACE, st.lists(_PHASE_SPACE, max_size=4).map(np.array)),
+    grid=_COMPARE_GRID,
+)
+def test_compare_functions_return_finite_values_or_raise_pathspectra_errors(n, system, value, points, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TailMassWarning)  # a short grid warns, by design
+        _finite_or_refused(lambda: wigner(n, PhaseSpacePoint(value, -value), system))
+        _finite_or_refused(lambda: wigner_momentum_marginal(n, points, system, grid))
+        _finite_or_refused(lambda: wigner_position_marginal(n, points, system, grid))
+        _finite_or_refused(lambda: momentum_density(n, points, system))
+        _finite_or_refused(lambda: coherent_overlap(n, value))
+
+
+_OPTIONAL_STEP = st.one_of(st.none(), _SPECIAL, st.floats(0.05, 5.0))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    state=st.sampled_from(_WINDOW_STATES),
+    T=_HOSTILE_T,
+    delta_p_c=_OPTIONAL_STEP,
+    span=st.one_of(st.none(), st.tuples(_HOSTILE_EDGE, _HOSTILE_EDGE)),
+    x_window=st.one_of(st.none(), _SPECIAL, st.floats(0.1, 30.0)),
+    delta_x_f=_OPTIONAL_STEP,
+    tail_budget=st.one_of(_SPECIAL, st.sampled_from([1e-300, 1e300]), st.floats(1e-3, 1.0)),
+)
+# T * tail_budget underflows to 0: once a ZeroDivisionError
+@example(state=_WALL2, T=1e-300, delta_p_c=None, span=None, x_window=None, delta_x_f=None, tail_budget=1e-300)
+def test_stationary_grids_return_or_raise_pathspectra_errors(
+    state, T, delta_p_c, span, x_window, delta_x_f, tail_budget
+):
+    """Bounded: finite steps and budgets keep every grid to a few ten thousand nodes."""
+    try:
+        g = stationary_grids(
+            state, T, delta_p_c=delta_p_c, p_c_span=span, x_window=x_window,
+            delta_x_f=delta_x_f, tail_budget=tail_budget,
+        )
+    except PathspectraError:
+        return
+    for grid in (g.p_c_grid, g.x_f_grid):
+        assert np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)

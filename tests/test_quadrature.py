@@ -16,12 +16,10 @@ from pathspectra.quadrature import (
     GridBundle,
     _check_node_count,
     _check_stack_size,
-    compensated_sum,
     cumulative_trapezoid,
     paper_grids,
     singular_window_integral,
     trapezoid,
-    trapezoid_rows,
     uniform_grid,
 )
 from pathspectra.reconstruct import reconstruct
@@ -58,22 +56,26 @@ def test_uniform_grid_refuses_non_finite_or_empty_input(lo, hi, step):
         uniform_grid(lo, hi, step)
 
 
-def test_trapezoid_refuses_stacked_samples():
+def test_trapezoid_of_a_stack_is_each_row_bit_for_bit():
     x = np.linspace(0.0, 1.0, 11)
+    y = np.exp(1j * np.arange(1.0, 25.0).reshape(2, 3, 4, 1) * x)
+    stacked = trapezoid(x, y)
+    assert stacked.shape == (2, 3, 4)
+    for index in np.ndindex(stacked.shape):
+        assert stacked[index] == trapezoid(x, y[index])
     with pytest.raises(DomainError):
-        trapezoid(x, np.ones((3, 11)))
-    with pytest.raises(DomainError):
-        compensated_sum(np.ones((3, 11)))
+        trapezoid(x, np.ones((11, 3)))  # the abscissae run along the last axis
 
 
-def test_trapezoid_rows_match_compensated_rows():
+def test_trapezoid_of_row_blocks_matches_each_row_bit_for_bit():
     x = np.linspace(-2.0, 3.0, 2001)
     y = np.exp(-np.outer(np.arange(1.0, 6.0), x * x)) * np.cos(7.0 * x)
-    rows = trapezoid_rows(x, y)
+    rows = trapezoid(x, y)
     assert rows.shape == (5,)
     for row, samples in zip(rows, y):
-        assert abs(row - trapezoid(x, samples).real) <= 1e-15
-    assert trapezoid_rows(x, y[2]) == rows[2]
+        assert row == trapezoid(x, samples)
+    # however the rows are blocked
+    assert np.array_equal(np.concatenate([trapezoid(x, y[:2]), trapezoid(x, y[2:])]), rows)
 
 
 def test_trapezoid_matches_numpy_and_is_linear():
@@ -93,15 +95,6 @@ def test_cumulative_trapezoid_endpoint_equals_total():
     assert cum.shape == x.shape
     assert cum[0] == 0.0
     assert cum[-1] == pytest.approx(trapezoid(x, f), rel=1e-14)
-
-
-def test_compensated_sum_beats_naive_addition():
-    rng = np.random.default_rng(31)
-    big = rng.uniform(1e15, 1e16, size=500)
-    values = np.concatenate([big, -big, rng.uniform(-1, 1, size=101)]).astype(complex)
-    rng.shuffle(values)
-    exact = math.fsum(values.real) + 1j * math.fsum(values.imag)
-    assert compensated_sum(values) == pytest.approx(exact, abs=1e-8)
 
 
 def test_grid_bundle_rejects_descending_grids():

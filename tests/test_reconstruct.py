@@ -13,7 +13,7 @@ import pathspectra as ps
 from pathspectra.distribution import stationary_grids
 from pathspectra.errors import DomainError
 from pathspectra.phasor import _plane_terms, window_average_series
-from pathspectra.quadrature import GridBundle, trapezoid_rows
+from pathspectra.quadrature import GridBundle, trapezoid
 from pathspectra.reconstruct import dominant_path_phase, reconstruct
 from pathspectra.specfun import gaussian_phase_integral
 from pathspectra.systems import SystemKind, mass_parameter
@@ -165,7 +165,7 @@ def _per_column_reconstruct(st, band, T, g):
             mean += _column_series(st, nodes, float(x_f), float(t_prime), g)
         mean /= len(t_samples)
         values.append(
-            trapezoid_rows(nodes[:n_half], mean[:n_half]) + trapezoid_rows(nodes[n_half:], mean[n_half:])
+            trapezoid(nodes[:n_half], mean[:n_half]) + trapezoid(nodes[n_half:], mean[n_half:])
         )
     return np.asarray(values, dtype=np.complex128)
 

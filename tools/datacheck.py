@@ -62,6 +62,8 @@ COMMANDS: dict[str, list[str]] = {
     "reconstruct_wall": ["reconstruct", *_stationary("hard_wall", 2.0), "--set", "band_lo=0.5", "--set", "band_hi=3.0"],
     "reconstruct_circle": ["reconstruct", *_stationary("circle", 2.0), "--set", "band_lo=0.5", "--set", "band_hi=3.0"],
     "reconstruct_oscillator": ["reconstruct", "--set", "quantum_number=1", "--set", "band_lo=0.5", "--set", "band_hi=3.0"],
+    "reconstruct_full_band": ["reconstruct", "--set", "quantum_number=2"],  # no band keys: the full-band cutoff
+    "compare": ["compare", "--set", "quantum_number=2"],
 }
 
 IGNORED_KEYS = {"runtime_seconds", "out"}
