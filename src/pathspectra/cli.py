@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import logging
 import math
 import sys
 import time
+from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, get_args, get_type_hints
+from typing import Callable, Collection, Mapping, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -43,9 +43,6 @@ log = logging.getLogger("pathspectra")
 # Each runner gets ``write(name, header, columns)``, which writes one table
 # through `_emit` and records it in the manifest's output list.
 Writer = Callable[[str, Sequence[str], Sequence[np.ndarray]], None]
-
-PRESETS = ("fig1", "fig2", "fig7", "fig8", "fig9", "fig10")
-STAGES = ("phasor", "window", "distribution", "time-average", "reconstruct", "compare")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -187,21 +184,17 @@ def _emit(
     return filename
 
 
-# grid keys only one recipe takes; both take delta_p_c, delta_x_f and x_f_span
-_OSCILLATOR_ONLY_KEYS = ("p_c_max", "delta_T", "n_time", "n_p_floor", "n_p_slope")
-_STATIONARY_ONLY_KEYS = ("p_c_lo", "p_c_hi")
+# the keys a system's state reads; its kind's SHAPE_CONSTANT entry joins them
+_STATE_KEYS = ("system", "hbar", "mass", "quantum_number")
+# the keys each grid recipe reads: paper_grids' overrides, then stationary_grids'
+_PAPER_GRID_KEYS = ("delta_p_c", "delta_x_f", "x_f_span", "p_c_max", "delta_T", "n_time", "n_p_floor", "n_p_slope")
+_STATIONARY_GRID_KEYS = ("delta_p_c", "p_c_lo", "p_c_hi", "x_f_span", "delta_x_f")
 
 
 def _bundle_for(state: EigenstateSpec, cfg: RunConfig) -> GridBundle:
-    """Grid bundle from config, unset knobs left to the module defaults; foreign grid keys are usage errors."""
-    oscillator = state.system.kind is SystemKind.HARMONIC_OSCILLATOR
-    foreign = _STATIONARY_ONLY_KEYS if oscillator else _OSCILLATOR_ONLY_KEYS
-    ignored = [key for key in foreign if getattr(cfg, key) is not None]
-    if ignored:
-        raise UsageError(f"{state.system.kind.value} grids do not take {', '.join(ignored)}")
-    if oscillator:
-        keys = ("delta_p_c", "delta_x_f", "x_f_span", *_OSCILLATOR_ONLY_KEYS)
-        overrides = {key: getattr(cfg, key) for key in keys if getattr(cfg, key) is not None}
+    """Grid bundle from config, unset knobs left to the module defaults."""
+    if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
+        overrides = {key: getattr(cfg, key) for key in _PAPER_GRID_KEYS if getattr(cfg, key) is not None}
         return paper_grids(state, cfg.T, **overrides)
     span = None if cfg.p_c_lo is None else (cfg.p_c_lo, cfg.p_c_hi)
     return stationary_grids(
@@ -276,25 +269,6 @@ def _overlap_table(write: Writer, name: str, n: int) -> float:
 
 # ---------------------------------------------------------------------------
 # figure presets
-
-# Each preset fixes the first mapping of its pins whatever the configuration
-# says, and fills in the second where the key is left unset.
-_FREE_LINE_PINS = (
-    {"system": "free_line", "hbar": 1.0, "mass": 1.0, "quantum_number": 1.0, "T": 1.0e4, "x_f": 0.0},
-    {"delta_p_c": 1e-4, "p_c_lo": 0.5, "p_c_hi": 1.5},
-)
-_UNIT_OSCILLATOR_PINS = ({"system": "harmonic_oscillator", "hbar": 1.0, "mass": 1.0, "omega": 1.0}, {})
-_PINS = {
-    **dict.fromkeys(("fig1", "fig2"), _FREE_LINE_PINS),
-    **dict.fromkeys(("fig7", "fig8", "fig9", "fig10"), _UNIT_OSCILLATOR_PINS),
-}
-
-
-def _pinned(command: str, cfg: RunConfig) -> RunConfig:
-    fixed, unset_only = _PINS.get(command, ({}, {}))
-    filled = {key: value for key, value in unset_only.items() if getattr(cfg, key) is None}
-    return dataclasses.replace(cfg, **fixed, **filled)
-
 
 def _fig1(cfg: RunConfig, write: Writer) -> dict:
     checks = _stage_phasor(cfg, write, name="fig1_curve")
@@ -464,24 +438,45 @@ def _stage_compare(cfg: RunConfig, write: Writer) -> dict:
     }
 
 
-_RUNNERS = {
-    "fig1": _fig1,
-    "fig2": _fig2,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
-    "fig10": _fig10,
-    "phasor": _stage_phasor,
-    "window": _stage_window,
-    "distribution": functools.partial(_stage_distribution, average=spatial_average, name="distribution"),
-    "time-average": functools.partial(_stage_distribution, average=time_average, name="time-average"),
-    "reconstruct": _stage_reconstruct,
-    "compare": _stage_compare,
+# The command table: each command's runner, the RunConfig keys it reads (plus
+# out and format) and the values it pins.  In the keys, "state" stands for
+# `_STATE_KEYS` and the system kind's shape constant, "grids" for the keys of
+# the kind's grid recipe.  A pin fills its key unless the configuration sets
+# it, and a pinned key the command does not read is refused like any other.
+_FREE_LINE_PINS = dict(system="free_line", hbar=1.0, mass=1.0, quantum_number=1.0, T=1.0e4, x_f=0.0)
+_FREE_LINE_PINS.update(delta_p_c=1e-4, p_c_lo=0.5, p_c_hi=1.5)  # fig1 and fig2 read these three
+_UNIT_OSCILLATOR_PINS = dict(system="harmonic_oscillator", hbar=1.0, mass=1.0, omega=1.0)
+_P_C_KEYS = ("delta_p_c", "p_c_lo", "p_c_hi")
+_AVERAGE_KEYS = ("state", "T", "grids")
+
+_COMMANDS = {
+    "fig1": (_fig1, (*_P_C_KEYS, "segment_offset"), _FREE_LINE_PINS),
+    "fig2": (_fig2, _P_C_KEYS, _FREE_LINE_PINS),  # its bundle's x_f grid goes unused
+    "fig7": (_fig7, ("T", "grids"), _UNIT_OSCILLATOR_PINS),
+    "fig8": (_fig8, ("T", "grids"), _UNIT_OSCILLATOR_PINS),
+    "fig9": (_fig9, ("delta_p_c",), _UNIT_OSCILLATOR_PINS),
+    "fig10": (_fig10, (), _UNIT_OSCILLATOR_PINS),
+    "phasor": (_stage_phasor, ("state", "T", "x_f", *_P_C_KEYS), {}),
+    "window": (_stage_window, ("state", "T", "x_f", "grids"), {}),
+    "distribution": (partial(_stage_distribution, average=spatial_average, name="distribution"), _AVERAGE_KEYS, {}),
+    "time-average": (partial(_stage_distribution, average=time_average, name="time-average"), _AVERAGE_KEYS, {}),
+    "reconstruct": (_stage_reconstruct, (*_AVERAGE_KEYS, "band_lo", "band_hi"), {}),
+    "compare": (_stage_compare, ("state", "delta_p_c"), {}),
 }
 
 
-def _run_command(command: str, cfg: RunConfig) -> list[str]:
-    cfg = _pinned(command, cfg)
+def _run_command(command: str, cfg: RunConfig, given: Collection[str]) -> list[str]:
+    """Run ``command`` on ``cfg``; ``given`` names the keys the configuration set."""
+    runner, reads, pins = _COMMANDS[command]
+    kind = SystemKind(pins.get("system", cfg.system))
+    spelled = {
+        "state": (*_STATE_KEYS, *[key for shaped, key in SHAPE_CONSTANT.items() if shaped is kind]),
+        "grids": _PAPER_GRID_KEYS if kind is SystemKind.HARMONIC_OSCILLATOR else _STATIONARY_GRID_KEYS,
+    }
+    unread = set(given) - {key for item in reads for key in spelled.get(item, (item,))} - {"out", "format"}
+    if unread:
+        raise UsageError(f"{command} ({kind.value}) does not read {', '.join(sorted(unread))}")
+    cfg = dataclasses.replace(cfg, **{key: value for key, value in pins.items() if key not in given})
     # a key whose partner is unset would be silently ignored
     if (cfg.p_c_lo is None) != (cfg.p_c_hi is None):
         raise UsageError("p_c_lo and p_c_hi set the momentum span together: set both or neither")
@@ -495,7 +490,7 @@ def _run_command(command: str, cfg: RunConfig) -> list[str]:
     def write(name: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
         outputs.append(_emit(out_dir, name, header, columns, cfg.format))
 
-    checks = _RUNNERS[command](cfg, write)
+    checks = runner(cfg, write)
     manifest = {
         "command": command,
         "version": __version__,
@@ -517,7 +512,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="pathspectra",
         description="Path distributions over characteristic momentum for five 1-D systems.",
     )
-    parser.add_argument("command", choices=PRESETS + STAGES, help="figure preset or pipeline stage")
+    parser.add_argument("command", choices=tuple(_COMMANDS), help="figure preset or pipeline stage")
     parser.add_argument("--config", type=Path, help="flat key = value configuration file")
     parser.add_argument(
         "--set",
@@ -556,7 +551,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if getattr(args, key) is not None:
                 mapping[key] = getattr(args, key)
         cfg = config_from_mapping(mapping)
-        _run_command(args.command, cfg)
+        _run_command(args.command, cfg, mapping.keys())
     except UsageError as exc:
         log.error("usage error: %s", exc)
         return EXIT_USAGE

@@ -3,23 +3,29 @@ manifest contents, and byte-identical output across thread counts."""
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from pathspectra import cli
 from pathspectra.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
     EXIT_OK,
     EXIT_SINGULAR,
     EXIT_USAGE,
+    RunConfig,
     config_from_mapping,
     main,
     parse_config_file,
 )
 from pathspectra.errors import UsageError
+from perfbench import workloads
+from tools import datacheck
 
 MANIFEST_KEYS = {
     "command",
@@ -460,8 +466,8 @@ def test_threaded_stage_bytes_identical_across_threads(tmp_path, command, sets):
 
 def test_compare_stage_tables_match_fig9_and_fig10(tmp_path):
     for command in ("compare", "fig9", "fig10"):
-        out = tmp_path / command
-        assert main([command, "--set", "delta_p_c=0.25", "--out", str(out)]) == EXIT_OK
+        sets = [] if command == "fig10" else ["--set", "delta_p_c=0.25"]  # fig10 reads no key
+        assert main([command, *sets, "--out", str(tmp_path / command)]) == EXIT_OK
     compare = tmp_path / "compare"
     assert (compare / "compare_marginal.csv").read_bytes() == (tmp_path / "fig9" / "fig9_n0.csv").read_bytes()
     assert (compare / "compare_overlap.csv").read_bytes() == (tmp_path / "fig10" / "fig10_n0.csv").read_bytes()
@@ -532,3 +538,90 @@ def test_stationary_manifests_report_only_the_grids_they_take(tmp_path):
     # band_hi alone integrates from 0; the unset band_lo is echoed as null
     assert manifest["checks"]["band"] == [0.0, 2.0]
     assert manifest["effective_config"]["band_lo"] is None
+
+
+# ---------------------------------------------------------------------------
+# the keys each command reads
+
+STATE = {"system", "hbar", "mass", "quantum_number"}
+PAPER_GRIDS = {"delta_p_c", "delta_x_f", "x_f_span", "p_c_max", "delta_T", "n_time", "n_p_floor", "n_p_slope"}
+STATIONARY_GRIDS = {"delta_p_c", "p_c_lo", "p_c_hi", "x_f_span", "delta_x_f"}
+P_C_SPAN = {"delta_p_c", "p_c_lo", "p_c_hi"}
+
+# (command, system it runs on or None for a preset) -> the keys it reads besides out and format
+READS: dict[tuple[str, str | None], set[str]] = {
+    ("fig1", None): P_C_SPAN | {"segment_offset"},
+    ("fig2", None): P_C_SPAN,
+    ("fig7", None): {"T"} | PAPER_GRIDS,
+    ("fig8", None): {"T"} | PAPER_GRIDS,
+    ("fig9", None): {"delta_p_c"},
+    ("fig10", None): set(),
+}
+for _system, _state, _grids in (
+    ("harmonic_oscillator", STATE | {"omega"}, PAPER_GRIDS),
+    ("circle", STATE | {"radius"}, STATIONARY_GRIDS),
+):
+    READS.update(
+        {
+            ("phasor", _system): _state | {"T", "x_f"} | P_C_SPAN,
+            ("window", _system): _state | {"T", "x_f"} | _grids,
+            ("distribution", _system): _state | {"T"} | _grids,
+            ("time-average", _system): _state | {"T"} | _grids,
+            ("reconstruct", _system): _state | {"T", "band_lo", "band_hi"} | _grids,
+            ("compare", _system): _state | {"delta_p_c"},
+        }
+    )
+
+SAMPLE = {
+    "hbar": "1", "mass": "1", "omega": "1", "radius": "1", "width": "3", "quantum_number": "2", "T": "100",
+    "x_f": "0.5", "delta_p_c": "0.1", "p_c_lo": "-1", "p_c_hi": "1", "p_c_max": "2", "delta_x_f": "0.2",
+    "x_f_span": "2", "delta_T": "0.5", "n_time": "4", "n_p_floor": "5", "n_p_slope": "5", "band_lo": "0.5",
+    "band_hi": "2", "segment_offset": "0", "format": "json",
+}
+# set together, since either one alone is refused whether read or not
+PARTNER = {"p_c_lo": "p_c_hi", "p_c_hi": "p_c_lo", "band_lo": "band_hi"}
+
+
+@pytest.fixture
+def no_runners(monkeypatch):
+    """Every command checks its keys and writes its manifest, but computes nothing."""
+    for name, (_, reads, pins) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, (lambda cfg, write: {}, reads, pins))
+
+
+@pytest.mark.parametrize("command, system", list(READS), ids=[f"{c}-{s}" if s else c for c, s in READS])
+def test_each_command_refuses_every_key_it_does_not_read(tmp_path, no_runners, command, system):
+    given = [] if system is None else ["--set", f"system={system}"]
+    reads = READS[command, system] | {"out", "format"}
+    wrong = []
+    for key in (field.name for field in dataclasses.fields(RunConfig)):
+        out = tmp_path / key
+        values = {**SAMPLE, "system": system or "free_line", "out": str(out)}
+        keys = [key, *([PARTNER[key]] if key in PARTNER else [])]
+        argv = [command, *given, *[arg for k in keys for arg in ("--set", f"{k}={values[k]}")], "--out", str(out)]
+        code = main(argv)
+        if set(keys) <= reads:
+            if code != EXIT_OK:
+                wrong.append(f"{'+'.join(keys)} refused (exit {code})")
+        elif code != EXIT_USAGE or out.exists():
+            wrong.append(f"{'+'.join(keys)} not refused (exit {code}, out {'made' if out.exists() else 'absent'})")
+    assert not wrong
+
+
+def _benchmark_argvs() -> list[list[str]]:
+    """Every command line the benchmark (each operation and its fine twin, at
+    both grid sets) and the data check run."""
+    tables = collections.defaultdict(lambda: np.ones((11, 3)))  # stand-ins for the coarse data tables
+    argvs = []
+    for grids in (workloads.FULL, workloads.SMOKE):
+        for workload in workloads.WORKLOADS:
+            for op in workloads.operations(workload, workloads.t_choice(0, grids), grids):
+                argvs += [op.argv, *(run.argv for run in op.fine(tables))]
+    return argvs + list(datacheck.COMMANDS.values())
+
+
+def test_benchmark_and_datacheck_command_lines_are_accepted(tmp_path, no_runners):
+    argvs = _benchmark_argvs()
+    assert len(argvs) == 79
+    codes = [main([*argv, "--threads", "2", "--out", str(tmp_path / str(i))]) for i, argv in enumerate(argvs)]
+    assert [argv for argv, code in zip(argvs, codes) if code != EXIT_OK] == []

@@ -88,6 +88,40 @@ def test_integrand_trapezoid_recovers_eigenfunction():
     assert abs(val - np.exp(1j * x_f)) < 2.5e-2
 
 
+def _x0_to_p_c(state, p, x_f, T, jacobian):
+    """The integrand as the change of variables x0 -> p_c that defines it:
+    K(x0(p), x_f, T) psi(x0(p)) e^{iET/hbar} |dx0/dp|, from the kernel in
+    `systems`, which the window engine does not call."""
+    system = state.system
+    x0 = ps.characteristic_x0(system, p, x_f, T)
+    phase = np.exp(1j * state.energy * T / system.hbar)
+    return ps.propagator(system, x0, x_f, T) * ps.eigenfunction(state, x0) * phase * jacobian
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("x_f", [0.0, 0.7, -1.3])
+def test_oscillator_integrand_is_the_x0_to_p_c_change_of_variables(n, x_f):
+    system = ps.harmonic_oscillator()
+    T = 32.0 * math.pi + 0.3
+    m_omega = system.mass * system.omega
+    reach = np.linspace(0.05, 4.0, 40) + m_omega * abs(x_f)
+    p = np.concatenate([reach, -reach])  # both branches of x0(p)
+    # |dx0/dp| = |sin wT| |p| / ((M w)^2 sqrt((p/M w)^2 - x_f^2))
+    jacobian = abs(math.sin(system.omega * T)) * np.abs(p) / (m_omega**2 * np.sqrt((p / m_omega) ** 2 - x_f**2))
+    state = ps.EigenstateSpec(system, n)
+    want = _x0_to_p_c(state, p, x_f, T, jacobian)
+    assert np.max(np.abs(integrand(state, p, x_f, T) - want)) < 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("x_f", [0.0, 0.7, -1.3])
+def test_free_line_integrand_is_the_x0_to_p_c_change_of_variables(x_f):
+    state = ps.EigenstateSpec(ps.free_line(), 1.3)
+    T = 50.0
+    p = np.linspace(-3.0, 3.0, 61)
+    want = _x0_to_p_c(state, p, x_f, T, T / state.system.mass)  # x0 = x_f - p T / M
+    assert np.max(np.abs(integrand(state, p, x_f, T) - want)) < 1e-12 * np.max(np.abs(want))
+
+
 # -------------------------------------------------------------- phasor_curve
 
 def test_phasor_curve_grid_validation():
