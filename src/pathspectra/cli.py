@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .compare import coherent_overlap, momentum_density, wigner_momentum_marginal
-from .distribution import PathDistribution, moments, spatial_average, stationary_grids, time_average
+from .distribution import PathDistribution, _distributions, moments, spatial_average, stationary_grids, time_average
 from .errors import (
     DivergentSampleError,
     DomainError,
@@ -189,6 +189,7 @@ _STATE_KEYS = ("system", "hbar", "mass", "quantum_number")
 # the keys each grid recipe reads: paper_grids' overrides, then stationary_grids'
 _PAPER_GRID_KEYS = ("delta_p_c", "delta_x_f", "x_f_span", "p_c_max", "delta_T", "n_time", "n_p_floor", "n_p_slope")
 _STATIONARY_GRID_KEYS = ("delta_p_c", "p_c_lo", "p_c_hi", "x_f_span", "delta_x_f")
+_T_PRIME_KEYS = ("delta_T", "n_time")  # paper_grids' T' sampling
 
 
 def _bundle_for(state: EigenstateSpec, cfg: RunConfig) -> GridBundle:
@@ -207,10 +208,12 @@ def _bundle_for(state: EigenstateSpec, cfg: RunConfig) -> GridBundle:
     )
 
 
-def _grid_report(state: EigenstateSpec, bundle: GridBundle) -> dict[str, float]:
-    """The grid sizes a computation actually ran on, for the manifest (inner v-grid: oscillator only)."""
+def _grid_report(state: EigenstateSpec, bundle: GridBundle, *, one_time: bool = False) -> dict[str, float]:
+    """The grid sizes a computation actually ran on, for the manifest (inner v-grid: oscillator only).
+
+    ``one_time`` marks a computation at the one time T, not at the bundle's T' samples."""
     report = {
-        "n_time": len(bundle.T_samples),
+        "n_time": 1 if one_time else len(bundle.T_samples),
         "x_f_nodes": int(bundle.x_f_grid.size),
         "p_c_nodes": int(bundle.p_c_grid.size),
     }
@@ -298,11 +301,11 @@ def _fig2(cfg: RunConfig, write: Writer) -> dict:
 
 def _fig7(cfg: RunConfig, write: Writer) -> dict:
     checks: dict[str, object] = {}
-    for n in range(4):
-        state = EigenstateSpec(build_system(cfg), n)
-        bundle = _bundle_for(state, cfg)
-        log.info("fig7: time-averaged distribution n=%d", n)
-        dist = time_average(state, cfg.T, bundle)
+    states = [EigenstateSpec(build_system(cfg), n) for n in range(4)]
+    bundles = [_bundle_for(state, cfg) for state in states]
+    log.info("fig7: time-averaged distributions n=0..3")
+    dists = _distributions(list(zip(states, bundles)), cfg.T, time_averaged=True)
+    for n, (state, bundle, dist) in enumerate(zip(states, bundles, dists)):
         write(f"fig7_n{n}", ("p_c", "re", "im"), (dist.p_c_grid, dist.values))
         checks[f"n{n}_moments"] = moments(dist)
         checks[f"n{n}_expected_peak"] = math.sqrt(2.0 * n + 1.0)
@@ -392,7 +395,7 @@ def _stage_window(cfg: RunConfig, write: Writer) -> dict:
         "series_integral_im": total.imag,
         "eigenfunction_re": target.real,
         "eigenfunction_im": target.imag,
-        "grids": _grid_report(state, bundle),
+        "grids": _grid_report(state, bundle, one_time=True),
     }
 
 
@@ -402,10 +405,13 @@ def _stage_distribution(
     """One P(p_c) stage: ``average`` (spatial or period) written to ``<name>``."""
     state = build_state(cfg)
     bundle = _bundle_for(state, cfg)
-    log.info("%s: %s at T=%g, %d T' sample(s)", name, cfg.system, cfg.T, len(bundle.T_samples))
+    log.info("%s: %s at T=%g", name, cfg.system, cfg.T)
     dist = average(state, cfg.T, bundle)
     write(name, ("p_c", "re", "im"), (dist.p_c_grid, dist.values))
-    checks: dict[str, object] = {"normalization_N": dist.normalization_N, "grids": _grid_report(state, bundle)}
+    checks: dict[str, object] = {
+        "normalization_N": dist.normalization_N,
+        "grids": _grid_report(state, bundle, one_time=not dist.time_averaged),
+    }
     try:
         checks["moments"] = moments(dist)
     except PathspectraError as exc:  # moments can be legitimately undefined
@@ -441,8 +447,12 @@ def _stage_compare(cfg: RunConfig, write: Writer) -> dict:
 # The command table: each command's runner, the RunConfig keys it reads (plus
 # out and format) and the values it pins.  In the keys, "state" stands for
 # `_STATE_KEYS` and the system kind's shape constant, "grids" for the keys of
-# the kind's grid recipe.  A pin fills its key unless the configuration sets
-# it, and a pinned key the command does not read is refused like any other.
+# the kind's grid recipe, "grids at T" for those of them that a computation at
+# the one time T reads (no T' sampling), and "window grids" for those that
+# shape the windows of one x_f (an oscillator bundle's x_f grid still sizes its
+# default p_c grid; a stationary one's goes unused).  A pin fills its key
+# unless the configuration sets it, and a pinned key the command does not
+# read is refused like any other.
 _FREE_LINE_PINS = dict(system="free_line", hbar=1.0, mass=1.0, quantum_number=1.0, T=1.0e4, x_f=0.0)
 _FREE_LINE_PINS.update(delta_p_c=1e-4, p_c_lo=0.5, p_c_hi=1.5)  # fig1 and fig2 read these three
 _UNIT_OSCILLATOR_PINS = dict(system="harmonic_oscillator", hbar=1.0, mass=1.0, omega=1.0)
@@ -457,8 +467,10 @@ _COMMANDS = {
     "fig9": (_fig9, ("delta_p_c",), _UNIT_OSCILLATOR_PINS),
     "fig10": (_fig10, (), _UNIT_OSCILLATOR_PINS),
     "phasor": (_stage_phasor, ("state", "T", "x_f", *_P_C_KEYS), {}),
-    "window": (_stage_window, ("state", "T", "x_f", "grids"), {}),
-    "distribution": (partial(_stage_distribution, average=spatial_average, name="distribution"), _AVERAGE_KEYS, {}),
+    "window": (_stage_window, ("state", "T", "x_f", "window grids"), {}),
+    "distribution": (
+        partial(_stage_distribution, average=spatial_average, name="distribution"), ("state", "T", "grids at T"), {}
+    ),
     "time-average": (partial(_stage_distribution, average=time_average, name="time-average"), _AVERAGE_KEYS, {}),
     "reconstruct": (_stage_reconstruct, (*_AVERAGE_KEYS, "band_lo", "band_hi"), {}),
     "compare": (_stage_compare, ("state", "delta_p_c"), {}),
@@ -469,9 +481,14 @@ def _run_command(command: str, cfg: RunConfig, given: Collection[str]) -> list[s
     """Run ``command`` on ``cfg``; ``given`` names the keys the configuration set."""
     runner, reads, pins = _COMMANDS[command]
     kind = SystemKind(pins.get("system", cfg.system))
+    oscillator = kind is SystemKind.HARMONIC_OSCILLATOR
+    recipe = _PAPER_GRID_KEYS if oscillator else _STATIONARY_GRID_KEYS
+    at_T = tuple(key for key in recipe if key not in _T_PRIME_KEYS)
     spelled = {
         "state": (*_STATE_KEYS, *[key for shaped, key in SHAPE_CONSTANT.items() if shaped is kind]),
-        "grids": _PAPER_GRID_KEYS if kind is SystemKind.HARMONIC_OSCILLATOR else _STATIONARY_GRID_KEYS,
+        "grids": recipe,
+        "grids at T": at_T,
+        "window grids": at_T if oscillator else _P_C_KEYS,
     }
     unread = set(given) - {key for item in reads for key in spelled.get(item, (item,))} - {"out", "format"}
     if unread:

@@ -21,12 +21,15 @@ integrals collapses to the window kernel itself, which ``spatial_average`` uses.
 Cost note: ``phasor._window_stack``, the engine reconstruction shares,
 returns the ``(x_f, p_c)`` stack already averaged over the T' samples, so
 the T'-independent weights and N apply once: one ordered ``np.sum`` (the x_f trapezoid as weights).
+Levels priced together (fig7's n = 0..3, one ``_distributions`` call) share
+one ladder climb per (x_f, T') column of their largest lattice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -189,14 +192,29 @@ def _x_f_weights(state: EigenstateSpec, grids: GridBundle) -> tuple[NDArray[np.c
     return _trapezoid_weights(x_grid) * psi.conj(), norm
 
 
+def _grid_averages(
+    members: Sequence[tuple[EigenstateSpec, tuple[float, ...], GridBundle, NDArray[np.complex128]]]
+) -> list[NDArray[np.complex128]]:
+    """One x_f-trapezoid pass over each member's mean stack: the unnormalised values.
+
+    A member is ``(state, times, grids, weights)``; oscillator levels on
+    nested lattices share their ladder climbs in ``phasor._window_stack``.
+    """
+    levels = [(state, grids.p_c_grid, grids.x_f_grid, times, grids) for state, times, grids, _ in members]
+    stacks = _window_stack(levels)
+    sums = []
+    for stacked, (_, _, _, weights) in zip(stacks, members):
+        stacked *= weights[:, None]
+        sums.append(np.sum(stacked, axis=0))
+    return sums
+
+
 # perfbench's tracer wraps this helper and calls it as (state, times, grids, weights)
 def _grid_average(
     state: EigenstateSpec, times: tuple[float, ...], grids: GridBundle, weights: NDArray[np.complex128]
 ) -> NDArray[np.complex128]:
-    """One x_f-trapezoid pass over the mean stack at ``times``: the unnormalised values."""
-    stacked = _window_stack(state, grids.p_c_grid, grids.x_f_grid, times, grids)
-    stacked *= weights[:, None]
-    return np.sum(stacked, axis=0)
+    """The one-state case of :func:`_grid_averages`."""
+    return _grid_averages([(state, times, grids, weights)])[0]
 
 
 def spatial_average(state: EigenstateSpec, T: float, grids: GridBundle) -> PathDistribution:
@@ -205,7 +223,7 @@ def spatial_average(state: EigenstateSpec, T: float, grids: GridBundle) -> PathD
     Free line and circle use the collapsed form: their x_f dependence cancels
     identically, so the x_f window provably cannot matter.
     """
-    return _distribution(state, T, grids, time_averaged=False)
+    return _distributions([(state, grids)], T, time_averaged=False)[0]
 
 
 def time_average(state: EigenstateSpec, T: float, grids: GridBundle) -> PathDistribution:
@@ -220,31 +238,47 @@ def time_average(state: EigenstateSpec, T: float, grids: GridBundle) -> PathDist
     ``delta_x_f = 0.1`` its error measured 1.1e-1, 1.7e-2, 2.0e-3 and 5.0e-4
     of max|P| at ``delta_T`` = pi/8, pi/16, pi/32 and pi/64.
     """
-    if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
+    return _distributions([(state, grids)], T, time_averaged=True)[0]
+
+
+def _distributions(
+    pairs: Sequence[tuple[EigenstateSpec, GridBundle]], T: float, *, time_averaged: bool
+) -> list[PathDistribution]:
+    """``_grid_average / N`` for each ``(state, grids)`` over ``(T,)`` or its ``grids.T_samples``.
+
+    Free line and circle collapse to their window kernel.  Several
+    oscillator levels priced together (fig7's four) share one ladder climb
+    per (x_f, T') column where their lattices nest.
+    """
+    if time_averaged and any(state.system.kind is not SystemKind.HARMONIC_OSCILLATOR for state, _ in pairs):
         raise DomainError("time averaging over a classical period is an oscillator operation")
-    return _distribution(state, T, grids, time_averaged=True)
-
-
-def _distribution(
-    state: EigenstateSpec, T: float, grids: GridBundle, *, time_averaged: bool
-) -> PathDistribution:
-    """``_grid_average / N`` over ``(T,)`` or ``grids.T_samples``; free line and circle collapse."""
     _check_travel_time(T)
-    weights, norm = _x_f_weights(state, grids)
-    if state.system.kind in _PLANE_KINDS:
-        values = window_average(state, grids.p_c_grid, 0.0, T, grids)
-    else:
-        times = grids.T_samples if time_averaged else (float(T),)
-        values = _grid_average(state, times, grids, weights) / norm
-    return PathDistribution(
-        p_c_grid=grids.p_c_grid,
-        values=np.asarray(values, dtype=np.complex128),
-        state=state,
-        T=float(T),
-        time_averaged=time_averaged,
-        normalization_N=float(norm),
-        grids=grids,
-    )
+    weighted = [(state, grids, *_x_f_weights(state, grids)) for state, grids in pairs]
+    members = [
+        (state, grids.T_samples if time_averaged else (float(T),), grids, weights)
+        for state, grids, weights, _ in weighted
+        if state.system.kind not in _PLANE_KINDS
+    ]
+    # one state goes through _grid_average, the helper perfbench's tracer wraps
+    sums = iter(_grid_averages(members) if len(members) > 1 else [_grid_average(*member) for member in members])
+    dists = []
+    for state, grids, _, norm in weighted:
+        if state.system.kind in _PLANE_KINDS:
+            values = window_average(state, grids.p_c_grid, 0.0, T, grids)
+        else:
+            values = next(sums) / norm
+        dists.append(
+            PathDistribution(
+                p_c_grid=grids.p_c_grid,
+                values=np.asarray(values, dtype=np.complex128),
+                state=state,
+                T=float(T),
+                time_averaged=time_averaged,
+                normalization_N=float(norm),
+                grids=grids,
+            )
+        )
+    return dists
 
 
 def moments(dist: PathDistribution) -> dict[str, float]:

@@ -28,9 +28,9 @@ system family:
   while the action is quadratic in it.  In ``xi = sqrt(M*omega/hbar) * x0``
   the integrand is a column constant times a Hermite function times the
   chirp ``exp(i*(q*xi^2 + r*xi))``, so the running integral at any window
-  edge is :func:`~pathspectra.specfun.hermite_phase_integral`.
-  :func:`window_average_series` differences it at all edges of a column
-  at once; its cost scales with the number of edges, not with a grid.
+  edge is :func:`~pathspectra.specfun.hermite_phase_integral`.  Every
+  window of a column is differenced from it at once; the cost scales with
+  the number of edges, not with a grid.
 
 The one exception is a column whose Hermite ladder would amplify round-off
 past ``_LADDER_TOLERANCE`` (high ``n`` far outside the turning points): it
@@ -46,7 +46,10 @@ finite (phases past float range) are refused too, both with a ``DomainError``.
 
 Distributions, time averages and reconstruction take their windows from one
 private engine, ``_window_stack``: the mean over T' of an ``(x_f, p_c)``
-stack, pricing only its ``x_f >= 0`` half when parity fixes the rest.
+stack per level, pricing only its ``x_f >= 0`` half when parity fixes the
+rest.  Oscillator levels priced together on nested lattices (fig7's four)
+share one ``wofz`` start and one ladder climb per ``(x_f, T')`` column,
+since the ladder to level n passes through every level below it.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -63,9 +66,9 @@ from .errors import DivergentSampleError, DomainError
 from .quadrature import _MAX_NODES, GridBundle, _check_node_count, _check_stack_size
 from .quadrature import cumulative_trapezoid
 from .specfun import (
+    _hermite_phase_primitive,
     gaussian_phase_integral,
     hermite_phase_gain,
-    hermite_phase_integral,
     ho_eigenfunction,
 )
 from .systems import (
@@ -133,7 +136,8 @@ def _finite_result(func: Callable) -> Callable:
                 out = func(*args, **kwargs)
         except (OverflowError, ZeroDivisionError) as exc:  # Python floats raise where NumPy gives inf
             raise DomainError(f"{func.__name__}: an input is past float range") from exc
-        if not np.isfinite(getattr(out, "cumulative", out)).all():
+        result = getattr(out, "cumulative", out)
+        if not all(np.isfinite(part).all() for part in (result if isinstance(result, list) else [result])):
             raise DomainError(f"{func.__name__}: result not finite (an input is past float range)")
         return out
 
@@ -332,51 +336,6 @@ def _plane_window_stack(
     return out
 
 
-def _ho_antiderivative_at(
-    state: EigenstateSpec, x_f: float, T: float, edges: NDArray, grids: GridBundle
-) -> NDArray[np.complex128]:
-    """Running integral of the oscillator integrand, sampled at ``edges``.
-
-    ``A(e) = int integrand dp`` from the gap ``|p| < b = M*omega*|x_f|``
-    (where ``A = 0``) out to ``e``.  On branch ``sigma = sign(e)`` the
-    substitution ``xi = kappa*(x_f*cos(wT) - sigma*sin(wT)*v/(M*omega))``,
-    ``v = sqrt(e^2 - b^2)``, ``kappa = sqrt(M*omega/hbar)``, turns
-    ``factor(p) dv`` into ``-sigma*C * phi_n(xi) exp(i*(q*xi^2 + r*xi)) dxi``
-    with ``q = cot(wT)/2`` and ``r = -kappa*x_f/sin(wT)``, so
-    ``A(e) = -C * J_n(xi_b, xi(e))`` on both branches, ``xi_b = kappa*x_f*cos(wT)``.
-    Columns whose ladder gain exceeds ``_LADDER_TOLERANCE / eps`` fall back
-    to :func:`_ho_antiderivative_grid`.
-    """
-    sys_ = state.system
-    assert sys_.omega is not None
-    hbar, m, omega = sys_.hbar, sys_.mass, sys_.omega
-    n = int(state.quantum_number)
-    s, c, pref, phase = _ho_kernel(state, T)
-    kappa = math.sqrt(m * omega / hbar)
-    q = 0.5 * c / s
-    r = -kappa * x_f / s
-    if hermite_phase_gain(n, q, r) * np.finfo(float).eps > _LADDER_TOLERANCE:
-        return _ho_antiderivative_grid(state, x_f, T, edges, grids.inner_spacing(x_f, T))
-    b = m * omega * abs(x_f)
-    out = np.zeros(edges.shape, dtype=np.complex128)
-    live = np.abs(edges) >= b
-    if not np.any(live):
-        return out
-    e = edges[live]
-    v = np.sqrt(np.maximum(e * e - b * b, 0.0))
-    xi_b = kappa * x_f * c
-    xi = xi_b - np.sign(e) * (kappa * s / (m * omega)) * v
-    # pref * psi_n's kappa^(1/2) * the xi-independent action * dv/dxi
-    column = (
-        pref
-        * math.sqrt(kappa)
-        * complex(np.exp(1j * (phase + 0.5 * c * (kappa * x_f) ** 2 / s)))
-        * (m * omega / (kappa * s))
-    )
-    out[live] = -column * hermite_phase_integral(n, xi_b, xi, q, r)
-    return out
-
-
 def _ho_antiderivative_grid(
     state: EigenstateSpec, x_f: float, T: float, edges: NDArray, dv: float
 ) -> NDArray[np.complex128]:
@@ -426,51 +385,167 @@ def window_average_series(
 
     The entry point for oscillator windows: each is differenced from one
     running integral, evaluated in closed form at every window edge of the
-    column (see :func:`_ho_antiderivative_at`).  Other systems go through
-    :func:`window_average`.
+    column (see :func:`_window_stack`, of which this is the one-row,
+    one-time case).  Other systems go through :func:`window_average`.
     """
     pa = np.atleast_1d(_finite(p_c_values, "momenta p_c"))
     if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
         return np.asarray(window_average(state, pa, x_f, T, grids), dtype=np.complex128)
     if not math.isfinite(x_f):
         raise DomainError(f"x_f must be finite, got {x_f!r}")
-    h = window_halfwidth(state.system, T)
-    edges = np.concatenate([pa - h, pa + h])
-    a_vals = _ho_antiderivative_at(state, x_f, T, edges, grids)
-    n = pa.size
-    return (a_vals[n:] - a_vals[:n]) / (2.0 * h)
+    return _window_stack([(state, pa, np.array([float(x_f)]), (float(T),), grids)])[0][0]
 
 
-def _window_stack(
-    state: EigenstateSpec, p_c: NDArray, x_f: NDArray, times: tuple[float, ...], grids: GridBundle
-) -> NDArray[np.complex128]:
-    """Mean over ``times`` of the window averages on the ``(x_f, p_c)`` lattice.
+# one level of a window stack: (state, p_c, x_f, times, grids)
+Level = tuple[EigenstateSpec, NDArray, NDArray, tuple[float, ...], GridBundle]
 
-    The only loop over travel times: stationary x_f stacks from
-    :func:`window_average` add up in place, as do oscillator rows, one
-    :func:`window_average_series` call per row and time.  Parity gives
-    ``W(-x_f, -p_c) = (-1)^n W(x_f, p_c)``, so on exactly mirror-symmetric
-    grids each ``x_f < 0`` row of the mean is the reversed ``-x_f`` row times ``(-1)^n``.
+
+def _centred_slice(big: NDArray, small: NDArray) -> slice | None:
+    """The slice of ``big`` that is exactly ``small`` and centred in it, or None."""
+    offset, odd = divmod(big.size - small.size, 2)
+    part = slice(offset, offset + small.size)
+    if offset < 0 or odd or not np.array_equal(big[part], small):
+        return None
+    return part
+
+
+def _shared_climbs(levels: Sequence[Level]) -> list[list[tuple[int, slice, slice]]]:
+    """Oscillator levels grouped by the lattice whose ladder climbs they share.
+
+    Each group is a list of ``(index into levels, x_f slice, p_c slice)``,
+    led by its largest lattice; every other member runs on the same system
+    and times, on exact centred slices of the lead's x_f and p_c arrays.  A
+    level that nests in no earlier lead leads its own group.
     """
-    if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
-        out = window_average(state, p_c, x_f, times[0], grids)
-        for t in times[1:]:
-            out += window_average(state, p_c, x_f, t, grids)
-        out /= len(times)
-        return out
-    _check_stack_size(x_f.size, p_c.size)
-    n = x_f.size
-    out = np.zeros((n, p_c.size), dtype=np.complex128)
+    groups: list[list[tuple[int, slice, slice]]] = []
+    by_size = sorted(range(len(levels)), key=lambda i: (levels[i][2].size, levels[i][1].size), reverse=True)
+    for i in by_size:
+        state, p_c, x_f, times, _ = levels[i]
+        if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
+            continue
+        for group in groups:
+            lead, lead_p_c, lead_x_f, lead_times, _ = levels[group[0][0]]
+            if lead.system != state.system or lead_times != times:
+                continue
+            rows, columns = _centred_slice(lead_x_f, x_f), _centred_slice(lead_p_c, p_c)
+            if rows is not None and columns is not None:
+                group.append((i, rows, columns))
+                break
+        else:
+            groups.append([(i, slice(0, x_f.size), slice(0, p_c.size))])
+    return groups
+
+
+def _oscillator_stacks(
+    levels: Sequence[Level], group: list[tuple[int, slice, slice]]
+) -> list[NDArray[np.complex128]]:
+    """The T'-mean stacks of one group from :func:`_shared_climbs`, in group order.
+
+    Per row of the lead lattice and time, the window edges, the gap mask
+    and the ladder's start are computed once: on branch ``sigma = sign(e)``
+    the substitution ``xi = kappa*(x_f*cos(wT) - sigma*sin(wT)*v/(M*omega))``,
+    ``v = sqrt(e^2 - b^2)``, ``kappa = sqrt(M*omega/hbar)``, turns
+    ``factor(p) dv`` into ``-sigma*C_n * phi_n(xi) exp(i*(q*xi^2 + r*xi)) dxi``
+    with ``q = cot(wT)/2`` and ``r = -kappa*x_f/sin(wT)``, so the running
+    integral at edge ``e`` is ``A_n(e) = -C_n * J_n(xi_b, xi(e))`` on both
+    branches, ``xi_b = kappa*x_f*cos(wT)``, and zero in the gap
+    ``|e| < b = M*omega*|x_f|``.  One climb gives ``J_n`` for every level up
+    to the highest whose ladder gain passes ``_LADDER_TOLERANCE / eps``
+    (the gain never falls as n grows); each level then scales its rung by
+    its own column constant ``C_n`` on its own p_c slice.  Levels above the
+    climb take :func:`_ho_antiderivative_grid`.  Only the ``x_f >= 0`` rows
+    are priced when the lead lattice is mirror-symmetric.
+    """
+    lead, p_c, x_f, times, _ = levels[group[0][0]]
+    system = lead.system
+    assert system.omega is not None
+    m, omega = system.mass, system.omega
+    kappa = math.sqrt(m * omega / system.hbar)
+    # (state, n, grids, x_f slice, p_c slice) of each level
+    members = [
+        (levels[i][0], int(levels[i][0].quantum_number), levels[i][4], rows, columns) for i, rows, columns in group
+    ]
+    stacks = [
+        np.zeros((rows.stop - rows.start, columns.stop - columns.start), dtype=np.complex128)
+        for *_, rows, columns in members
+    ]
+    n_p = p_c.size
     mirrored = np.array_equal(x_f, -x_f[::-1]) and np.array_equal(p_c, -p_c[::-1])
-    first = n // 2 if mirrored else 0  # x_f[:n // 2] are the negative nodes
     for t in times:
-        for j in range(first, n):
-            out[j] += window_average_series(state, p_c, float(x_f[j]), float(t), grids)
-    out /= len(times)
-    if mirrored:
-        sign = -1.0 if int(state.quantum_number) % 2 else 1.0
-        out[:first] = sign * out[::-1, ::-1][:first]
-    return out
+        h = window_halfwidth(system, t)
+        kernels = [_ho_kernel(state, t) for state, *_ in members]
+        s, c, _, _ = kernels[0]
+        q = 0.5 * c / s
+        edges = np.concatenate([p_c - h, p_c + h])
+        for j in range(x_f.size // 2 if mirrored else 0, x_f.size):
+            x = float(x_f[j])
+            r = -kappa * x / s
+            present = [k for k, (*_, rows, _) in enumerate(members) if rows.start <= j < rows.stop]
+            climbed = [
+                k for k in present if hermite_phase_gain(members[k][1], q, r) * np.finfo(float).eps <= _LADDER_TOLERANCE
+            ]
+            b = m * omega * abs(x)
+            live = np.abs(edges) >= b
+            reached = bool(np.any(live))  # else every closed-form window of the row is 0
+            if climbed and reached:
+                e = edges[live]
+                v = np.sqrt(np.maximum(e * e - b * b, 0.0))
+                xi_b = kappa * x * c
+                xi = xi_b - np.sign(e) * (kappa * s / (m * omega)) * v
+                top = max(members[k][1] for k in climbed)
+                rungs = _hermite_phase_primitive(top, np.concatenate(([xi_b], xi)), q, r)
+            for k in present:
+                state, n, grids, rows, columns = members[k]
+                if k not in climbed:
+                    part = np.concatenate([edges[columns], edges[n_p:][columns]])
+                    a = _ho_antiderivative_grid(state, x, t, part, grids.inner_spacing(x, t))
+                    stacks[k][j - rows.start] += (a[part.size // 2 :] - a[: part.size // 2]) / (2.0 * h)
+                    continue
+                if not reached:
+                    continue
+                _, _, pref, phase = kernels[k]
+                # pref * psi_n's kappa^(1/2) * the xi-independent action * dv/dxi
+                column = (
+                    pref
+                    * math.sqrt(kappa)
+                    * complex(np.exp(1j * (phase + 0.5 * c * (kappa * x) ** 2 / s)))
+                    * (m * omega / (kappa * s))
+                )
+                a = np.zeros(2 * n_p, dtype=np.complex128)
+                a[live] = -column * (rungs[n][1:] - rungs[n][0])
+                stacks[k][j - rows.start] += (a[n_p:][columns] - a[columns]) / (2.0 * h)
+    for (state, n, *_), stack in zip(members, stacks):
+        stack /= len(times)
+        if mirrored:
+            first = stack.shape[0] // 2  # the x_f < 0 rows: W(-x_f, -p_c) = (-1)^n W(x_f, p_c)
+            stack[:first] = (-1.0 if n % 2 else 1.0) * stack[::-1, ::-1][:first]
+    return stacks
+
+
+@_finite_result
+def _window_stack(levels: Sequence[Level]) -> list[NDArray[np.complex128]]:
+    """Mean over each level's ``times`` of its window averages on its ``(x_f, p_c)`` lattice.
+
+    The only loop over travel times.  Stationary x_f stacks from
+    :func:`window_average` add up in place, one level at a time.  Oscillator
+    levels whose lattices nest share one ladder climb per (row, time) of
+    their largest lattice (see :func:`_oscillator_stacks`); parity gives
+    ``W(-x_f, -p_c) = (-1)^n W(x_f, p_c)``, so on exactly mirror-symmetric
+    grids each ``x_f < 0`` row of the mean is the reversed ``-x_f`` row times
+    ``(-1)^n``.  Each finished stack is checked for finiteness once.
+    """
+    for _, p_c, x_f, _, _ in levels:
+        _check_stack_size(x_f.size, p_c.size)
+    stacks: dict[int, NDArray[np.complex128]] = {}
+    for i, (state, p_c, x_f, times, grids) in enumerate(levels):
+        if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
+            stacks[i] = window_average(state, p_c, x_f, times[0], grids)
+            for t in times[1:]:
+                stacks[i] += window_average(state, p_c, x_f, t, grids)
+            stacks[i] /= len(times)
+    for group in _shared_climbs(levels):
+        stacks.update(zip([i for i, _, _ in group], _oscillator_stacks(levels, group)))
+    return [stacks[i] for i in range(len(levels))]
 
 
 def segment_windows(

@@ -100,7 +100,7 @@ def reconstruct(
         pos = step * np.arange(i1, i2 + 1)
         neg = -pos[::-1]
         times = grids.T_samples if time_averaged else (float(T),)
-        stack = _window_stack(state, np.concatenate([neg, pos]), x_grid, times, grids)
+        stack = _window_stack([(state, np.concatenate([neg, pos]), x_grid, times, grids)])[0]
         n_half = pos.size
         values = trapezoid(neg, stack[:, :n_half]) + trapezoid(pos, stack[:, n_half:])
     return ReconstructionResult(

@@ -162,8 +162,8 @@ def gaussian_phase_integral(
 
 def _hermite_phase_primitive(
     n: int, xi: NDArray[np.float64], q: float, r: float
-) -> NDArray[np.complex128]:
-    """One antiderivative of ``phi_n(xi) exp(i*(q*xi^2 + r*xi))``, sampled at ``xi``.
+) -> list[NDArray[np.complex128]]:
+    """Antiderivatives of ``phi_k(xi) exp(i*(q*xi^2 + r*xi))`` for ``k = 0..n``, sampled at ``xi``.
 
     ``J_0 = pi^(1/4)/(2*sqrt(a)) * exp(-r^2/(4a)) * erf(z)`` with
     ``a = 1/2 - i*q`` and ``z = sqrt(a)*xi - i*r/(2*sqrt(a))``.  Writing
@@ -177,8 +177,8 @@ def _hermite_phase_primitive(
         [phi_k e^{i*Phi}] = sqrt(k/2)(1 + 2iq) J_{k-1} + i*r*J_k
                             + sqrt((k+1)/2)(2iq - 1) J_{k+1}
 
-    climbs to ``J_n``; the boundary terms ``phi_k e^{i*Phi}`` run on the
-    orthonormal Hermite recurrence alongside.
+    climbs to ``J_n``, keeping every rung; the boundary terms ``phi_k e^{i*Phi}``
+    run on the orthonormal Hermite recurrence alongside.
     """
     a = 0.5 - 1j * q
     root_a = cmath.sqrt(a)
@@ -187,6 +187,7 @@ def _hermite_phase_primitive(
     tail = cmath.exp(-r * r / (4.0 * a))
     sign = np.where(z.real >= 0.0, 1.0, -1.0)
     j = (math.pi**0.25 / (2.0 * root_a)) * sign * (tail - gauss * wofz(1j * sign * z))
+    rungs = [j]
     j_prev = np.zeros_like(j)
     edge = np.pi**-0.25 * gauss  # phi_k(xi) * exp(i*Phi(xi)) at k = 0
     edge_prev = np.zeros_like(edge)
@@ -194,11 +195,12 @@ def _hermite_phase_primitive(
         j, j_prev = (
             edge - math.sqrt(k / 2.0) * (1.0 + 2j * q) * j_prev - 1j * r * j
         ) / (math.sqrt((k + 1) / 2.0) * (2j * q - 1.0)), j
+        rungs.append(j)
         edge, edge_prev = (
             math.sqrt(2.0 / (k + 1.0)) * xi * edge - math.sqrt(k / (k + 1.0)) * edge_prev,
             edge,
         )
-    return j
+    return rungs
 
 
 def hermite_phase_integral(
@@ -221,7 +223,7 @@ def hermite_phase_integral(
     n = _check_degree(n)
     lo_a = np.asarray(lo, dtype=float)
     hi_a = np.asarray(hi, dtype=float)
-    both = _hermite_phase_primitive(n, np.concatenate((lo_a.ravel(), hi_a.ravel())), q, r)
+    both = _hermite_phase_primitive(n, np.concatenate((lo_a.ravel(), hi_a.ravel())), q, r)[-1]
     out = both[lo_a.size :].reshape(hi_a.shape) - both[: lo_a.size].reshape(lo_a.shape)
     return complex(out) if out.ndim == 0 else out
 

@@ -418,6 +418,14 @@ def test_manifest_reports_the_time_samples_that_ran(tmp_path, sets, n_time):
     assert "seed" not in effective and "epsilon" not in effective
 
 
+@pytest.mark.parametrize("command", ["distribution", "window"])
+def test_one_time_oscillator_stages_report_one_time_sample(tmp_path, command):
+    at_x_f = ["--set", "x_f=0.7"] if command == "window" else []
+    argv = [command, *SMALL_OSCILLATOR, *at_x_f, "--set", "quantum_number=1", "--set", f"T={32.0 * math.pi + 0.3!r}"]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    assert _manifest(tmp_path, command)["checks"]["grids"]["n_time"] == 1
+
+
 def test_multi_state_presets_report_grids_per_state(tmp_path):
     code = main(
         [
@@ -547,6 +555,7 @@ STATE = {"system", "hbar", "mass", "quantum_number"}
 PAPER_GRIDS = {"delta_p_c", "delta_x_f", "x_f_span", "p_c_max", "delta_T", "n_time", "n_p_floor", "n_p_slope"}
 STATIONARY_GRIDS = {"delta_p_c", "p_c_lo", "p_c_hi", "x_f_span", "delta_x_f"}
 P_C_SPAN = {"delta_p_c", "p_c_lo", "p_c_hi"}
+T_PRIME = {"delta_T", "n_time"}
 
 # (command, system it runs on or None for a preset) -> the keys it reads besides out and format
 READS: dict[tuple[str, str | None], set[str]] = {
@@ -557,15 +566,16 @@ READS: dict[tuple[str, str | None], set[str]] = {
     ("fig9", None): {"delta_p_c"},
     ("fig10", None): set(),
 }
-for _system, _state, _grids in (
-    ("harmonic_oscillator", STATE | {"omega"}, PAPER_GRIDS),
-    ("circle", STATE | {"radius"}, STATIONARY_GRIDS),
+# the one-time stages take no T' sampling; a stationary window takes no x_f grid
+for _system, _state, _grids, _window_grids in (
+    ("harmonic_oscillator", STATE | {"omega"}, PAPER_GRIDS, PAPER_GRIDS - T_PRIME),
+    ("circle", STATE | {"radius"}, STATIONARY_GRIDS, P_C_SPAN),
 ):
     READS.update(
         {
             ("phasor", _system): _state | {"T", "x_f"} | P_C_SPAN,
-            ("window", _system): _state | {"T", "x_f"} | _grids,
-            ("distribution", _system): _state | {"T"} | _grids,
+            ("window", _system): _state | {"T", "x_f"} | _window_grids,
+            ("distribution", _system): _state | {"T"} | (_grids - T_PRIME),
             ("time-average", _system): _state | {"T"} | _grids,
             ("reconstruct", _system): _state | {"T", "band_lo", "band_hi"} | _grids,
             ("compare", _system): _state | {"delta_p_c"},
@@ -622,6 +632,6 @@ def _benchmark_argvs() -> list[list[str]]:
 
 def test_benchmark_and_datacheck_command_lines_are_accepted(tmp_path, no_runners):
     argvs = _benchmark_argvs()
-    assert len(argvs) == 79
+    assert len(argvs) == 80
     codes = [main([*argv, "--threads", "2", "--out", str(tmp_path / str(i))]) for i, argv in enumerate(argvs)]
     assert [argv for argv, code in zip(argvs, codes) if code != EXIT_OK] == []

@@ -10,6 +10,7 @@ from scipy.signal import find_peaks
 
 import pathspectra as ps
 from pathspectra import phasor
+from pathspectra.distribution import _distributions
 from pathspectra.errors import DivergentSampleError, DomainError, SingularTimeError
 from pathspectra.phasor import (
     ho_regular_factor,
@@ -462,49 +463,137 @@ def _small_grids(st, T):
     return paper_grids(st, T, delta_x_f=0.5, delta_p_c=0.1, delta_T=math.pi / 2.0)
 
 
+def _level(st, g, times=None):
+    return (st, g.p_c_grid, g.x_f_grid, g.T_samples if times is None else times, g)
+
+
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_window_stack_is_the_mean_of_single_time_stacks(n):
     st = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=n)
     g = _small_grids(st, _T_HO)
-    args = (st, g.p_c_grid, g.x_f_grid)
-    got = phasor._window_stack(*args, g.T_samples, g)
-    want = sum(phasor._window_stack(*args, (t,), g) for t in g.T_samples) / len(g.T_samples)
+    [got] = phasor._window_stack([_level(st, g)])
+    want = sum(phasor._window_stack([_level(st, g, (t,))])[0] for t in g.T_samples) / len(g.T_samples)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_stationary_window_stack_is_the_mean_of_single_time_stacks():
     times = (100.0, 103.7, 111.2)
     args = (_WALL2, _WALL_GRIDS.p_c_grid, _WALL_GRIDS.x_f_grid)
-    got = phasor._window_stack(*args, times, _WALL_GRIDS)
+    [got] = phasor._window_stack([(*args, times, _WALL_GRIDS)])
     want = sum(window_average(*args, t, _WALL_GRIDS) for t in times) / len(times)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
     # one time is the x_f stack itself, byte for byte
-    assert phasor._window_stack(*args, (100.0,), _WALL_GRIDS).tobytes() == window_average(
+    assert phasor._window_stack([(*args, (100.0,), _WALL_GRIDS)])[0].tobytes() == window_average(
         *args, 100.0, _WALL_GRIDS
     ).tobytes()
 
 
-def test_window_stack_prices_the_kept_rows_once_per_time(monkeypatch):
+@pytest.fixture
+def climbs(monkeypatch):
+    """The degree of every ladder climb the window engine starts."""
+    original = phasor._hermite_phase_primitive
+    degrees = []
+
+    def counted(n, *args):
+        degrees.append(n)
+        return original(n, *args)
+
+    monkeypatch.setattr(phasor, "_hermite_phase_primitive", counted)
+    return degrees
+
+
+def _levels_0_to_3(**overrides):
+    states = [ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=n) for n in range(4)]
+    return [(st, paper_grids(st, _T_HO, **overrides)) for st in states]
+
+
+def test_window_stack_prices_the_kept_rows_once_per_time(climbs):
     g = _small_grids(_HO1, _T_HO)
-    original = phasor.window_average_series
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(phasor, "window_average_series", counted)
     n = g.x_f_grid.size
     expected = len(g.T_samples) * (n - n // 2)
-    phasor._window_stack(_HO1, g.p_c_grid, g.x_f_grid, g.T_samples, g)
-    assert len(calls) == expected
-    assert min(calls) >= 0.0  # the x_f < 0 rows are the mirror of the mean
-    calls.clear()
+    phasor._window_stack([_level(_HO1, g)])
+    assert climbs == [1] * expected
+    climbs.clear()
     ps.time_average(_HO1, _T_HO, g)
-    assert len(calls) == expected
-    calls.clear()
+    assert climbs == [1] * expected
+    climbs.clear()
     reconstruct(_HO1, (0.5, 2.5), _T_HO, g)
-    assert len(calls) == expected
+    # a row climbs only if some window edge reaches past its gap |p_c| < |x_f|
+    kept = g.x_f_grid[n // 2 :]
+    assert climbs == [1] * sum(int(np.sum(kept <= 2.5 + math.sqrt(1.0 / t))) for t in g.T_samples)
+    # fig7's four levels: one climb to n = 3 per kept row of the n = 3 lattice and time
+    climbs.clear()
+    levels = _levels_0_to_3(delta_x_f=0.5, delta_p_c=0.1, delta_T=math.pi / 2.0)
+    _distributions(levels, _T_HO, time_averaged=True)
+    top = levels[3][1]
+    assert climbs == [3] * (len(top.T_samples) * (top.x_f_grid.size - top.x_f_grid.size // 2))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(delta_x_f=0.4, delta_T=math.pi / 2.0),  # the benchmark's grids
+        dict(delta_x_f=0.5, delta_p_c=0.1, delta_T=math.pi / 2.0),
+        dict(delta_x_f=0.5, p_c_max=4.0, x_f_span=3.0, n_time=3),  # one shared, truncated lattice
+    ],
+    ids=["bench", "small", "pinned"],
+)
+def test_shared_climb_gives_each_level_its_own_bytes(overrides):
+    levels = [_level(st, g) for st, g in _levels_0_to_3(**overrides)]
+    assert len(phasor._shared_climbs(levels)) == 1
+    shared = phasor._window_stack(levels)
+    for level, stack in zip(levels, shared):
+        assert stack.tobytes() == phasor._window_stack([level])[0].tobytes()
+
+
+def test_levels_on_lattices_that_do_not_nest_climb_apart(climbs):
+    st0, st3 = (ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=n) for n in (0, 3))
+    g0 = paper_grids(st0, _T_HO, delta_x_f=0.5, delta_p_c=0.1, delta_T=math.pi / 2.0)
+    g3 = paper_grids(st3, _T_HO, delta_x_f=0.3, delta_p_c=0.1, delta_T=math.pi / 2.0)
+    levels = [_level(st0, g0), _level(st3, g3)]
+    assert [[i for i, _, _ in group] for group in phasor._shared_climbs(levels)] == [[1], [0]]
+    shared = phasor._window_stack(levels)
+    assert sorted(climbs) == [0] * (4 * 11) + [3] * (4 * 45)
+    for level, stack in zip(levels, shared):
+        assert stack.tobytes() == phasor._window_stack([level])[0].tobytes()
+
+
+def test_a_level_past_the_ladder_takes_the_grid_while_the_rest_share_the_climb(monkeypatch, climbs):
+    """n = 16 leads (widest lattice); its outer columns fall back to the grid,
+    while on the rows it shares with them n = 0 and 1 still climb, to n = 1."""
+    states = [ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=n) for n in (0, 1, 16)]
+    grids = [
+        paper_grids(st, _T_HO, delta_x_f=2.0, delta_p_c=0.5, n_time=2, n_p_floor=5.0, n_p_slope=5.0)
+        for st in states
+    ]
+    levels = [_level(st, g) for st, g in zip(states, grids)]
+    assert [[i for i, _, _ in group] for group in phasor._shared_climbs(levels)] == [[2, 1, 0]]
+    original = phasor._ho_antiderivative_grid
+    fallback = []
+
+    def counted(state, x_f, *args):
+        fallback.append((int(state.quantum_number), x_f))
+        return original(state, x_f, *args)
+
+    monkeypatch.setattr(phasor, "_ho_antiderivative_grid", counted)
+    shared = phasor._window_stack(levels)
+    assert fallback and {n for n, _ in fallback} == {16}
+    assert min(x for _, x in fallback) <= grids[1].x_f_grid[-1]  # a row both climbs and falls back
+    assert set(climbs) == {1, 16}  # to n = 16 near the centre, to n = 1 where n = 16 falls back
+    for level, stack in zip(levels, shared):
+        assert stack.tobytes() == phasor._window_stack([level])[0].tobytes()
+
+
+def test_non_finite_windows_are_refused_once_per_stack():
+    """An edge^2 overflow gives NaN windows: the engine and both averages refuse them."""
+    g = GridBundle(p_c_grid=np.array([-1e200, 1e200]), x_f_grid=np.array([-1.0, 0.0, 1.0]), T_samples=(_T_HO,))
+    with pytest.raises(DomainError, match="_window_stack: result not finite"):
+        phasor._window_stack([_level(_HO1, g)])
+    with pytest.raises(DomainError, match="not finite"):
+        ps.time_average(_HO1, _T_HO, g)
+    g_band = GridBundle(p_c_grid=np.array([0.0, 1e200]), x_f_grid=g.x_f_grid, T_samples=(_T_HO,))
+    with pytest.raises(DomainError, match="not finite"):
+        reconstruct(_HO1, (0.0, 2e200), _T_HO, g_band)
 
 
 # ----------------------------------------------------- cells_per_window type

@@ -12,6 +12,7 @@ from scipy.special import eval_hermite, eval_laguerre
 from pathspectra.errors import DomainError
 from pathspectra.specfun import (
     MAX_DEGREE,
+    _hermite_phase_primitive,
     gaussian_phase_integral,
     hermite,
     hermite_phase_gain,
@@ -156,6 +157,18 @@ def test_hermite_phase_integral_broadcasts_a_scalar_bound():
         3, 0.2, 1.7, 0.4, -1.1
     )
     assert split == pytest.approx(out[2], rel=1e-13)
+
+
+def test_one_climb_gives_every_rung():
+    """Rung k of one climb to n is the integral a separate call to degree k gives, bit for bit."""
+    rng = np.random.default_rng(7)
+    lo = -0.6
+    hi = rng.uniform(-3.0, 3.0, size=25)
+    for q, r in ((0.0, 0.0), (0.3, -0.9), (-4.7, 2.5)):
+        rungs = _hermite_phase_primitive(8, np.concatenate(([lo], hi)), q, r)
+        assert len(rungs) == 9
+        for k, rung in enumerate(rungs):
+            assert (rung[1:] - rung[0]).tobytes() == hermite_phase_integral(k, lo, hi, q, r).tobytes()
 
 
 def test_hermite_phase_gain_is_the_ladder_product():

@@ -42,6 +42,8 @@ COMMANDS: dict[str, list[str]] = {
     "fig2": ["fig2"],
     "fig7": ["fig7"],
     "fig7_bench": ["fig7", *BENCH_GRIDS],
+    # every level on one truncated lattice
+    "fig7_pinned": ["fig7", "--set", "p_c_max=4", "--set", "x_f_span=3", "--set", "n_time=3"],
     "fig8": ["fig8"],
     "fig8_bench": ["fig8", *BENCH_GRIDS],
     "fig9": ["fig9", "--set", "delta_p_c=0.04"],
