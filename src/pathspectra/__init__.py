@@ -2,31 +2,26 @@
 
 The package decomposes eigenstates of five standard one-dimensional systems
 into contributions labelled by characteristic momentum, producing path
-distributions, band-limited reconstructions, and the phase-space references
-they are compared against.  Start with :func:`spatial_average` /
-:func:`time_average` for distributions, or the ``pathspectra`` command line
-for the canned figure datasets.
+distributions, band-limited reconstructions, and the momentum-space and
+coherent-state references they are compared against.  Start with
+:func:`spatial_average` / :func:`time_average` for distributions, or the
+``pathspectra`` command line for the canned figure datasets.
 """
 
 from __future__ import annotations
 
 from .compare import (
-    PhaseSpacePoint,
     TailMassWarning,
     coherent_overlap,
     momentum_density,
-    wigner,
     wigner_momentum_marginal,
-    wigner_position_marginal,
 )
 from .distribution import (
-    EnergyDensity,
     PathDistribution,
     moments,
     spatial_average,
     stationary_grids,
     time_average,
-    to_energy_density,
 )
 from .errors import (
     DegenerateDistributionError,
@@ -47,7 +42,7 @@ from .phasor import (
     window_average_series,
 )
 from .quadrature import GridBundle, paper_grids, singular_window_integral, uniform_grid
-from .reconstruct import ReconstructionResult, dominant_path_phase, reconstruct
+from .reconstruct import ReconstructionResult, reconstruct
 from .systems import (
     EigenstateSpec,
     SystemKind,
@@ -60,9 +55,7 @@ from .systems import (
     free_line,
     hard_wall,
     harmonic_oscillator,
-    ho_action,
     ho_max_momentum,
-    ho_trajectory,
     maslov_index,
     propagator,
     square_well,
@@ -89,8 +82,6 @@ __all__ = [
     "characteristic_x0",
     "default_winding_terms",
     "ho_max_momentum",
-    "ho_trajectory",
-    "ho_action",
     "window_halfwidth",
     # quadrature
     "GridBundle",
@@ -107,22 +98,16 @@ __all__ = [
     "segment_sum_check",
     # distribution
     "PathDistribution",
-    "EnergyDensity",
     "stationary_grids",
     "spatial_average",
     "time_average",
     "moments",
-    "to_energy_density",
     # reconstruct
     "ReconstructionResult",
     "reconstruct",
-    "dominant_path_phase",
     # compare
-    "PhaseSpacePoint",
     "TailMassWarning",
-    "wigner",
     "wigner_momentum_marginal",
-    "wigner_position_marginal",
     "momentum_density",
     "coherent_overlap",
     # errors

@@ -292,10 +292,12 @@ def _fig2(cfg: RunConfig, write: Writer) -> dict:
     averaged = window_average_series(state, grid, cfg.x_f, cfg.T, bundle)
     write("fig2_window", ("p_c", "re", "im"), (grid, averaged))
     window_integral = trapezoid(grid, averaged)
+    grids = _grid_report(state, bundle)
+    del grids["x_f_nodes"]  # one x_f: the bundle's x_f grid goes unread
     return {
         "window_series_integral_re": window_integral.real,
         "window_series_integral_im": window_integral.imag,
-        "grids": _grid_report(state, bundle),
+        "grids": grids,
     }
 
 
@@ -390,12 +392,15 @@ def _stage_window(cfg: RunConfig, write: Writer) -> dict:
     write("window", ("p_c", "re", "im"), (grid, series))
     target = complex(eigenfunction(state, cfg.x_f))
     total = trapezoid(grid, series)
+    grids = _grid_report(state, bundle, one_time=True)
+    if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
+        del grids["x_f_nodes"]  # one x_f; only the oscillator's p_c grid is sized by its x_f grid
     return {
         "series_integral_re": total.real,
         "series_integral_im": total.imag,
         "eigenfunction_re": target.real,
         "eigenfunction_im": target.imag,
-        "grids": _grid_report(state, bundle, one_time=True),
+        "grids": grids,
     }
 
 

@@ -2,18 +2,18 @@
 
 Two standard descriptions of the oscillator eigenstates:
 
-* Wigner functions ``F_n(x, p)`` and their marginals.  Integrating over x
-  gives the momentum-space density |psi~_n(p)|^2 -- which, notably, looks
-  nothing like the path distributions: it oscillates, while the path
+* The momentum marginal of the Wigner function ``F_n(x, p)``: integrating
+  over x gives the momentum-space density |psi~_n(p)|^2 -- which, notably,
+  looks nothing like the path distributions: it oscillates, while the path
   distributions show a single ridge at the classical momentum.
 * Coherent-state overlaps ``C_n(alpha) = |<alpha|n>|^2``, whose maxima over
   |alpha| sit at the classical energies, mirroring the path-distribution
   peaks.
 
-Marginals are computed here by explicit quadrature and *tested* against the
-closed forms (:func:`momentum_density`); the cross-validation is the point.
-Both marginals broadcast over their fixed coordinate: the Wigner samples are
-built in row blocks of at most ``_BLOCK_CELLS`` and each row is one
+The marginal is computed here by explicit quadrature and *tested* against
+the closed form (:func:`momentum_density`); the cross-validation is the
+point.  It broadcasts over p: the Wigner samples are built in row blocks of
+at most ``_BLOCK_CELLS`` and each row is one
 :func:`~pathspectra.quadrature.trapezoid`, bit-identical whatever the block
 holds.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -33,11 +32,8 @@ from .specfun import MAX_DEGREE, hermite, laguerre
 from .systems import SystemKind, SystemSpec, _finite
 
 __all__ = [
-    "PhaseSpacePoint",
     "TailMassWarning",
-    "wigner",
     "wigner_momentum_marginal",
-    "wigner_position_marginal",
     "momentum_density",
     "coherent_overlap",
 ]
@@ -49,22 +45,6 @@ _BLOCK_CELLS = 1 << 18
 
 class TailMassWarning(UserWarning):
     """A marginal's integration grid may be missing non-negligible tail mass."""
-
-
-@dataclass(frozen=True)
-class PhaseSpacePoint:
-    """A point (x, p) of ordinary phase space.
-
-    ``p`` is a Fourier-component momentum, a different animal from the
-    characteristic momentum ``p_c`` that labels paths.
-    """
-
-    x: float
-    p: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.p)):
-            raise DomainError("phase-space coordinates must be finite")
 
 
 def _require_oscillator(system: SystemSpec) -> tuple[float, float, float]:
@@ -82,6 +62,9 @@ def _level(n: float) -> int:
 
 
 def _wigner_values(n: int, x: NDArray, p: NDArray, system: SystemSpec) -> NDArray:
+    """Wigner function of level ``n``, broadcast over ``x`` and ``p``: ``(-1)^n/(pi*hbar)
+    * exp(-M*omega*x^2/hbar - p^2/(hbar*M*omega)) * L_n(2*M*omega*x^2/hbar + 2*p^2/(hbar*M*omega))``,
+    real and negative in rings for every n >= 1."""
     hbar, mass, omega = _require_oscillator(system)
     sign = -1.0 if n % 2 else 1.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -91,70 +74,40 @@ def _wigner_values(n: int, x: NDArray, p: NDArray, system: SystemSpec) -> NDArra
     return np.where(np.isfinite(values), values, 0.0)
 
 
-def wigner(n: int, point: PhaseSpacePoint, system: SystemSpec) -> float:
-    """Wigner function of oscillator eigenstate ``n`` at one phase-space point.
-
-    ``(-1)^n/(pi*hbar) * exp(-M*omega*x^2/hbar - p^2/(hbar*M*omega))
-    * L_n(2*M*omega*x^2/hbar + 2*p^2/(hbar*M*omega))`` -- real, and negative
-    in rings for every n >= 1.
-    """
-    return float(_wigner_values(_level(n), point.x, point.p, system))
-
-
-def _marginal(
-    n: int, points: ArrayLike, grid: ArrayLike, system: SystemSpec, label: str
-) -> NDArray[np.float64] | float:
-    """Trapezoid of the Wigner function over the ``label`` ("x" or "p") grid, at every entry of ``points``.
-
-    Rows are built in blocks of at most ``_BLOCK_CELLS`` samples and each is
-    its own ``np.sum``, so the block size cannot change a result.  A grid
-    short of the state's extent warns with :class:`TailMassWarning`."""
-    n = _level(n)
-    grid = _finite(grid, f"{label}_grid")
-    span = float(grid.max()) - float(grid.min()) if grid.ndim == 1 and grid.size >= 2 else math.nan
-    if not (math.isfinite(span) and np.all(np.diff(grid) > 0)):
-        raise DomainError(f"{label}_grid must be 1-D and ascending, with at least 2 points and a finite span")
-    hbar, mass, omega = _require_oscillator(system)
-    scale = hbar / (mass * omega) if label == "x" else hbar * mass * omega
-    needed = 5.0 * math.sqrt(2.0 * n + 1.0) * math.sqrt(scale)
-    reach = float(min(-grid[0], grid[-1]))
-    if reach < needed:
-        warnings.warn(
-            f"{label}-grid reaches {reach:.3g} but the state extends to ~{needed:.3g}; "
-            "marginal may be missing tail mass",
-            TailMassWarning,
-            stacklevel=3,
-        )
-    pts = _finite(points, "marginal points")
-    flat = pts.ravel()
-    out = np.empty(flat.size)
-    rows = max(1, _BLOCK_CELLS // grid.size)
-    for start in range(0, flat.size, rows):
-        block = flat[start : start + rows, None]
-        x, p = (grid, block) if label == "x" else (block, grid)
-        out[start : start + rows] = trapezoid(grid, _wigner_values(n, x, p, system))
-    return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
-
-
 def wigner_momentum_marginal(
     n: int, p: ArrayLike, system: SystemSpec, x_grid: ArrayLike
 ) -> NDArray[np.float64] | float:
     """``int F_n(x, p) dx`` by trapezoid: the momentum-space density |psi~_n(p)|^2.
 
-    Broadcasts over ``p`` (a scalar gives a float); each momentum is one
-    :func:`~pathspectra.quadrature.trapezoid` row.
+    Broadcasts over ``p`` (a scalar gives a float).  Rows are built in blocks
+    of at most ``_BLOCK_CELLS`` samples and each momentum is its own
+    :func:`~pathspectra.quadrature.trapezoid` row, so the block size cannot
+    change a result.  An ``x_grid`` short of the state's extent warns with
+    :class:`TailMassWarning`.
     """
-    return _marginal(n, p, x_grid, system, "x")
-
-
-def wigner_position_marginal(
-    n: int, x: ArrayLike, system: SystemSpec, p_grid: ArrayLike
-) -> NDArray[np.float64] | float:
-    """``int F_n(x, p) dp``: the position density |psi_n(x)|^2 (dual check).
-
-    Broadcasts over ``x`` like :func:`wigner_momentum_marginal` over ``p``.
-    """
-    return _marginal(n, x, p_grid, system, "p")
+    n = _level(n)
+    grid = _finite(x_grid, "x_grid")
+    span = float(grid.max()) - float(grid.min()) if grid.ndim == 1 and grid.size >= 2 else math.nan
+    if not (math.isfinite(span) and np.all(np.diff(grid) > 0)):
+        raise DomainError("x_grid must be 1-D and ascending, with at least 2 points and a finite span")
+    hbar, mass, omega = _require_oscillator(system)
+    needed = 5.0 * math.sqrt(2.0 * n + 1.0) * math.sqrt(hbar / (mass * omega))
+    reach = float(min(-grid[0], grid[-1]))
+    if reach < needed:
+        warnings.warn(
+            f"x-grid reaches {reach:.3g} but the state extends to ~{needed:.3g}; "
+            "marginal may be missing tail mass",
+            TailMassWarning,
+            stacklevel=2,
+        )
+    pts = _finite(p, "marginal points")
+    flat = pts.ravel()
+    out = np.empty(flat.size)
+    rows = max(1, _BLOCK_CELLS // grid.size)
+    for start in range(0, flat.size, rows):
+        block = flat[start : start + rows, None]
+        out[start : start + rows] = trapezoid(grid, _wigner_values(n, grid, block, system))
+    return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
 
 
 def momentum_density(

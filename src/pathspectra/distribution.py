@@ -1,4 +1,4 @@
-"""Path distributions: spatial averaging, time averaging, moments, energy map.
+"""Path distributions: spatial averaging, time averaging, moments.
 
 A path distribution weighs the window averages by the eigenfunction they are
 supposed to rebuild,
@@ -41,12 +41,10 @@ from .systems import EigenstateSpec, SystemKind, _check_travel_time, eigenfuncti
 
 __all__ = [
     "PathDistribution",
-    "EnergyDensity",
     "stationary_grids",
     "spatial_average",
     "time_average",
     "moments",
-    "to_energy_density",
 ]
 
 
@@ -66,15 +64,6 @@ class PathDistribution:
     time_averaged: bool
     normalization_N: float
     grids: GridBundle
-
-
-@dataclass(frozen=True, eq=False)
-class EnergyDensity:
-    """A distribution re-expressed over classical energy ``E_c = p_c^2 / 2M``."""
-
-    e_c_grid: NDArray[np.float64]
-    values: NDArray[np.complex128]
-    state: EigenstateSpec
 
 
 _PLANE_KINDS = (SystemKind.FREE_LINE, SystemKind.CIRCLE)
@@ -332,23 +321,3 @@ def moments(dist: PathDistribution) -> dict[str, float]:
         "max_im_ratio": float(np.max(np.abs(dist.values.imag)) / max_re),
     }
 
-
-def to_energy_density(dist: PathDistribution) -> EnergyDensity:
-    """Re-express the distribution over classical energy, ``E_c = p_c^2/2M``.
-
-    Returns ``sqrt(2M/E_c) * P(sqrt(2M E_c))`` on the image of the positive
-    momentum nodes.  The first node sits at ``(delta p_c)^2 / 2M``: the
-    Jacobian diverges (integrably) at E_c = 0, so the axis point is excluded
-    by construction.  For even distributions the energy-space integral
-    reproduces the full two-sided momentum norm.
-    """
-    p = dist.p_c_grid
-    m = mass_parameter(dist.state.system)
-    step = float(np.min(np.diff(p)))
-    mask = p >= step * (1.0 - 1e-12)
-    if np.count_nonzero(mask) < 2:
-        raise DomainError("no positive momentum nodes to map onto energies")
-    p_pos = p[mask]
-    e_grid = p_pos * p_pos / (2.0 * m)
-    values = np.sqrt(2.0 * m / e_grid) * dist.values[mask]
-    return EnergyDensity(e_c_grid=e_grid, values=values, state=dist.state)

@@ -327,7 +327,7 @@ def _plane_window_stack(
     # NumPy's complex multiply can round differently in the last bit
     terms = [_plane_terms(state, float(x), T) for x in x_f]
     out = np.zeros((x_f.size, p_c.size), dtype=np.complex128)
-    for t, (_, center) in enumerate(terms[0]):
+    for t, (_, center) in enumerate(terms[0] if terms else ()):  # no x_f rows: the empty stack
         u = p_c - center
         kernel = np.asarray(gaussian_phase_integral(u - h, u + h, gamma), dtype=np.complex128)
         for row, per_x in zip(out, terms):
@@ -571,29 +571,31 @@ def segment_windows(
     cpw = cells_per_window
     if not (isinstance(cpw, (int, np.integer)) and 2 <= cpw <= _MAX_NODES and cpw % 2 == 0):
         raise DomainError(f"cells_per_window must be an even integer in [2, 2^24], got {cpw!r}")
+    # Python numbers: NumPy scalars would warn, not give inf, on an overflow below
+    cpw, delta_p, p_lo, p_hi = int(cpw), float(delta_p), float(p_lo), float(p_hi)
     if not p_hi > p_lo:
         raise DomainError("extent must have p_hi > p_lo")
     h = window_halfwidth(state.system, T)
-    step = 2.0 * h / cells_per_window
+    step = 2.0 * h / cpw
     cells = (p_hi - p_lo) / step + 1e-9
     _check_node_count(cells + 1.0, "segment tiling grid")
     n_cells = int(math.floor(cells))
-    if n_cells < cells_per_window:
+    if n_cells < cpw:
         raise DomainError("extent narrower than a single window")
     offset = (delta_p - p_lo) / step
     if not math.isfinite(offset):  # NaN or inf delta_p, or one too far out to snap
         raise DomainError(f"delta_p must be finite and within reach of the grid, got {delta_p!r}")
     grid = p_lo + step * np.arange(n_cells + 1)
     curve = phasor_curve(state, x_f, T, grid).cumulative
-    half = cells_per_window // 2
+    half = cpw // 2
     base = round(offset)
     # windows nu with [base + nu*cpw - half, base + nu*cpw + half] meeting [0, n]
-    nu_lo = math.ceil((-half - base) / cells_per_window)
-    nu_hi = math.floor((n_cells + half - 1 - base) / cells_per_window)
+    nu_lo = math.ceil((-half - base) / cpw)
+    nu_hi = math.floor((n_cells + half - 1 - base) / cpw)
     centers = []
     windows = []
     for nu in range(nu_lo, nu_hi + 1):
-        mid = base + nu * cells_per_window
+        mid = base + nu * cpw
         i_lo = max(0, mid - half)
         i_hi = min(n_cells, mid + half)
         if i_hi <= i_lo:

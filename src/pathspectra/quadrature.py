@@ -179,8 +179,9 @@ def paper_grids(state: EigenstateSpec, T: float, **overrides: float) -> GridBund
 
     Keyword overrides: ``delta_p_c``, ``p_c_max``, ``delta_x_f``, ``x_f_span``,
     ``delta_T``, ``n_time``, ``n_p_floor``, ``n_p_slope``.  Each must be
-    finite; all but ``n_p_slope`` must also be positive.  A grid or time
-    sampling of more than ``_MAX_NODES`` nodes is refused before it is built.
+    finite; all but ``n_p_slope`` must also be positive, and ``n_time`` a
+    whole number.  A grid or time sampling of more than ``_MAX_NODES`` nodes
+    is refused before it is built.
     """
     system = state.system
     if system.kind is not SystemKind.HARMONIC_OSCILLATOR:
@@ -203,11 +204,13 @@ def paper_grids(state: EigenstateSpec, T: float, **overrides: float) -> GridBund
 
     period = 2.0 * math.pi / system.omega
     if "n_time" in overrides:
-        n_time = int(_check_node_count(positive("n_time", 1.0), "T' sampling"))
+        requested = overrides["n_time"]
+        count = _check_node_count(positive("n_time", 1.0), "T' sampling")
+        if isinstance(requested, (bool, np.bool_)) or count != int(count):
+            raise DomainError(f"n_time must be a whole number of samples, got {requested!r}")
+        n_time = int(count)
     else:
         n_time = max(1, round(_check_node_count(period / delta_T, "T' sampling")))
-    if n_time < 1:
-        raise DomainError(f"n_time must be at least 1, got {n_time}")
     T_samples = tuple(T + (j + 0.5) * delta_T for j in range(n_time))
 
     x_span = positive("x_f_span", 5.0 * width * math.sqrt(system.hbar / (system.mass * system.omega)))

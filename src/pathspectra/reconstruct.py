@@ -27,14 +27,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import ArrayLike, NDArray
+from numpy.typing import NDArray
 
 from .errors import DomainError
 from .phasor import _window_stack
 from .quadrature import GridBundle, _check_node_count, _check_stack_size, trapezoid
 from .systems import EigenstateSpec, SystemKind, _check_travel_time, window_halfwidth
 
-__all__ = ["ReconstructionResult", "reconstruct", "dominant_path_phase"]
+__all__ = ["ReconstructionResult", "reconstruct"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,32 +112,3 @@ def reconstruct(
         time_averaged=time_averaged,
     )
 
-
-def dominant_path_phase(
-    state: EigenstateSpec, x0: float, t_grid: ArrayLike
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Position and accumulated phase of the single stationary free-line path.
-
-    The free line is the one system whose decomposition collapses to a single
-    characteristic momentum ``p_c = hbar*k``; along that path the product of
-    energy phase, initial phase and propagation phase telescopes to
-    ``k * x(t)``.  Returns ``(x(t), phase(t) mod 2pi)`` for plotting the
-    travelling wavefront.
-    """
-    if state.system.kind is not SystemKind.FREE_LINE:
-        raise DomainError("the single-dominant-path decomposition is free-line only")
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise DomainError("t_grid must be a nonempty 1-D array")
-    if np.any(t < 0) or np.any(np.diff(t) < 0):
-        raise DomainError("t_grid must be ascending and nonnegative")
-    sys_ = state.system
-    k = state.quantum_number
-    p_c = sys_.hbar * k
-    x = x0 + p_c * t / sys_.mass
-    phase = (
-        state.energy * t / sys_.hbar
-        + k * x0
-        + p_c * p_c * t / (2.0 * sys_.hbar * sys_.mass)
-    )
-    return x, np.mod(phase, 2.0 * np.pi)

@@ -50,8 +50,6 @@ __all__ = [
     "SINGULAR_TIME_ULPS",
     "characteristic_x0",
     "ho_max_momentum",
-    "ho_trajectory",
-    "ho_action",
     "default_winding_terms",
     "mass_parameter",
     "window_halfwidth",
@@ -461,49 +459,3 @@ def ho_max_momentum(system: SystemSpec, x0: float, xf: float, T: float) -> float
         / abs(s)
     )
 
-
-def ho_trajectory(
-    system: SystemSpec, x0: float, xf: float, T: float, t: ArrayLike
-) -> NDArray[np.float64] | float:
-    """Classical oscillator path through (x0, 0) and (xf, T), sampled at t."""
-    if system.kind is not SystemKind.HARMONIC_OSCILLATOR:
-        raise DomainError("trajectory interpolation applies to the oscillator only")
-    assert system.omega is not None
-    omega = system.omega
-    _check_travel_time(T)
-    s = regular_sin(omega * T)
-    ta = np.asarray(t, dtype=float)
-    if np.any(ta < 0.0) or np.any(ta > T):
-        raise DomainError("sample times must lie in [0, T]")
-    out = (xf * np.sin(omega * ta) + x0 * np.sin(omega * (T - ta))) / s
-    return float(out) if ta.ndim == 0 else out
-
-
-def ho_action(
-    system: SystemSpec, p_c: ArrayLike, xf: float, T: float
-) -> NDArray[np.float64] | float:
-    """Classical action of the oscillator path labelled by ``p_c`` ending at ``xf``.
-
-    Valid on and outside the turning-point boundary ``|p_c| >= M*omega*|xf|``;
-    inside it no real path exists and :class:`ExcludedRegionError` is raised.
-    """
-    if system.kind is not SystemKind.HARMONIC_OSCILLATOR:
-        raise DomainError("this action form applies to the oscillator only")
-    assert system.omega is not None
-    omega = system.omega
-    _check_travel_time(T)
-    s = regular_sin(omega * T)
-    c = math.cos(omega * T)
-    m = system.mass
-    pa = np.asarray(p_c, dtype=float)
-    scalar = pa.ndim == 0
-    b = m * omega * abs(xf)
-    if np.any(np.abs(pa) < b):
-        raise ExcludedRegionError(f"|p_c| < M*omega*|xf| = {b:.6g}: no real trajectory")
-    root = np.sqrt(pa * pa - (xf * m * omega) ** 2)
-    out = (s / (2.0 * m * omega)) * (
-        c * (pa * pa - 2.0 * xf * xf * m * m * omega * omega)
-        + 2.0 * xf * m * omega * np.sign(pa) * s * root
-    )
-    out = np.asarray(out, dtype=float)
-    return float(out) if scalar else out

@@ -546,6 +546,11 @@ def test_stationary_manifests_report_only_the_grids_they_take(tmp_path):
     # band_hi alone integrates from 0; the unset band_lo is echoed as null
     assert manifest["checks"]["band"] == [0.0, 2.0]
     assert manifest["effective_config"]["band_lo"] is None
+    # fig2 and a stationary window price one x_f, so no x_f grid is reported
+    window = ["window", *WALL, "--set", "x_f=0.7", "--set", "p_c_lo=-3", "--set", "p_c_hi=3"]
+    for argv, name in ((["fig2"], "fig2"), (window, "window")):
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        assert set(_manifest(tmp_path, name)["checks"]["grids"]) == {"n_time", "p_c_nodes"}
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,11 @@ import pytest
 
 import pathspectra as ps
 from pathspectra.compare import (
-    PhaseSpacePoint,
     TailMassWarning,
     _wigner_values,
     coherent_overlap,
     momentum_density,
-    wigner,
     wigner_momentum_marginal,
-    wigner_position_marginal,
 )
 from pathspectra.errors import DomainError
 from pathspectra.quadrature import trapezoid
@@ -29,23 +26,16 @@ def test_wigner_ground_state_is_a_gaussian():
     # F_0(x, p) = exp(-x^2 - p^2)/pi in hbar = M = omega = 1 units
     for x, p in ((0.0, 0.0), (0.5, -0.3), (1.2, 0.4)):
         want = math.exp(-x * x - p * p) / math.pi
-        assert wigner(0, PhaseSpacePoint(x, p), HO) == pytest.approx(want, rel=1e-14)
+        assert float(_wigner_values(0, x, p, HO)) == pytest.approx(want, rel=1e-14)
 
 
 def test_wigner_first_excited_negative_at_origin():
-    assert wigner(1, PhaseSpacePoint(0.0, 0.0), HO) == pytest.approx(-1.0 / math.pi, rel=1e-14)
+    assert float(_wigner_values(1, 0.0, 0.0, HO)) == pytest.approx(-1.0 / math.pi, rel=1e-14)
 
 
 def test_wigner_rejects_non_oscillator():
     with pytest.raises(DomainError):
-        wigner(0, PhaseSpacePoint(0.0, 0.0), ps.free_line())
-
-
-def test_phase_space_point_must_be_finite():
-    with pytest.raises(DomainError):
-        PhaseSpacePoint(math.inf, 0.0)
-    with pytest.raises(DomainError):
-        PhaseSpacePoint(0.0, math.nan)
+        wigner_momentum_marginal(0, 0.0, ps.free_line(), np.linspace(-8.0, 8.0, 101))
 
 
 def test_momentum_marginal_matches_closed_form():
@@ -62,7 +52,7 @@ def test_position_marginal_matches_eigenfunction_density():
     for n in range(4):
         st = ps.EigenstateSpec(system=HO, quantum_number=float(n))
         for x in (0.0, 0.6, -1.3):
-            got = wigner_position_marginal(n, x, HO, p)
+            got = trapezoid(p, _wigner_values(n, x, p, HO))
             want = abs(complex(ps.eigenfunction(st, x))) ** 2
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -78,13 +68,12 @@ def test_marginals_broadcast_bit_for_bit_over_their_argument():
     # while each scalar call is a block of one row
     grid = np.linspace(-14.0, 14.0, 4001)
     points = np.linspace(-3.0, 3.0, 200)
-    for marginal in (wigner_momentum_marginal, wigner_position_marginal):
-        for n in (0, 3):
-            batched = marginal(n, points, HO, grid)
-            single = np.array([marginal(n, float(q), HO, grid) for q in points])
-            assert batched.tobytes() == single.tobytes()
-            assert marginal(n, points.reshape(20, 10), HO, grid).shape == (20, 10)
-            assert isinstance(marginal(n, 0.4, HO, grid), float)
+    for n in (0, 3):
+        batched = wigner_momentum_marginal(n, points, HO, grid)
+        single = np.array([wigner_momentum_marginal(n, float(q), HO, grid) for q in points])
+        assert batched.tobytes() == single.tobytes()
+        assert wigner_momentum_marginal(n, points.reshape(20, 10), HO, grid).shape == (20, 10)
+        assert isinstance(wigner_momentum_marginal(n, 0.4, HO, grid), float)
 
 
 def test_batched_marginal_stays_within_ulps_of_compensated_trapezoid():
@@ -161,21 +150,19 @@ _GRID = np.linspace(-12.0, 12.0, 1201)
         lambda: coherent_overlap(math.nan, 1.0),
         lambda: coherent_overlap(1, math.nan),
         lambda: coherent_overlap(1, math.inf),
-        lambda: wigner(1.5, PhaseSpacePoint(0.0, 0.0), HO),
         lambda: wigner_momentum_marginal(1.5, 0.3, HO, _GRID),
-        lambda: wigner_position_marginal(2.5, 0.3, HO, _GRID),
         lambda: wigner_momentum_marginal(1, 0.3, HO, []),
         lambda: wigner_momentum_marginal(1, 0.3, HO, [0.0]),
         lambda: wigner_momentum_marginal(1, 0.3, HO, np.ones((3, 3))),
         lambda: wigner_momentum_marginal(1, 0.3, HO, _GRID[::-1]),
         lambda: wigner_momentum_marginal(1, 0.3, HO, [-1.0, math.nan, 1.0]),
         lambda: wigner_momentum_marginal(1, 0.3, HO, [-1e308, 1e308]),  # span past float range
-        lambda: wigner_position_marginal(1, [0.3, math.inf], HO, _GRID),
+        lambda: wigner_momentum_marginal(1, [0.3, math.inf], HO, _GRID),
     ],
     ids=[
         "density-negative-n", "density-fractional-n", "density-n-past-max", "density-nan-p",
         "overlap-fractional-n", "overlap-nan-n", "overlap-nan-alpha", "overlap-inf-alpha",
-        "wigner-fractional-n", "momentum-marginal-fractional-n", "position-marginal-fractional-n",
+        "momentum-marginal-fractional-n",
         "empty-grid", "one-point-grid", "2d-grid", "descending-grid", "nan-grid", "overflowing-span",
         "inf-point",
     ],
@@ -190,7 +177,7 @@ def test_compare_values_past_float_range_are_their_limit_zero():
     # overflows: 0, with no RuntimeWarning (warnings are errors in this suite)
     assert momentum_density(1, 1e300, HO) == 0.0
     assert np.array_equal(momentum_density(3, [1e100, -1e200], HO), [0.0, 0.0])
-    assert wigner(3, PhaseSpacePoint(1e200, 0.0), HO) == 0.0
+    assert float(_wigner_values(3, 1e200, 0.0, HO)) == 0.0
     assert wigner_momentum_marginal(2, 1e300, HO, _GRID) == 0.0
     assert coherent_overlap(64, 1e300) == 0.0
     # integer-valued floats are the same level

@@ -1,4 +1,4 @@
-"""Tests for path distributions, their moments, and the energy-density map."""
+"""Tests for path distributions and their moments."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from pathspectra.distribution import (
     spatial_average,
     stationary_grids,
     time_average,
-    to_energy_density,
 )
 from pathspectra.errors import DegenerateDistributionError, DomainError
 from pathspectra.phasor import _plane_terms, integrand, window_average, window_average_series
@@ -361,31 +360,3 @@ def test_moments_degenerate_and_unbracketed():
     with pytest.raises(DomainError):
         # flat top: half maximum never reached inside the grid
         moments(_synthetic(p, np.ones(11)))
-
-
-# ------------------------------------------------------------ to_energy_density
-
-def test_energy_density_preserves_the_norm():
-    # smooth even double bump: the energy-space trapezoid telescopes onto the
-    # two-sided momentum trapezoid exactly
-    step = 0.01
-    p = step * np.arange(-400, 401)   # exact lattice; arange-from-float drifts
-    vals = np.exp(-0.5 * ((p - 2.0) / 0.2) ** 2) + np.exp(-0.5 * ((p + 2.0) / 0.2) ** 2)
-    vals /= np.trapezoid(vals, p)
-    d = _synthetic(p, vals)
-    e = to_energy_density(d)
-    assert e.e_c_grid[0] == pytest.approx(step * step / 2.0, rel=1e-12)
-    e_norm = np.trapezoid(e.values.real, e.e_c_grid)
-    assert e_norm == pytest.approx(1.0, abs=1e-12)
-
-
-def test_energy_density_weight_and_validation():
-    p = np.arange(-1.0, 1.0 + 1e-9, 0.5)
-    vals = np.array([0.1, 0.4, 1.0, 0.4, 0.1])
-    d = _synthetic(p, vals)
-    e = to_energy_density(d)
-    # nodes p = 0.5, 1.0 map to E = p^2/2 with the 1/sqrt(E) Jacobian
-    assert e.e_c_grid == pytest.approx([0.125, 0.5])
-    assert e.values[0] == pytest.approx(math.sqrt(2.0 / 0.125) * 0.4, rel=1e-12)
-    with pytest.raises(DomainError):
-        to_energy_density(_synthetic(np.array([-0.5, 0.0, 0.5]), np.ones(3)))

@@ -207,6 +207,17 @@ def test_window_average_decays_away_from_stationary_point():
     assert abs(w10) / abs(w0) < 0.06
 
 
+def test_empty_lattices_give_empty_stacks():
+    wall = ps.EigenstateSpec(ps.hard_wall(), 2.0)
+    p_c = np.array([0.5, 1.0, 2.0])
+    for state in (K1, wall):
+        assert window_average(state, p_c, np.array([]), T_LONG, _bundle(T_LONG)).shape == (0, 3)
+        assert window_average(state, np.array([]), np.array([0.3]), T_LONG, _bundle(T_LONG)).shape == (1, 0)
+    # the travel time is still checked when there is no row to price
+    with pytest.raises(DomainError, match="positive and finite"):
+        window_average(wall, p_c, np.array([]), math.nan, _bundle(T_LONG))
+
+
 def test_window_average_oscillator_gap_window_is_zero():
     ho = ps.harmonic_oscillator()
     st = ps.EigenstateSpec(system=ho, quantum_number=1.0)
@@ -408,6 +419,10 @@ def test_segment_windows_argument_validation():
     with pytest.raises(DomainError):
         # extent narrower than one window
         segment_windows(K1, 0.0, T_LONG, 0.0, 0.5, 0.5 + H_LONG)
+    # NumPy scalars overflow to a refusal, not a RuntimeWarning
+    for cells, p_lo, p_hi in ((np.int64(4), 0.0, 1e308), (64, np.float64(-1e308), np.float64(1e308))):
+        with pytest.raises(DomainError, match="more than the limit"):
+            segment_windows(K1, 0.0, 1.0, 0.0, p_lo, p_hi, cells_per_window=cells)
 
 
 # ------------------------------------------------------------ hostile inputs

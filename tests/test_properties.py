@@ -19,13 +19,10 @@ from hypothesis import strategies as st
 
 import pathspectra as ps
 from pathspectra.compare import (
-    PhaseSpacePoint,
     TailMassWarning,
     coherent_overlap,
     momentum_density,
-    wigner,
     wigner_momentum_marginal,
-    wigner_position_marginal,
 )
 from pathspectra.distribution import stationary_grids
 from pathspectra.errors import DomainError, PathspectraError
@@ -261,9 +258,7 @@ def _finite_or_refused(call) -> None:
 def test_compare_functions_return_finite_values_or_raise_pathspectra_errors(n, system, value, points, grid):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TailMassWarning)  # a short grid warns, by design
-        _finite_or_refused(lambda: wigner(n, PhaseSpacePoint(value, -value), system))
         _finite_or_refused(lambda: wigner_momentum_marginal(n, points, system, grid))
-        _finite_or_refused(lambda: wigner_position_marginal(n, points, system, grid))
         _finite_or_refused(lambda: momentum_density(n, points, system))
         _finite_or_refused(lambda: coherent_overlap(n, value))
 

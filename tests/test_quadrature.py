@@ -183,6 +183,11 @@ def test_paper_grids_rejects_unknown_overrides_and_other_systems():
         paper_grids(state, 1.0, delta_q=0.1)
     with pytest.raises(DomainError):
         paper_grids(EigenstateSpec(free_line(), 1.0), 1.0)
+    # a sample count is a whole number: a fraction or a bool is refused, not truncated
+    for n_time in (2.7, 1.5, 0.5, True, np.True_):
+        with pytest.raises(DomainError, match="n_time"):
+            paper_grids(state, 1.0, n_time=n_time)
+    assert len(paper_grids(state, 1.0, n_time=np.float64(3.0)).T_samples) == 3
 
 
 # ---------------------------------------------------------------------------

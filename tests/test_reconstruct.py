@@ -14,7 +14,7 @@ from pathspectra.distribution import stationary_grids
 from pathspectra.errors import DomainError
 from pathspectra.phasor import _plane_terms, window_average_series
 from pathspectra.quadrature import GridBundle, trapezoid
-from pathspectra.reconstruct import dominant_path_phase, reconstruct
+from pathspectra.reconstruct import reconstruct
 from pathspectra.specfun import gaussian_phase_integral
 from pathspectra.systems import SystemKind, mass_parameter
 
@@ -209,30 +209,6 @@ def test_asymmetric_grid_reconstruct_is_bit_identical_to_per_row_loop():
     g = dataclasses.replace(g, x_f_grid=g.x_f_grid[1:])
     want = _per_column_reconstruct(st, (0.5, 2.5), T, g)
     assert reconstruct(st, (0.5, 2.5), T, g).values.tobytes() == want.tobytes()
-
-
-def test_dominant_path_phase_telescopes():
-    st = ps.EigenstateSpec(system=FREE, quantum_number=1.3)
-    t = np.linspace(0.0, 12.0, 97)
-    x, phase = dominant_path_phase(st, 0.4, t)
-    assert np.allclose(x, 0.4 + 1.3 * t, atol=1e-14)
-    want = np.mod(1.3 * x, 2.0 * np.pi)
-    # compare on the circle (wraps may differ at the seam)
-    delta = np.abs(np.exp(1j * phase) - np.exp(1j * want))
-    assert np.max(delta) < 1e-12
-
-
-def test_dominant_path_phase_validation():
-    st = ps.EigenstateSpec(system=ps.circle(radius=1.0), quantum_number=1.0)
-    with pytest.raises(DomainError):
-        dominant_path_phase(st, 0.0, np.array([0.0, 1.0]))
-    free_st = ps.EigenstateSpec(system=FREE, quantum_number=1.0)
-    with pytest.raises(DomainError):
-        dominant_path_phase(free_st, 0.0, np.array([]))
-    with pytest.raises(DomainError):
-        dominant_path_phase(free_st, 0.0, np.array([1.0, 0.5]))
-    with pytest.raises(DomainError):
-        dominant_path_phase(free_st, 0.0, np.array([-1.0, 0.5]))
 
 
 def test_thin_oscillator_band_is_time_averaged():

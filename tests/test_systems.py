@@ -23,9 +23,7 @@ from pathspectra.systems import (
     free_line,
     hard_wall,
     harmonic_oscillator,
-    ho_action,
     ho_max_momentum,
-    ho_trajectory,
     mass_parameter,
     maslov_index,
     propagator,
@@ -211,8 +209,6 @@ def test_near_singular_times_are_refused():
         lambda: maslov_index(T),
         lambda: characteristic_x0(sys_, 2.0, 0.5, T),
         lambda: ho_max_momentum(sys_, 0.1, 0.5, T),
-        lambda: ho_trajectory(sys_, 0.1, 0.5, T, 1.0),
-        lambda: ho_action(sys_, 2.0, 0.5, T),
         lambda: regular_sin(T),
     )
     for call in calls:
@@ -232,8 +228,6 @@ def test_non_finite_times_are_refused(T):
         lambda: default_winding_terms(circle(), 3.0, T),
         lambda: characteristic_x0(sys_, 2.0, 0.5, T),
         lambda: ho_max_momentum(sys_, 0.1, 0.5, T),
-        lambda: ho_trajectory(sys_, 0.1, 0.5, T, 1.0),
-        lambda: ho_action(sys_, 2.0, 0.5, T),
     )
     for call in calls:
         with pytest.raises(DomainError, match="positive and finite"):
@@ -299,9 +293,13 @@ def test_characteristic_x0_excluded_region():
         characteristic_x0(sys_, 0.3, 1.0, 1.0)
 
 
+def _ho_path(x0, xf, T, t):
+    """The classical oscillator path through (x0, 0) and (xf, T), at omega = 1."""
+    return (xf * np.sin(t) + x0 * np.sin(T - t)) / math.sin(T)
+
+
 def test_ho_trajectory_hits_both_endpoints():
-    sys_ = harmonic_oscillator()
-    x = ho_trajectory(sys_, 0.9, -1.4, 2.5, np.array([0.0, 2.5]))
+    x = _ho_path(0.9, -1.4, 2.5, np.array([0.0, 2.5]))
     assert x[0] == pytest.approx(0.9, abs=1e-14)
     assert x[1] == pytest.approx(-1.4, abs=1e-14)
 
@@ -310,15 +308,16 @@ def test_ho_trajectory_momentum_envelope_matches_label():
     sys_ = harmonic_oscillator()
     x0, xf, T = 0.8, -0.3, 2.2
     t = np.linspace(0.0, T, 20001)
-    x = ho_trajectory(sys_, x0, xf, T, t)
+    x = _ho_path(x0, xf, T, t)
     v = np.gradient(x, t)
-    span = t[(t > 0.01) & (t < T - 0.01)]
-    vmax = np.max(np.abs(v[(t > 0.01) & (t < T - 0.01)]))
+    inner = (t > 0.01) & (t < T - 0.01)
+    vmax = np.max(np.abs(v[inner]))
     envelope = ho_max_momentum(sys_, x0, xf, T)
     # either the extremum is interior (envelope reached) or the momentum
     # maximum sits at an endpoint and stays below the envelope
     assert vmax <= envelope * (1.0 + 1e-6)
-    del span
+    # the envelope is the path's momentum amplitude, M*omega*sqrt(x^2 + (v/omega)^2)
+    assert np.allclose(np.hypot(x[inner], v[inner]), envelope, rtol=1e-7)
 
 
 def test_default_winding_terms_scales_with_momentum_and_time():
