@@ -35,7 +35,7 @@ from .errors import (
 )
 from .phasor import integrand, phasor_curve, segment_windows, window_average_series
 from .quadrature import GridBundle, paper_grids, trapezoid, uniform_grid
-from .reconstruct import reconstruct
+from .reconstruct import _reconstructions, reconstruct
 from .systems import SHAPE_CONSTANT, EigenstateSpec, SystemKind, SystemSpec, eigenfunction, window_halfwidth
 
 log = logging.getLogger("pathspectra")
@@ -317,28 +317,24 @@ def _fig7(cfg: RunConfig, write: Writer) -> dict:
 
 def _fig8(cfg: RunConfig, write: Writer) -> dict:
     checks: dict[str, object] = {}
+    requests = []
     for n in (0, 3):
         state = EigenstateSpec(build_system(cfg), n)
-        bundle = _bundle_for(state, cfg)
-        checks[f"n{n}_grids"] = _grid_report(state, bundle)
         b_n = math.sqrt(2.0 * state.system.mass * state.energy)
-        bands: list[tuple[float, float]] = [
-            (0.0, 10.0),
-            (max(b_n - 1.0, 0.0), b_n + 1.0),
-            (b_n - 0.2, b_n + 0.2),
-        ]
+        bands = [(0.0, 10.0), (max(b_n - 1.0, 0.0), b_n + 1.0), (b_n - 0.2, b_n + 0.2)]
+        requests.append((state, bands, _bundle_for(state, cfg)))
+    log.info("fig8: bands (0, 10), b_n +- 1 and b_n +- 0.2 for n=0 and n=3")
+    for (state, _, bundle), recs in zip(requests, _reconstructions(requests, cfg.T)):
+        n = int(state.quantum_number)
+        checks[f"n{n}_grids"] = _grid_report(state, bundle)
         psi = np.asarray(eigenfunction(state, bundle.x_f_grid), dtype=np.complex128)
-        for i, band in enumerate(bands):
-            log.info("fig8: n=%d band (%.3f, %.3f)", n, band[0], band[1])
-            rec = reconstruct(state, band, cfg.T, bundle)
+        for i, rec in enumerate(recs):
             key = f"n{n}_band{i}"
             write(f"fig8_{key}", ("x_f", "re", "im"), (rec.x_f_grid, rec.values))
-            checks[key + "_edges"] = list(band)
-            checks[key + "_max_abs_dev_from_psi"] = float(
-                np.max(np.abs(rec.values - psi))
-            )
+            checks[key + "_edges"] = list(rec.band)
+            checks[key + "_max_abs_dev_from_psi"] = float(np.max(np.abs(rec.values - psi)))
             if i == 2:
-                turning = math.sqrt(2.0 * state.energy / (state.system.mass * (state.system.omega or 1.0) ** 2))
+                turning = math.sqrt(2.0 * state.energy / (state.system.mass * state.system.omega**2))
                 outside = np.abs(bundle.x_f_grid) > turning
                 checks[key + "_outside_turning_max"] = float(
                     np.max(np.abs(rec.values[outside])) if np.any(outside) else 0.0

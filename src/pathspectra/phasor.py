@@ -47,9 +47,9 @@ finite (phases past float range) are refused too, both with a ``DomainError``.
 Distributions, time averages and reconstruction take their windows from one
 private engine, ``_window_stack``: the mean over T' of an ``(x_f, p_c)``
 stack per level, pricing only its ``x_f >= 0`` half when parity fixes the
-rest.  Oscillator levels priced together on nested lattices (fig7's four)
-share one ``wofz`` start and one ladder climb per ``(x_f, T')`` column,
-since the ladder to level n passes through every level below it.
+rest.  Oscillator levels priced together on nested lattices (fig7's four,
+fig8's two) share one ``wofz`` start and one ladder climb per ``(x_f, T')``
+column, since the ladder to level n passes through every level below it.
 """
 
 from __future__ import annotations

@@ -11,20 +11,30 @@ classical period, same as the distributions, but without the x_f integral:
 Narrow bands centred on sqrt(2*M*E_n) reproduce the state only between the
 classical turning points -- the band selects the paths that classically exist.
 
-Band edges are snapped to the bundle's momentum lattice, so (p1,p2) + (p2,p3)
-re-brackets the same trapezoid cells as (p1,p3).  The sums are rounded
-separately, so adjacent bands add only to rounding: at most 4.0e-16
-(oscillator n = 3) and 3.9e-16 (wall k = 2) of max |value|, default grids.
+Band edges are rounded to the nodes ``k * step``, where ``step`` is
+``min(diff(p_c_grid))``; those nodes need not lie on ``p_c_grid`` itself.  At
+the paper defaults the step is 0.019999999999999574, so node 500 is
+9.999999999999787, not the lattice's 10.0.  Adjacent bands share their common
+edge node, so (p1,p2) + (p2,p3) re-brackets the same trapezoid cells as
+(p1,p3).  The sums are rounded separately, so adjacent bands add only to
+rounding: at most 4.0e-16 (oscillator n = 3) and 3.9e-16 (wall k = 2) of
+max |value|, default grids.
 
-One ``phasor._window_stack`` call gives the T'-averaged ``(x_f, band
-node)`` stack; two ``quadrature.trapezoid`` calls, negative momenta first,
-reduce every row (one ordered ``np.sum`` each).
+Each state's bands share one stack of T'-averaged windows on the nodes
+``+-step * arange(lo, hi + 1)``, where ``[lo, hi]`` is the hull of the bands'
+index ranges; all states of one :func:`_reconstructions` call (fig8's n = 0
+and n = 3) go through one ``phasor._window_stack`` call, so oscillator
+levels on nested lattices share their ladder climbs.  Each band takes two
+``quadrature.trapezoid`` calls over its own column slices, negative momenta
+first (one ordered ``np.sum`` per row).  Windows are elementwise in ``p_c``,
+so a column of the shared stack has the same bits as on the band's own nodes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -75,7 +85,13 @@ def reconstruct(
     alone.  ``band=None`` means the full truncated range, wide enough that the
     result should match the eigenfunction itself.
     """
-    _check_travel_time(T)
+    return _reconstructions([(state, [band], grids)], T)[0][0]
+
+
+def _band_span(
+    state: EigenstateSpec, band: tuple[float, float] | None, T: float, grids: GridBundle, step: float
+) -> tuple[int, int]:
+    """The checked band as node indices ``(i1, i2)``: its nodes are ``step * arange(i1, i2 + 1)``."""
     if band is None:
         p1, p2 = 0.0, _full_band_cutoff(state, grids, T)
     else:
@@ -86,29 +102,62 @@ def reconstruct(
         raise DomainError("band edges are magnitudes: p1 must be >= 0")
     if p1 >= p2:
         raise DomainError(f"band must have p1 < p2, got ({p1!r}, {p2!r})")
-
-    step = float(np.min(np.diff(grids.p_c_grid)))
     _check_node_count(2.0 * ((p2 - p1) / step + 1.0), "band node grid")
-    i1 = round(p1 / step)
-    i2 = round(p2 / step)
-    x_grid = grids.x_f_grid
-    time_averaged = state.system.kind is SystemKind.HARMONIC_OSCILLATOR
-    if i2 - i1 < 1:  # band thinner than one lattice cell: nothing to integrate
-        values = np.zeros(x_grid.size, dtype=np.complex128)
-    else:
-        _check_stack_size(x_grid.size, 2 * (i2 - i1 + 1))  # before the band nodes are built
-        pos = step * np.arange(i1, i2 + 1)
-        neg = -pos[::-1]
-        times = grids.T_samples if time_averaged else (float(T),)
-        stack = _window_stack([(state, np.concatenate([neg, pos]), x_grid, times, grids)])[0]
-        n_half = pos.size
-        values = trapezoid(neg, stack[:, :n_half]) + trapezoid(pos, stack[:, n_half:])
-    return ReconstructionResult(
-        x_f_grid=x_grid,
-        values=values,
-        band=band,
-        state=state,
-        T=float(T),
-        time_averaged=time_averaged,
-    )
+    return round(p1 / step), round(p2 / step)
 
+
+# one reconstruction request: (state, bands, grids)
+Request = tuple[EigenstateSpec, Sequence[tuple[float, float] | None], GridBundle]
+
+
+def _reconstructions(requests: Sequence[Request], T: float) -> list[list[ReconstructionResult]]:
+    """:func:`reconstruct` for every band of every request, from one window stack call.
+
+    Each state's nodes are ``+-step * arange(lo, hi + 1)`` over the hull
+    ``[lo, hi]`` of its bands' index ranges, and each band reduces its own
+    column slices of that stack.  A band thinner than one lattice cell is
+    zeros and widens no hull.
+    """
+    _check_travel_time(T)
+    plans = []  # per request: (step, each band's (i1, i2), hull or None)
+    for state, bands, grids in requests:
+        step = float(np.min(np.diff(grids.p_c_grid)))
+        spans = [_band_span(state, band, T, grids, step) for band in bands]
+        live = [(i1, i2) for i1, i2 in spans if i2 > i1]
+        hull = (min(i1 for i1, _ in live), max(i2 for _, i2 in live)) if live else None
+        if hull is not None:
+            _check_stack_size(grids.x_f_grid.size, 2 * (hull[1] - hull[0] + 1))  # before any band node is built
+        plans.append((step, spans, hull))
+    levels = []
+    for (state, _, grids), (step, _, hull) in zip(requests, plans):
+        if hull is not None:
+            pos = step * np.arange(hull[0], hull[1] + 1)
+            times = grids.T_samples if state.system.kind is SystemKind.HARMONIC_OSCILLATOR else (float(T),)
+            levels.append((state, np.concatenate([-pos[::-1], pos]), grids.x_f_grid, times, grids))
+    priced = zip([nodes for _, nodes, _, _, _ in levels], _window_stack(levels))
+
+    results = []
+    for (state, bands, grids), (_, spans, hull) in zip(requests, plans):
+        if hull is not None:
+            lo, hi = hull
+            nodes, stack = next(priced)
+            width = hi - lo + 1  # -step*i sits at column hi - i, +step*i at width + i - lo
+        recs = []
+        for band, (i1, i2) in zip(bands, spans):
+            if i2 > i1:
+                neg, pos = slice(hi - i2, hi - i1 + 1), slice(width + i1 - lo, width + i2 - lo + 1)
+                values = trapezoid(nodes[neg], stack[:, neg]) + trapezoid(nodes[pos], stack[:, pos])
+            else:  # band thinner than one lattice cell: nothing to integrate
+                values = np.zeros(grids.x_f_grid.size, dtype=np.complex128)
+            recs.append(
+                ReconstructionResult(
+                    x_f_grid=grids.x_f_grid,
+                    values=values,
+                    band=band,
+                    state=state,
+                    T=float(T),
+                    time_averaged=state.system.kind is SystemKind.HARMONIC_OSCILLATOR,
+                )
+            )
+        results.append(recs)
+    return results

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import math
 import tracemalloc
 
@@ -12,9 +13,9 @@ import pytest
 import pathspectra as ps
 from pathspectra.distribution import stationary_grids
 from pathspectra.errors import DomainError
-from pathspectra.phasor import _plane_terms, window_average_series
-from pathspectra.quadrature import GridBundle, trapezoid
-from pathspectra.reconstruct import reconstruct
+from pathspectra.phasor import _plane_terms, _shared_climbs, window_average_series
+from pathspectra.quadrature import GridBundle, _check_stack_size, trapezoid
+from pathspectra.reconstruct import _reconstructions, reconstruct
 from pathspectra.specfun import gaussian_phase_integral
 from pathspectra.systems import SystemKind, mass_parameter
 
@@ -221,3 +222,68 @@ def test_thin_oscillator_band_is_time_averaged():
     assert reconstruct(st, (0.5, 2.5), T, g).time_averaged
     wall = ps.EigenstateSpec(system=ps.hard_wall(), quantum_number=2.0)
     assert not reconstruct(wall, (1.001, 1.002), 100.0, stationary_grids(wall, 100.0, p_c_span=(-3.0, 3.0))).time_averaged
+
+
+def _assert_same_as_per_band_calls(requests, T):
+    got = _reconstructions(requests, T)
+    assert [len(recs) for recs in got] == [len(bands) for _, bands, _ in requests]
+    for (st, bands, g), recs in zip(requests, got):
+        for band, rec in zip(bands, recs):
+            alone = reconstruct(st, band, T, g)
+            assert rec.band == band and rec.time_averaged == alone.time_averaged
+            assert rec.values.tobytes() == alone.values.tobytes()
+
+
+def test_fig8_requests_share_one_stack_bit_for_bit(monkeypatch):
+    T = 32.0 * math.pi + 0.3
+    requests = []
+    for n in (0, 3):
+        st = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=n)
+        b_n = math.sqrt(2.0 * st.energy)
+        bands = [(0.0, 10.0), (max(b_n - 1.0, 0.0), b_n + 1.0), (b_n - 0.2, b_n + 0.2)]
+        if n == 0:
+            bands.append((1.001, 1.002))  # thinner than one cell
+        requests.append((st, bands, _small_oscillator_grids(st, T)))
+    groups = []
+    module = importlib.import_module("pathspectra.reconstruct")  # the package's name is the function
+    stack_calls = module._window_stack
+
+    def spy(levels):
+        groups.append(_shared_climbs(levels))
+        return stack_calls(levels)
+
+    monkeypatch.setattr(module, "_window_stack", spy)
+    got = _reconstructions(requests, T)
+    # one call, and n = 0 rides the n = 3 lattice's ladder climbs
+    assert [[i for i, _, _ in group] for group in groups[0]] == [[1, 0]]
+    assert not np.any(got[0][3].values)
+    monkeypatch.undo()
+    _assert_same_as_per_band_calls(requests, T)
+
+
+@pytest.mark.parametrize("low", [0.0, 0.5], ids=["hull-from-0", "hull-from-i1"])
+def test_overlapping_wall_bands_are_column_slices_of_one_stack(low):
+    wall = ps.EigenstateSpec(system=ps.hard_wall(), quantum_number=2.0)
+    T = 100.41315519036377
+    g = stationary_grids(wall, T, p_c_span=(-6.0, 6.0))
+    _assert_same_as_per_band_calls([(wall, [(1.2, 3.0), (low, 2.5)], g)], T)
+
+
+def test_band_hull_over_the_stack_cap_is_refused_before_its_nodes_are_built():
+    # each band alone: 101 x_f rows x 2 x 300001 nodes, under the 2^26-cell cap;
+    # their hull (0, 16000) would be 101 x 2 x 800001
+    st = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=0.0)
+    T = 32.0 * math.pi + 0.3
+    g = ps.paper_grids(st, T)
+    bands = [(0.0, 6000.0), (10000.0, 16000.0)]
+    step = float(np.min(np.diff(g.p_c_grid)))
+    for p1, p2 in bands:
+        _check_stack_size(g.x_f_grid.size, 2 * (round(p2 / step) - round(p1 / step) + 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="window stack"):
+            _reconstructions([(st, bands, g)], T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

@@ -46,6 +46,8 @@ COMMANDS: dict[str, list[str]] = {
     "fig7_pinned": ["fig7", "--set", "p_c_max=4", "--set", "x_f_span=3", "--set", "n_time=3"],
     "fig8": ["fig8"],
     "fig8_bench": ["fig8", *BENCH_GRIDS],
+    # both levels on one cropped x_f window, with another node step and its rounding
+    "fig8_pinned": ["fig8", "--set", "x_f_span=3", "--set", "n_time=3", "--set", "delta_p_c=0.05"],
     "fig9": ["fig9", "--set", "delta_p_c=0.04"],
     "fig10": ["fig10"],
     "distribution_wall": ["distribution", *_stationary("hard_wall", 2.0)],
@@ -64,6 +66,9 @@ COMMANDS: dict[str, list[str]] = {
     "reconstruct_wall": ["reconstruct", *_stationary("hard_wall", 2.0), "--set", "band_lo=0.5", "--set", "band_hi=3.0"],
     "reconstruct_circle": ["reconstruct", *_stationary("circle", 2.0), "--set", "band_lo=0.5", "--set", "band_hi=3.0"],
     "reconstruct_oscillator": ["reconstruct", "--set", "quantum_number=1", "--set", "band_lo=0.5", "--set", "band_hi=3.0"],
+    "reconstruct_oscillator_thin": [  # thinner than one lattice cell: zeros
+        "reconstruct", "--set", "quantum_number=1", "--set", "band_lo=1.001", "--set", "band_hi=1.002",
+    ],
     "reconstruct_full_band": ["reconstruct", "--set", "quantum_number=2"],  # no band keys: the full-band cutoff
     "compare": ["compare", "--set", "quantum_number=2"],
 }
