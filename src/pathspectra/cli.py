@@ -76,7 +76,6 @@ class RunConfig:
     delta_x_f: float | None = None
     x_f_span: float | None = None
     delta_T: float | None = None
-    n_time: int | None = None
     n_p_floor: float | None = None
     n_p_slope: float | None = None
     band_lo: float | None = None
@@ -187,9 +186,8 @@ def _emit(
 # the keys a system's state reads; its kind's SHAPE_CONSTANT entry joins them
 _STATE_KEYS = ("system", "hbar", "mass", "quantum_number")
 # the keys each grid recipe reads: paper_grids' overrides, then stationary_grids'
-_PAPER_GRID_KEYS = ("delta_p_c", "delta_x_f", "x_f_span", "p_c_max", "delta_T", "n_time", "n_p_floor", "n_p_slope")
+_PAPER_GRID_KEYS = ("delta_p_c", "delta_x_f", "x_f_span", "p_c_max", "delta_T", "n_p_floor", "n_p_slope")
 _STATIONARY_GRID_KEYS = ("delta_p_c", "p_c_lo", "p_c_hi", "x_f_span", "delta_x_f")
-_T_PRIME_KEYS = ("delta_T", "n_time")  # paper_grids' T' sampling
 
 
 def _bundle_for(state: EigenstateSpec, cfg: RunConfig) -> GridBundle:
@@ -236,7 +234,7 @@ def _curve_grid(state: EigenstateSpec, cfg: RunConfig) -> np.ndarray:
     if system.kind is SystemKind.HARMONIC_OSCILLATOR:
         p_max = max(
             3.0 * math.sqrt(2.0 * system.mass * state.energy),
-            system.mass * (system.omega or 1.0) * abs(cfg.x_f) + 10.0 * h,
+            system.mass * system.omega * abs(cfg.x_f) + 10.0 * h,
         )
         return uniform_grid(-p_max, p_max, step)
     standing = system.kind in (SystemKind.HARD_WALL, SystemKind.SQUARE_WELL)
@@ -484,7 +482,7 @@ def _run_command(command: str, cfg: RunConfig, given: Collection[str]) -> list[s
     kind = SystemKind(pins.get("system", cfg.system))
     oscillator = kind is SystemKind.HARMONIC_OSCILLATOR
     recipe = _PAPER_GRID_KEYS if oscillator else _STATIONARY_GRID_KEYS
-    at_T = tuple(key for key in recipe if key not in _T_PRIME_KEYS)
+    at_T = tuple(key for key in recipe if key != "delta_T")  # delta_T alone sets paper_grids' T' samples
     spelled = {
         "state": (*_STATE_KEYS, *[key for shaped, key in SHAPE_CONSTANT.items() if shaped is kind]),
         "grids": recipe,

@@ -8,9 +8,10 @@ supposed to rebuild,
 
 so that paths are scored by how much they contribute *where the state actually
 lives*.  For the oscillator the bare distribution never settles down in T;
-averaging over one classical period (at the bundle's time samples: 32
-midpoints at the default delta_T = pi/16) produces the stationary, real,
-non-negative profiles peaking at |p_c| = sqrt(2*M*E_n).
+averaging over one classical period (at the bundle's time samples: an even
+number of midpoints over exactly that period, 32 at the default delta_T)
+produces the stationary, real, non-negative profiles peaking at
+|p_c| = sqrt(2*M*E_n).
 
 Normalization note: the x_f integral and N are always computed over the same
 window, so distributions integrate to 1 regardless of the window size.  For
@@ -219,9 +220,11 @@ def time_average(state: EigenstateSpec, T: float, grids: GridBundle) -> PathDist
     """Oscillator distribution averaged over one classical period after ``T``.
 
     The x_f average of the mean window stack over ``grids.T_samples``, i.e.
-    the mean of the spatial averages there to rounding: for the midpoint
-    samples of :func:`paper_grids` that is the midpoint rule for
-    ``(omega/2pi) * int_T^{T+2pi/omega} P_n(p_c, T') dT'``.  The samples avoid the singular times ``omega*T' = k*pi``,
+    the mean of the spatial averages there to rounding: the ``2m`` midpoint
+    samples of :func:`paper_grids` tile exactly one period, so that is the
+    midpoint rule for ``(omega/2pi) * int_T^{T+2pi/omega} P_n(p_c, T') dT'``
+    with step ``(pi/omega)/m``, ``delta_T`` rounded to a whole fraction of the
+    half period.  The samples avoid the singular times ``omega*T' = k*pi``,
     but those still sit at the ends and the middle of the period, so the
     rule converges only to second order in ``delta_T``: for n = 0 at
     ``delta_x_f = 0.1`` its error measured 1.1e-1, 1.7e-2, 2.0e-3 and 5.0e-4

@@ -277,33 +277,26 @@ def phasor_curve(
 def window_average(
     state: EigenstateSpec,
     p_c: ArrayLike,
-    x_f: float,
+    x_f: ArrayLike,
     T: float,
     grids: GridBundle,
 ) -> NDArray[np.complex128] | complex:
     """Integrand averaged over the window ``[p_c - h, p_c + h]``, ``h = sqrt(hbar*m/T)``.
 
-    Closed-form for every system; the oscillator's windows are priced by
-    :func:`window_average_series`, which shares one antiderivative per
-    column.  For the four quadratic-exponent systems ``x_f`` may also be a
-    1-D array: the result then has shape ``x_f.shape + p_c.shape``, with
-    one Fresnel kernel per plane term shared by every row.  The oscillator
-    takes one ``x_f`` per call.
+    Closed-form for every system: the one-time case of :func:`_window_stack`.
+    ``x_f`` may be a scalar or a 1-D array; an array gives a result of shape
+    ``x_f.shape + p_c.shape``.  Each row shares its work across its windows:
+    one Fresnel kernel per plane term for the quadratic-exponent systems, one
+    antiderivative per row for the oscillator.
     """
     pa = _finite(p_c, "momenta p_c")
-    scalar = pa.ndim == 0
     xa = np.asarray(x_f, dtype=float)
     if xa.ndim > 1 or not np.all(np.isfinite(xa)):
         raise DomainError("x_f must be a finite scalar or 1-D array")
-    if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
-        if xa.ndim:
-            raise DomainError("oscillator windows take one x_f per call")
-        out = window_average_series(state, pa.ravel(), x_f, T, grids)
-        return complex(out[0]) if scalar else out.reshape(pa.shape)
-    out = _plane_window_stack(state, pa.ravel(), np.atleast_1d(xa), T)
+    [out] = _window_stack([(state, pa.ravel(), np.atleast_1d(xa), (float(T),), grids)])
     if xa.ndim:
         return out.reshape(xa.shape + pa.shape)
-    return complex(out[0, 0]) if scalar else out[0].reshape(pa.shape)
+    return complex(out[0, 0]) if pa.ndim == 0 else out[0].reshape(pa.shape)
 
 
 def _plane_window_stack(
@@ -373,7 +366,6 @@ def _ho_antiderivative_grid(
     return out
 
 
-@_finite_result
 def window_average_series(
     state: EigenstateSpec,
     p_c_values: ArrayLike,
@@ -381,19 +373,9 @@ def window_average_series(
     T: float,
     grids: GridBundle,
 ) -> NDArray[np.complex128]:
-    """Window averages for a whole family of ``p_c`` values at fixed ``(x_f, T)``.
-
-    The entry point for oscillator windows: each is differenced from one
-    running integral, evaluated in closed form at every window edge of the
-    column (see :func:`_window_stack`, of which this is the one-row,
-    one-time case).  Other systems go through :func:`window_average`.
-    """
-    pa = np.atleast_1d(_finite(p_c_values, "momenta p_c"))
-    if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
-        return np.asarray(window_average(state, pa, x_f, T, grids), dtype=np.complex128)
-    if not math.isfinite(x_f):
-        raise DomainError(f"x_f must be finite, got {x_f!r}")
-    return _window_stack([(state, pa, np.array([float(x_f)]), (float(T),), grids)])[0][0]
+    """Window averages for a whole family of ``p_c`` values at fixed ``(x_f, T)``:
+    the 1-D case of :func:`window_average`."""
+    return window_average(state, np.atleast_1d(p_c_values), x_f, T, grids)
 
 
 # one level of a window stack: (state, p_c, x_f, times, grids)
@@ -527,7 +509,7 @@ def _window_stack(levels: Sequence[Level]) -> list[NDArray[np.complex128]]:
     """Mean over each level's ``times`` of its window averages on its ``(x_f, p_c)`` lattice.
 
     The only loop over travel times.  Stationary x_f stacks from
-    :func:`window_average` add up in place, one level at a time.  Oscillator
+    :func:`_plane_window_stack` add up in place, one level at a time.  Oscillator
     levels whose lattices nest share one ladder climb per (row, time) of
     their largest lattice (see :func:`_oscillator_stacks`); parity gives
     ``W(-x_f, -p_c) = (-1)^n W(x_f, p_c)``, so on exactly mirror-symmetric
@@ -539,9 +521,9 @@ def _window_stack(levels: Sequence[Level]) -> list[NDArray[np.complex128]]:
     stacks: dict[int, NDArray[np.complex128]] = {}
     for i, (state, p_c, x_f, times, grids) in enumerate(levels):
         if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
-            stacks[i] = window_average(state, p_c, x_f, times[0], grids)
+            stacks[i] = _plane_window_stack(state, p_c, x_f, times[0])
             for t in times[1:]:
-                stacks[i] += window_average(state, p_c, x_f, t, grids)
+                stacks[i] += _plane_window_stack(state, p_c, x_f, t)
             stacks[i] /= len(times)
     for group in _shared_climbs(levels):
         stacks.update(zip([i for i, _, _ in group], _oscillator_stacks(levels, group)))

@@ -22,10 +22,10 @@ Everything downstream integrates on grids built here.  Three things matter:
   whose Hermite ladder is unstable, so this function is the reference
   oracle they are tested against.
 * **Grid recipes.**  :func:`paper_grids` packages the oscillator defaults
-  (32 midpoint time samples over one period, x_f out to 5*sqrt(2n+1), and
-  the fallback inner momentum resolution, growing with |x_f|) into a
-  :class:`GridBundle`.  A bundle says only where to sample; the window
-  half-width is physics of the state, from
+  (32 midpoint time samples over exactly one period, x_f out to
+  5*sqrt(2n+1), and the fallback inner momentum resolution, growing with
+  |x_f|) into a :class:`GridBundle`.  A bundle says only where to sample;
+  the window half-width is physics of the state, from
   :func:`~pathspectra.systems.window_halfwidth`.
 """
 
@@ -163,10 +163,13 @@ def paper_grids(state: EigenstateSpec, T: float, **overrides: float) -> GridBund
 
     For eigenstate ``n`` at travel time ``T``:
 
-    * 32 time samples at the midpoints ``T + (j + 1/2) * pi/16`` covering one
-      period (never hitting the singular times, which sit on the endpoints);
-      a ``delta_T`` override keeps the full-period coverage by rescaling the
-      sample count unless ``n_time`` is overridden too;
+    * ``2m`` time samples at the midpoints ``T + (j + 1/2) * step``, covering
+      exactly one period ``2*pi/omega``: ``step = (pi/omega) / m`` with
+      ``m = max(1, round((pi/omega) / delta_T))``, so ``step`` is ``delta_T``
+      rounded to a whole fraction of the half period.  The default
+      ``delta_T = (pi/omega) / 16`` gives 32 samples for every omega.  No
+      sample sits on an end of the period or, the count being even, on its
+      middle ``T + pi/omega``: the singular times when ``T`` is one;
     * ``x_f`` from ``-5*sqrt(2n+1)`` to ``+5*sqrt(2n+1)`` in steps of 0.1;
     * output momentum grid out to ``max(3*sqrt(2*M*E_n), M*omega*max|x_f| +
       10*sqrt(hbar*M/T))`` in steps of 0.02;
@@ -178,10 +181,9 @@ def paper_grids(state: EigenstateSpec, T: float, **overrides: float) -> GridBund
       :class:`GridBundle`).
 
     Keyword overrides: ``delta_p_c``, ``p_c_max``, ``delta_x_f``, ``x_f_span``,
-    ``delta_T``, ``n_time``, ``n_p_floor``, ``n_p_slope``.  Each must be
-    finite; all but ``n_p_slope`` must also be positive, and ``n_time`` a
-    whole number.  A grid or time sampling of more than ``_MAX_NODES`` nodes
-    is refused before it is built.
+    ``delta_T``, ``n_p_floor``, ``n_p_slope``.  Each must be finite; all but
+    ``n_p_slope`` must also be positive.  A grid or time sampling of more
+    than ``_MAX_NODES`` nodes is refused before it is built.
     """
     system = state.system
     if system.kind is not SystemKind.HARMONIC_OSCILLATOR:
@@ -200,18 +202,12 @@ def paper_grids(state: EigenstateSpec, T: float, **overrides: float) -> GridBund
 
     delta_x_f = positive("delta_x_f", 0.1)
     delta_p_c = positive("delta_p_c", 0.02)
-    delta_T = positive("delta_T", math.pi / 16.0)
-
-    period = 2.0 * math.pi / system.omega
-    if "n_time" in overrides:
-        requested = overrides["n_time"]
-        count = _check_node_count(positive("n_time", 1.0), "T' sampling")
-        if isinstance(requested, (bool, np.bool_)) or count != int(count):
-            raise DomainError(f"n_time must be a whole number of samples, got {requested!r}")
-        n_time = int(count)
-    else:
-        n_time = max(1, round(_check_node_count(period / delta_T, "T' sampling")))
-    T_samples = tuple(T + (j + 0.5) * delta_T for j in range(n_time))
+    half = math.pi / system.omega  # half a classical period
+    delta_T = positive("delta_T", half / 16.0)
+    _check_node_count(2.0 * half / delta_T, "T' sampling")
+    per_half = max(1, round(half / delta_T))
+    step = half / per_half
+    T_samples = tuple(T + (j + 0.5) * step for j in range(2 * per_half))
 
     x_span = positive("x_f_span", 5.0 * width * math.sqrt(system.hbar / (system.mass * system.omega)))
     _check_node_count(2.0 * (x_span / delta_x_f) + 1.0, "x_f grid")

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .errors import DivergentSampleError  # noqa: F401  (re-exported for callers)
 from .errors import DomainError, ExcludedRegionError, SingularTimeError
 from .specfun import MAX_DEGREE, ho_eigenfunction
 
@@ -113,17 +112,6 @@ class SystemSpec:
             raise DomainError("inertia is only defined for the circle")
         assert self.radius is not None
         return self.mass * self.radius**2
-
-    def domain(self) -> tuple[float, float]:
-        """Configuration-space interval (closed where the eigenfunction vanishes)."""
-        if self.kind is SystemKind.CIRCLE:
-            return (0.0, 2.0 * np.pi)
-        if self.kind is SystemKind.HARD_WALL:
-            return (0.0, np.inf)
-        if self.kind is SystemKind.SQUARE_WELL:
-            assert self.width is not None
-            return (0.0, self.width)
-        return (-np.inf, np.inf)
 
 
 def free_line(*, hbar: float = 1.0, mass: float = 1.0) -> SystemSpec:

@@ -382,7 +382,7 @@ def test_non_finite_values_are_usage_errors(tmp_path, key, value):
 
 
 @pytest.mark.parametrize(
-    "setting", ["delta_T=0", f"delta_T={-math.pi / 2}", "n_time=0", "delta_x_f=0", "delta_p_c=-0.1"]
+    "setting", ["delta_T=0", f"delta_T={-math.pi / 2}", "delta_x_f=0", "delta_p_c=-0.1"]
 )
 def test_out_of_range_grid_steps_are_domain_errors(tmp_path, setting):
     argv = ["time-average", "--set", "system=harmonic_oscillator", *SMALL_OSCILLATOR, "--set", setting]
@@ -394,8 +394,8 @@ def test_out_of_range_grid_steps_are_domain_errors(tmp_path, setting):
     "sets, n_time",
     [
         ([f"delta_T={math.pi / 2}"], 4),
-        # n_time equal to the module's own default count must still be honoured
-        ([f"delta_T={math.pi / 8}", "n_time=32"], 32),
+        # 0.2 rounds to the step pi/16: 2 * round(pi / 0.2) = 32 samples, where 2*pi / 0.2 is 31.4
+        (["delta_T=0.2"], 32),
     ],
 )
 def test_manifest_reports_the_time_samples_that_ran(tmp_path, sets, n_time):
@@ -414,8 +414,13 @@ def test_manifest_reports_the_time_samples_that_ran(tmp_path, sets, n_time):
     # the configuration is echoed as set: unset knobs stay None
     effective = manifest["effective_config"]
     assert effective["delta_T"] == float(sets[0].split("=")[1])
-    assert effective["n_time"] == (32 if len(sets) == 2 else None)
-    assert "seed" not in effective and "epsilon" not in effective
+    assert "n_time" not in effective and "seed" not in effective and "epsilon" not in effective
+
+
+def test_n_time_is_not_a_configuration_key(tmp_path):
+    # delta_T alone sets the T' samples
+    assert main(["time-average", "--set", "n_time=3", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["distribution", "window"])
@@ -519,7 +524,6 @@ WALL = ["--set", "system=hard_wall", "--set", "quantum_number=2", "--set", "T=10
         ["distribution", *WALL, "--set", "n_p_floor=7"],
         ["distribution", *WALL, "--set", "n_p_slope=7"],
         ["distribution", *WALL, "--set", "delta_T=0.3"],
-        ["distribution", *WALL, "--set", "n_time=2"],
         ["distribution", *WALL, "--set", "p_c_max=1"],
         ["reconstruct", *WALL, "--set", "band_hi=3", "--set", "n_p_floor=7"],
         ["fig2", "--set", "n_p_floor=7"],
@@ -528,7 +532,7 @@ WALL = ["--set", "system=hard_wall", "--set", "quantum_number=2", "--set", "T=10
     ],
     ids=[
         "p_c_lo-alone", "p_c_hi-alone", "phasor-p_c_hi-alone", "band_lo-alone", "wall-n_p_floor",
-        "wall-n_p_slope", "wall-delta_T", "wall-n_time", "wall-p_c_max", "wall-reconstruct-n_p_floor",
+        "wall-n_p_slope", "wall-delta_T", "wall-p_c_max", "wall-reconstruct-n_p_floor",
         "fig2-n_p_floor", "oscillator-p_c_span", "fig7-p_c_span",
     ],
 )
@@ -557,10 +561,10 @@ def test_stationary_manifests_report_only_the_grids_they_take(tmp_path):
 # the keys each command reads
 
 STATE = {"system", "hbar", "mass", "quantum_number"}
-PAPER_GRIDS = {"delta_p_c", "delta_x_f", "x_f_span", "p_c_max", "delta_T", "n_time", "n_p_floor", "n_p_slope"}
+PAPER_GRIDS = {"delta_p_c", "delta_x_f", "x_f_span", "p_c_max", "delta_T", "n_p_floor", "n_p_slope"}
 STATIONARY_GRIDS = {"delta_p_c", "p_c_lo", "p_c_hi", "x_f_span", "delta_x_f"}
 P_C_SPAN = {"delta_p_c", "p_c_lo", "p_c_hi"}
-T_PRIME = {"delta_T", "n_time"}
+T_PRIME = {"delta_T"}
 
 # (command, system it runs on or None for a preset) -> the keys it reads besides out and format
 READS: dict[tuple[str, str | None], set[str]] = {
@@ -590,7 +594,7 @@ for _system, _state, _grids, _window_grids in (
 SAMPLE = {
     "hbar": "1", "mass": "1", "omega": "1", "radius": "1", "width": "3", "quantum_number": "2", "T": "100",
     "x_f": "0.5", "delta_p_c": "0.1", "p_c_lo": "-1", "p_c_hi": "1", "p_c_max": "2", "delta_x_f": "0.2",
-    "x_f_span": "2", "delta_T": "0.5", "n_time": "4", "n_p_floor": "5", "n_p_slope": "5", "band_lo": "0.5",
+    "x_f_span": "2", "delta_T": "0.5", "n_p_floor": "5", "n_p_slope": "5", "band_lo": "0.5",
     "band_hi": "2", "segment_offset": "0", "format": "json",
 }
 # set together, since either one alone is refused whether read or not
@@ -637,6 +641,6 @@ def _benchmark_argvs() -> list[list[str]]:
 
 def test_benchmark_and_datacheck_command_lines_are_accepted(tmp_path, no_runners):
     argvs = _benchmark_argvs()
-    assert len(argvs) == 82
+    assert len(argvs) == 83
     codes = [main([*argv, "--threads", "2", "--out", str(tmp_path / str(i))]) for i, argv in enumerate(argvs)]
     assert [argv for argv, code in zip(argvs, codes) if code != EXIT_OK] == []

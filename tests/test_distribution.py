@@ -228,9 +228,12 @@ def test_window_average_x_f_shapes():
     assert isinstance(window_average(st, 2.0, 0.7, 100.0, g), complex)
     with pytest.raises(DomainError):
         window_average(st, g.p_c_grid, np.zeros((2, 2)), 100.0, g)
+    # the oscillator takes an x_f array too
     ho = ps.EigenstateSpec(system=HO, quantum_number=0.0)
-    with pytest.raises(DomainError):
-        window_average(ho, 1.0, np.array([0.0, 1.0]), T32 + 0.3, ps.paper_grids(ho, T32))
+    ho_grids = ps.paper_grids(ho, T32)
+    ho_stack = window_average(ho, [1.0, 1.5], np.array([0.0, 1.0]), T32 + 0.3, ho_grids)
+    assert ho_stack.shape == (2, 2)
+    assert ho_stack[1].tobytes() == window_average(ho, [1.0, 1.5], 1.0, T32 + 0.3, ho_grids).tobytes()
 
 
 def test_spatial_average_validation():

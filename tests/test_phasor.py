@@ -123,6 +123,40 @@ def test_free_line_integrand_is_the_x0_to_p_c_change_of_variables(x_f):
     assert np.max(np.abs(integrand(state, p, x_f, T) - want)) < 1e-12 * np.max(np.abs(want))
 
 
+_IMAGE_TERMS = 40
+# (state, the mass-like constant m, the images y of x0 whose paths end at x_f):
+# the wall and well extend psi oddly (periodically for the well) and the
+# circle unwinds its angle, so each image's label is p = m (x_f - y) / T
+IMAGE_SUMS = {
+    "hard_wall": (ps.EigenstateSpec(ps.hard_wall(), 2.0), 1.0, lambda x0: [x0, -x0]),
+    "square_well": (
+        ps.EigenstateSpec(ps.square_well(math.pi), 3),
+        1.0,
+        lambda x0: [s * x0 + 2.0 * math.pi * w for s in (1, -1) for w in range(-_IMAGE_TERMS, _IMAGE_TERMS + 1)],
+    ),
+    "circle": (
+        ps.EigenstateSpec(ps.circle(), 2),
+        ps.circle().inertia,
+        lambda x0: [x0 - 2.0 * math.pi * w for w in range(-_IMAGE_TERMS, _IMAGE_TERMS + 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_SUMS))
+def test_image_sum_integrand_is_the_x0_to_p_c_change_of_variables(name):
+    """Summed over the images of x0, the integrand is (T/m) K_N(x0, x_f, T) psi(x0) e^{iET/hbar},
+    with the kernel's image sum cut at |w| <= N as the images are."""
+    state, m, images = IMAGE_SUMS[name]
+    T, x_f = 50.0, 0.9
+    got, want = [], []
+    for x0 in (0.3, 1.7, 2.6):
+        y = np.array(images(x0))
+        got.append(np.sum(integrand(state, m * (x_f - y) / T, x_f, T)))
+        kernel = ps.propagator(state.system, x0, x_f, T, n_terms=_IMAGE_TERMS)
+        want.append((T / m) * kernel * ps.eigenfunction(state, x0) * np.exp(1j * state.energy * T / state.system.hbar))
+    assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12 * np.max(np.abs(want))
+
+
 # -------------------------------------------------------------- phasor_curve
 
 def test_phasor_curve_grid_validation():
@@ -549,7 +583,7 @@ def test_window_stack_prices_the_kept_rows_once_per_time(climbs):
     [
         dict(delta_x_f=0.4, delta_T=math.pi / 2.0),  # the benchmark's grids
         dict(delta_x_f=0.5, delta_p_c=0.1, delta_T=math.pi / 2.0),
-        dict(delta_x_f=0.5, p_c_max=4.0, x_f_span=3.0, n_time=3),  # one shared, truncated lattice
+        dict(delta_x_f=0.5, p_c_max=4.0, x_f_span=3.0, delta_T=math.pi),  # one shared, truncated lattice
     ],
     ids=["bench", "small", "pinned"],
 )
@@ -578,7 +612,7 @@ def test_a_level_past_the_ladder_takes_the_grid_while_the_rest_share_the_climb(m
     while on the rows it shares with them n = 0 and 1 still climb, to n = 1."""
     states = [ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=n) for n in (0, 1, 16)]
     grids = [
-        paper_grids(st, _T_HO, delta_x_f=2.0, delta_p_c=0.5, n_time=2, n_p_floor=5.0, n_p_slope=5.0)
+        paper_grids(st, _T_HO, delta_x_f=2.0, delta_p_c=0.5, delta_T=math.pi, n_p_floor=5.0, n_p_slope=5.0)
         for st in states
     ]
     levels = [_level(st, g) for st, g in zip(states, grids)]

@@ -52,7 +52,6 @@ OVERRIDES = {
     "delta_T": _override(0.05, 10.0),
     "x_f_span": _override(1e-3, 30.0),
     "p_c_max": _override(1e-3, 30.0),
-    "n_time": _override(0.5, 64.0),
     "n_p_floor": _override(1e-3, 1e3),
     "n_p_slope": _override(0.0, 1e3),
 }
@@ -73,6 +72,9 @@ def test_paper_grids_refuse_or_return_finite_symmetric_grids(n, overrides):
         assert np.all(np.diff(grid) > 0)
         assert np.array_equal(grid, -grid[::-1])
     assert all(math.isfinite(t) and t > 0 for t in g.T_samples)
+    # an even midpoint rule over exactly one period: half a step inside each end
+    assert len(g.T_samples) % 2 == 0
+    assert math.isclose(g.T_samples[0] - T32, T32 + 2.0 * math.pi - g.T_samples[-1], rel_tol=1e-9)
 
 
 # travel times a fixed distance from the singular multiples of pi

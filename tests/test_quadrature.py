@@ -23,7 +23,7 @@ from pathspectra.quadrature import (
     uniform_grid,
 )
 from pathspectra.reconstruct import reconstruct
-from pathspectra.systems import EigenstateSpec, free_line, hard_wall, harmonic_oscillator
+from pathspectra.systems import EigenstateSpec, free_line, hard_wall, harmonic_oscillator, regular_sin
 
 
 def test_uniform_grid_hits_both_endpoints():
@@ -149,6 +149,32 @@ def test_paper_grids_delta_T_override_keeps_full_period():
     assert g.T_samples[-1] == pytest.approx(32.0 * math.pi + 2.0 * math.pi - math.pi / 64.0)
 
 
+@pytest.mark.parametrize("omega", [0.5, 1.0, 3.0, 100.0])
+@pytest.mark.parametrize("delta_T", [None, 0.3, 2.0 * math.pi / 3.0, math.pi / 2.0, 10.0])
+def test_T_samples_are_an_even_midpoint_rule_over_exactly_one_period(omega, delta_T):
+    T = 32.0 * math.pi / omega  # a singular time: the period's ends and middle are caustics
+    state = EigenstateSpec(harmonic_oscillator(omega), 1)
+    samples = np.array(paper_grids(state, T, **({} if delta_T is None else {"delta_T": delta_T})).T_samples)
+    half = math.pi / omega
+    m = 16 if delta_T is None else max(1, round(half / delta_T))
+    step = half / m
+    assert samples.size == 2 * m
+    slack = 4.0 * math.ulp(T + 2.0 * half)  # rounding of T + (j + 1/2) * step
+    assert np.max(np.abs(np.diff(samples) - step)) <= slack
+    assert abs(samples[0] - 0.5 * step - T) <= slack
+    assert abs(samples[-1] + 0.5 * step - (T + 2.0 * half)) <= slack
+    for t in samples:
+        regular_sin(omega * t)  # no sample is a singular time
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("T", [32.0 * math.pi, 32.0 * math.pi + 0.3, 100.0])
+def test_unit_oscillator_samples_are_the_plain_midpoints_for_delta_T_pi_over_a_power_of_two(k, T):
+    delta_T = math.pi / 2**k
+    samples = paper_grids(EigenstateSpec(harmonic_oscillator(), 0), T, delta_T=delta_T).T_samples
+    assert samples == tuple(T + (j + 0.5) * delta_T for j in range(2 ** (k + 1)))
+
+
 @pytest.mark.parametrize("n", [0, 1, 3, 8])
 @pytest.mark.parametrize("overrides", [{}, {"delta_x_f": 0.4, "delta_p_c": 0.03}, {"x_f_span": 7.7}])
 def test_paper_grids_are_bitwise_mirror_symmetric(n, overrides):
@@ -183,11 +209,9 @@ def test_paper_grids_rejects_unknown_overrides_and_other_systems():
         paper_grids(state, 1.0, delta_q=0.1)
     with pytest.raises(DomainError):
         paper_grids(EigenstateSpec(free_line(), 1.0), 1.0)
-    # a sample count is a whole number: a fraction or a bool is refused, not truncated
-    for n_time in (2.7, 1.5, 0.5, True, np.True_):
-        with pytest.raises(DomainError, match="n_time"):
-            paper_grids(state, 1.0, n_time=n_time)
-    assert len(paper_grids(state, 1.0, n_time=np.float64(3.0)).T_samples) == 3
+    # delta_T alone sets the T' samples: a sample count is no override
+    with pytest.raises(DomainError, match="unknown grid overrides"):
+        paper_grids(state, 1.0, n_time=3)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +232,7 @@ OVERSIZED = {
     "paper_grids-p_c_max=1e300": lambda: paper_grids(_OSC1, _T32, p_c_max=1e300),
     "paper_grids-delta_T=1e-300": lambda: paper_grids(_OSC1, _T32, delta_T=1e-300),
     "paper_grids-delta_T=1e-9": lambda: paper_grids(_OSC1, _T32, delta_T=1e-9),
-    "paper_grids-n_time=1e30": lambda: paper_grids(_OSC1, _T32, n_time=1e30),
+    "paper_grids-omega=1e-9": lambda: paper_grids(EigenstateSpec(harmonic_oscillator(1e-9), 1), _T32, delta_T=1.0),
     "reconstruct-band_hi=1e300": lambda: reconstruct(_OSC1, (0.0, 1e300), _T32 + 0.3, _SMALL_BUNDLE),
     "segment_windows-p_hi=1e300": lambda: segment_windows(_OSC1, 0.5, _T32 + 0.3, 0.0, 0.0, 1e300),
 }
@@ -225,8 +249,8 @@ def test_node_limit_boundary_and_explicit_sample_count():
     for count in (_MAX_NODES + 1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             _check_node_count(count, "grid")
-    # an explicit n_time replaces the period / delta_T count
-    assert len(paper_grids(_OSC1, _T32, delta_T=1e-9, n_time=4).T_samples) == 4
+    # an explicit delta_T sets the count, 2 * round((pi/omega) / delta_T)
+    assert len(paper_grids(_OSC1, _T32, delta_T=0.3).T_samples) == 2 * round(math.pi / 0.3)
 
 
 # the stack limit: (x_f, p_c) window stacks are refused before allocation

@@ -42,12 +42,12 @@ COMMANDS: dict[str, list[str]] = {
     "fig2": ["fig2"],
     "fig7": ["fig7"],
     "fig7_bench": ["fig7", *BENCH_GRIDS],
-    # every level on one truncated lattice
-    "fig7_pinned": ["fig7", "--set", "p_c_max=4", "--set", "x_f_span=3", "--set", "n_time=3"],
+    # every level on one truncated lattice, at two T' samples
+    "fig7_pinned": ["fig7", "--set", "p_c_max=4", "--set", "x_f_span=3", "--set", f"delta_T={math.pi!r}"],
     "fig8": ["fig8"],
     "fig8_bench": ["fig8", *BENCH_GRIDS],
     # both levels on one cropped x_f window, with another node step and its rounding
-    "fig8_pinned": ["fig8", "--set", "x_f_span=3", "--set", "n_time=3", "--set", "delta_p_c=0.05"],
+    "fig8_pinned": ["fig8", "--set", "x_f_span=3", "--set", f"delta_T={math.pi!r}", "--set", "delta_p_c=0.05"],
     "fig9": ["fig9", "--set", "delta_p_c=0.04"],
     "fig10": ["fig10"],
     "distribution_wall": ["distribution", *_stationary("hard_wall", 2.0)],
@@ -55,6 +55,7 @@ COMMANDS: dict[str, list[str]] = {
     "distribution_line": ["distribution", *_stationary("free_line", 1.0)],
     "distribution_circle": ["distribution", *_stationary("circle", 2.0)],
     "time_average": ["time-average"],
+    "time_average_omega3": ["time-average", "--set", "omega=3"],  # 32 T' samples over one period 2*pi/3
     "phasor_oscillator": ["phasor", "--set", "x_f=0.7", "--set", f"T={T_OSCILLATOR!r}"],
     "window_oscillator": ["window", "--set", "quantum_number=1", "--set", "x_f=0.7", "--set", f"T={T_OSCILLATOR!r}"],
     "distribution_oscillator": ["distribution", "--set", "quantum_number=1", "--set", f"T={T_OSCILLATOR!r}"],
