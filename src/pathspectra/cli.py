@@ -156,6 +156,9 @@ def build_state(cfg: RunConfig) -> EigenstateSpec:
 # ---------------------------------------------------------------------------
 # output plumbing
 
+# CSV rows formatted by one `%` format: a cap on the writer's text buffer
+_CSV_CHUNK_ROWS = 1 << 14
+
 
 def _emit(
     out_dir: Path,
@@ -167,19 +170,26 @@ def _emit(
     """Write one data table as ``<name>.csv`` or ``<name>.json``; return the filename.
 
     A complex column fills two header slots: its real part, then its
-    imaginary part.
+    imaginary part.  CSV rows are formatted ``_CSV_CHUNK_ROWS`` at a time by
+    one ``%`` format, whose ``%.17g`` gives the bytes of ``format(v, ".17g")``.
     """
-    cols: list[list[float]] = []
+    parts: list[np.ndarray] = []
     for column in map(np.asarray, columns):
-        parts = (column.real, column.imag) if np.iscomplexobj(column) else (column.astype(float),)
-        cols += [part.tolist() for part in parts]
+        parts += [column.real, column.imag] if np.iscomplexobj(column) else [column.astype(float)]
     if fmt == "json":
-        filename, text = f"{name}.json", json.dumps(dict(zip(header, cols)), indent=1)
+        filename = f"{name}.json"
+        text = json.dumps(dict(zip(header, (part.tolist() for part in parts))), indent=1)
+        (out_dir / filename).write_text(text + "\n", encoding="utf-8")
     else:
-        rows = [",".join(format(v, ".17g") for v in row) for row in zip(*cols)]
-        filename, text = f"{name}.csv", "\n".join([",".join(header), *rows])
-    (out_dir / filename).write_text(text + "\n", encoding="utf-8")
-    log.debug("wrote %s (%d rows)", filename, len(cols[0]))
+        filename = f"{name}.csv"
+        table = np.column_stack(parts)
+        row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+        with open(out_dir / filename, "w", encoding="utf-8") as handle:
+            handle.write(",".join(header) + "\n")
+            for start in range(0, len(table), _CSV_CHUNK_ROWS):
+                chunk = table[start : start + _CSV_CHUNK_ROWS]
+                handle.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+    log.debug("wrote %s (%d rows)", filename, len(parts[0]))
     return filename
 
 

@@ -13,7 +13,8 @@ Two standard descriptions of the oscillator eigenstates:
 The marginal is computed here by explicit quadrature and *tested* against
 the closed form (:func:`momentum_density`); the cross-validation is the
 point.  It broadcasts over p: the Wigner samples are built in row blocks of
-at most ``_BLOCK_CELLS`` and each row is one
+at most ``_BLOCK_CELLS`` (256 KiB of float64), in a few buffers allocated
+once per call, and each row is reduced by the arithmetic of
 :func:`~pathspectra.quadrature.trapezoid`, bit-identical whatever the block
 holds.
 """
@@ -27,8 +28,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import DomainError
-from .quadrature import trapezoid
-from .specfun import MAX_DEGREE, hermite, laguerre
+from .specfun import MAX_DEGREE, _laguerre_into, hermite, laguerre
 from .systems import SystemKind, SystemSpec, _finite
 
 __all__ = [
@@ -39,8 +39,8 @@ __all__ = [
 ]
 
 
-# Wigner samples per evaluation block of a marginal (2 MiB of float64)
-_BLOCK_CELLS = 1 << 18
+# Wigner samples per evaluation block of a marginal: 256 KiB of float64 per buffer, cache-sized
+_BLOCK_CELLS = 1 << 15
 
 
 class TailMassWarning(UserWarning):
@@ -80,9 +80,10 @@ def wigner_momentum_marginal(
     """``int F_n(x, p) dx`` by trapezoid: the momentum-space density |psi~_n(p)|^2.
 
     Broadcasts over ``p`` (a scalar gives a float).  Rows are built in blocks
-    of at most ``_BLOCK_CELLS`` samples and each momentum is its own
-    :func:`~pathspectra.quadrature.trapezoid` row, so the block size cannot
-    change a result.  An ``x_grid`` short of the state's extent warns with
+    of at most ``_BLOCK_CELLS`` samples, reusing the same buffers, and each
+    momentum is its own :func:`~pathspectra.quadrature.trapezoid` row (the
+    same operations, in place), so the block size cannot change a result.
+    An ``x_grid`` short of the state's extent warns with
     :class:`TailMassWarning`.
     """
     n = _level(n)
@@ -103,10 +104,35 @@ def wigner_momentum_marginal(
     pts = _finite(p, "marginal points")
     flat = pts.ravel()
     out = np.empty(flat.size)
-    rows = max(1, _BLOCK_CELLS // grid.size)
-    for start in range(0, flat.size, rows):
-        block = flat[start : start + rows, None]
-        out[start : start + rows] = trapezoid(grid, _wigner_values(n, grid, block, system))
+    rows = max(1, min(flat.size, _BLOCK_CELLS // grid.size))
+    front = (-1.0 if n % 2 else 1.0) / (math.pi * hbar)
+    dx = np.diff(grid)
+    # the operations of _wigner_values, laguerre and quadrature._cells, in their
+    # order, into buffers allocated once: a fresh 2-D temporary per block and
+    # step would cost a page-faulted allocation each time
+    arg, values, lag, lag_prev, spare = (np.empty((rows, grid.size)) for _ in range(5))
+    bad = np.empty((rows, grid.size), dtype=bool)
+    cells = np.empty((rows, grid.size - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_part = 2.0 * mass * omega * grid * grid / hbar
+        p_part = 2.0 * flat * flat / (hbar * mass * omega)
+        for start in range(0, flat.size, rows):
+            m = min(rows, flat.size - start)
+            a, v, c, nonfinite = arg[:m], values[:m], cells[:m], bad[:m]
+            np.add(x_part, p_part[start : start + m, None], out=a)
+            np.multiply(a, -0.5, out=v)
+            np.exp(v, out=v)
+            np.multiply(v, front, out=v)
+            if n:
+                v *= _laguerre_into(n, a, lag[:m], lag_prev[:m], spare[:m])
+            # finite inputs give inf/NaN only as an underflowed Gaussian times an overflowed polynomial: limit 0
+            np.isfinite(v, out=nonfinite)
+            np.logical_not(nonfinite, out=nonfinite)
+            np.copyto(v, 0.0, where=nonfinite)
+            np.add(v[:, 1:], v[:, :-1], out=c)
+            np.multiply(c, 0.5, out=c)
+            np.multiply(c, dx, out=c)
+            np.sum(c, axis=-1, out=out[start : start + m])
     return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
 
 

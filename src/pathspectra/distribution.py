@@ -16,14 +16,21 @@ produces the stationary, real, non-negative profiles peaking at
 Normalization note: the x_f integral and N are always computed over the same
 window, so distributions integrate to 1 regardless of the window size.  For
 the phase-like eigenfunctions (free line, circle) the conjugate weight cancels
-the only x_f dependence of the window average exactly, and the quotient of
-integrals collapses to the window kernel itself, which ``spatial_average`` uses.
+the only x_f dependence of the window average exactly, so the quotient of
+integrals is the window kernel itself to rounding: the plane-term average
+below computes it as the one-term case, and the x_f window cannot matter.
 
-Cost note: ``phasor._window_stack``, the engine reconstruction shares,
-returns the ``(x_f, p_c)`` stack already averaged over the T' samples, so
-the T'-independent weights and N apply once: one ordered ``np.sum`` (the x_f trapezoid as weights).
-Levels priced together (fig7's n = 0..3, one ``_distributions`` call) share
-one ladder climb per (x_f, T') column of their largest lattice.
+Cost note: the wall, well, line and circle windows are a sum of at most two
+plane terms, ``W(x_f, p_c) = sum_t pref_t(x_f) * G_t(p_c) / 2h``, so their
+x_f average is ``sum_t c_t * G_t(p_c) / 2h`` with ``c_t`` the weighted x_f
+sum of ``pref_t``: one Fresnel kernel per term and no ``(x_f, p_c)`` stack
+(the default hard wall's would be 129 x 174,446 cells).  The oscillator
+takes ``phasor._window_stack``, the engine reconstruction shares: the
+``(x_f, p_c)`` stack already averaged over the T' samples, so the
+T'-independent weights and N apply once, one ordered ``np.sum`` (the x_f
+trapezoid as weights).  Levels priced together (fig7's n = 0..3, one
+``_distributions`` call) share one ladder climb per (x_f, T') column of
+their largest lattice.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateDistributionError, DomainError
-from .phasor import _window_stack, window_average
+from .phasor import _plane_factors, _window_stack
 from .quadrature import GridBundle, _check_node_count, trapezoid, uniform_grid
 from .systems import EigenstateSpec, SystemKind, _check_travel_time, eigenfunction, mass_parameter, window_halfwidth
 
@@ -210,8 +217,8 @@ def _grid_average(
 def spatial_average(state: EigenstateSpec, T: float, grids: GridBundle) -> PathDistribution:
     """Average the window integrals against the conjugated eigenfunction at ``T``.
 
-    Free line and circle use the collapsed form: their x_f dependence cancels
-    identically, so the x_f window provably cannot matter.
+    The wall, well, line and circle sum their plane terms over x_f, with no
+    ``(x_f, p_c)`` stack (see the module docstring).
     """
     return _distributions([(state, grids)], T, time_averaged=False)[0]
 
@@ -236,11 +243,12 @@ def time_average(state: EigenstateSpec, T: float, grids: GridBundle) -> PathDist
 def _distributions(
     pairs: Sequence[tuple[EigenstateSpec, GridBundle]], T: float, *, time_averaged: bool
 ) -> list[PathDistribution]:
-    """``_grid_average / N`` for each ``(state, grids)`` over ``(T,)`` or its ``grids.T_samples``.
+    """The normalised x_f average for each ``(state, grids)`` over ``(T,)`` or its ``grids.T_samples``.
 
-    Free line and circle collapse to their window kernel.  Several
-    oscillator levels priced together (fig7's four) share one ladder climb
-    per (x_f, T') column where their lattices nest.
+    Quadratic systems sum their plane terms over x_f (see the module
+    docstring).  Oscillator levels take :func:`_grid_average` of the window
+    stack; several priced together (fig7's four) share one ladder climb per
+    (x_f, T') column where their lattices nest.
     """
     if time_averaged and any(state.system.kind is not SystemKind.HARMONIC_OSCILLATOR for state, _ in pairs):
         raise DomainError("time averaging over a classical period is an oscillator operation")
@@ -249,20 +257,22 @@ def _distributions(
     members = [
         (state, grids.T_samples if time_averaged else (float(T),), grids, weights)
         for state, grids, weights, _ in weighted
-        if state.system.kind not in _PLANE_KINDS
+        if state.system.kind is SystemKind.HARMONIC_OSCILLATOR
     ]
     # one state goes through _grid_average, the helper perfbench's tracer wraps
     sums = iter(_grid_averages(members) if len(members) > 1 else [_grid_average(*member) for member in members])
     dists = []
-    for state, grids, _, norm in weighted:
-        if state.system.kind in _PLANE_KINDS:
-            values = window_average(state, grids.p_c_grid, 0.0, T, grids)
-        else:
+    for state, grids, weights, norm in weighted:
+        if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
             values = next(sums) / norm
+        else:  # sum_t c_t * G_t(p_c) / 2h with c_t = sum_x weights(x) * pref_t(x)
+            prefs, kernels = _plane_factors(state, grids.p_c_grid, grids.x_f_grid, float(T))
+            coeffs = np.sum(prefs * weights, axis=1)
+            values = np.sum(coeffs[:, None] * kernels, axis=0) / (2.0 * window_halfwidth(state.system, T)) / norm
         dists.append(
             PathDistribution(
                 p_c_grid=grids.p_c_grid,
-                values=np.asarray(values, dtype=np.complex128),
+                values=values,
                 state=state,
                 T=float(T),
                 time_averaged=time_averaged,

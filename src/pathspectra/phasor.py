@@ -19,9 +19,10 @@ system family:
   circle, hard wall, square well) windows come from
   :func:`~pathspectra.specfun.gaussian_phase_integral`.  The integrand is a
   sum of plane terms ``pref_t(x_f) * exp(i*gamma*(p_c - c_t)^2)``, so only
-  the prefactor depends on ``x_f``: :func:`window_average` takes a 1-D
-  ``x_f`` array and prices each term's Fresnel kernel once for the whole
-  ``(x_f, p_c)`` stack.
+  the prefactor depends on ``x_f``: ``_plane_factors`` prices each term's
+  Fresnel kernel once, which :func:`window_average` scales into an
+  ``(x_f, p_c)`` stack and distributions and reconstruction reduce without
+  one.
 * The oscillator integrand carries integrable ``1/sqrt`` divergences at
   ``|p_c| = M*omega*|x_f|``.  Substituting ``v = sqrt(p_c^2 - b^2)`` removes
   them, and on each sign branch the starting point ``x0`` is linear in v
@@ -44,12 +45,13 @@ grid bundle only supplies the fallback spacing.  Momenta must be finite for
 every system (NaN and +-inf are refused on entry), and results that are not
 finite (phases past float range) are refused too, both with a ``DomainError``.
 
-Distributions, time averages and reconstruction take their windows from one
-private engine, ``_window_stack``: the mean over T' of an ``(x_f, p_c)``
-stack per level, pricing only its ``x_f >= 0`` half when parity fixes the
-rest.  Oscillator levels priced together on nested lattices (fig7's four,
-fig8's two) share one ``wofz`` start and one ladder climb per ``(x_f, T')``
-column, since the ladder to level n passes through every level below it.
+Oscillator distributions, time averages and reconstruction take their
+windows from one private engine, ``_window_stack``: the mean over T' of an
+``(x_f, p_c)`` stack per level, pricing only its ``x_f >= 0`` half when
+parity fixes the rest.  Levels priced together on nested lattices (fig7's
+four, fig8's two) share one ``wofz`` start and one ladder climb per
+``(x_f, T')`` column, since the ladder to level n passes through every level
+below it.
 """
 
 from __future__ import annotations
@@ -299,6 +301,36 @@ def window_average(
     return complex(out[0, 0]) if pa.ndim == 0 else out[0].reshape(pa.shape)
 
 
+def _plane_factors(
+    state: EigenstateSpec,
+    p_c: NDArray[np.float64],
+    x_f: NDArray[np.float64],
+    T: float,
+) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
+    """The separated plane terms of a quadratic-exponent system's windows.
+
+    Returns ``(prefs, kernels)``, each with one row per plane term, so that
+    ``W(x_f, p_c) = sum_t prefs[t, x_f] * kernels[t, p_c] / (2h)``: the
+    prefactors ``pref_t(x_f)`` of :func:`_plane_terms` and the Fresnel window
+    kernels ``G_t(p_c)``, each evaluated once.  Consumers that need only a
+    product of the sum (an x_f average, a band integral) never build the
+    ``(x_f, p_c)`` stack.
+    """
+    h = window_halfwidth(state.system, T)
+    gamma = _gamma(state, T)
+    # prefactors stay Python complex products, as in the per-column form:
+    # NumPy's complex multiply can round differently in the last bit
+    centers = [center for _, center in _plane_terms(state, 0.0, T)]
+    prefs = np.empty((len(centers), x_f.size), dtype=np.complex128)
+    for j, x in enumerate(x_f):
+        prefs[:, j] = [pref for pref, _ in _plane_terms(state, float(x), T)]
+    kernels = np.empty((len(centers), p_c.size), dtype=np.complex128)
+    for kernel, center in zip(kernels, centers):
+        u = p_c - center
+        kernel[:] = gaussian_phase_integral(u - h, u + h, gamma)
+    return prefs, kernels
+
+
 def _plane_window_stack(
     state: EigenstateSpec,
     p_c: NDArray[np.float64],
@@ -307,25 +339,18 @@ def _plane_window_stack(
 ) -> NDArray[np.complex128]:
     """Windows of a quadratic-exponent system on the ``(x_f, p_c)`` lattice.
 
-    Each plane term ``pref_t(x_f) * G_t(p_c)`` separates: the Fresnel window
-    kernel ``G_t`` is evaluated once per term over all of ``p_c`` and scaled
+    The explicit stack of :func:`_plane_factors`: each kernel row is scaled
     row by row by the per-``x_f`` prefactors, accumulated in place into one
     ``(x_f.size, p_c.size)`` stack.  Every element follows the per-column
     arithmetic ``(0 + pref_1*G_1 + pref_2*G_2) / (2h)`` exactly.
     """
     _check_stack_size(x_f.size, p_c.size)
-    h = window_halfwidth(state.system, T)
-    gamma = _gamma(state, T)
-    # prefactors stay Python complex products, as in the per-column form:
-    # NumPy's complex multiply can round differently in the last bit
-    terms = [_plane_terms(state, float(x), T) for x in x_f]
+    prefs, kernels = _plane_factors(state, p_c, x_f, T)
     out = np.zeros((x_f.size, p_c.size), dtype=np.complex128)
-    for t, (_, center) in enumerate(terms[0] if terms else ()):  # no x_f rows: the empty stack
-        u = p_c - center
-        kernel = np.asarray(gaussian_phase_integral(u - h, u + h, gamma), dtype=np.complex128)
-        for row, per_x in zip(out, terms):
-            row += per_x[t][0] * kernel
-    out /= 2.0 * h
+    for per_x, kernel in zip(prefs, kernels):
+        for row, pref in zip(out, per_x):
+            row += pref * kernel
+    out /= 2.0 * window_halfwidth(state.system, T)
     return out
 
 
@@ -508,8 +533,8 @@ def _oscillator_stacks(
 def _window_stack(levels: Sequence[Level]) -> list[NDArray[np.complex128]]:
     """Mean over each level's ``times`` of its window averages on its ``(x_f, p_c)`` lattice.
 
-    The only loop over travel times.  Stationary x_f stacks from
-    :func:`_plane_window_stack` add up in place, one level at a time.  Oscillator
+    The only loop over travel times.  Stationary x_f stacks (``window_average``'s)
+    from :func:`_plane_window_stack` add up in place, one level at a time.  Oscillator
     levels whose lattices nest share one ladder climb per (row, time) of
     their largest lattice (see :func:`_oscillator_stacks`); parity gives
     ``W(-x_f, -p_c) = (-1)^n W(x_f, p_c)``, so on exactly mirror-symmetric

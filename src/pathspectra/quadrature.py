@@ -62,7 +62,9 @@ def _check_node_count(count: float, what: str) -> float:
     return count
 
 
-_MAX_CELLS = 1 << 26  # largest (x_f, p_c) window stack, 1 GiB; the default wall builds 2.25e7
+# largest (x_f, p_c) window stack, 1 GiB: the oscillator engine's and window_average's
+# x_f stacks; stationary distributions and reconstructions build none
+_MAX_CELLS = 1 << 26
 
 
 def _check_stack_size(rows: int, columns: int) -> None:
@@ -170,9 +172,13 @@ def paper_grids(state: EigenstateSpec, T: float, **overrides: float) -> GridBund
       ``delta_T = (pi/omega) / 16`` gives 32 samples for every omega.  No
       sample sits on an end of the period or, the count being even, on its
       middle ``T + pi/omega``: the singular times when ``T`` is one;
-    * ``x_f`` from ``-5*sqrt(2n+1)`` to ``+5*sqrt(2n+1)`` in steps of 0.1;
+    * ``x_f`` from ``-5*sqrt(2n+1)*l`` to ``+5*sqrt(2n+1)*l`` in steps of
+      ``0.1*l``, with the oscillator length ``l = sqrt(hbar/(M*omega))``;
     * output momentum grid out to ``max(3*sqrt(2*M*E_n), M*omega*max|x_f| +
-      10*sqrt(hbar*M/T))`` in steps of 0.02;
+      10*sqrt(hbar*M/T))`` in steps of ``0.02*p0``, ``p0 = sqrt(hbar*M*omega)``;
+    * so every default is in oscillator units (``l = p0 = 1`` exactly for the
+      unit oscillator), and ``p0 * P(p0 * u)`` at ``T/omega`` is the unit
+      oscillator's ``P(u)`` at ``T`` to rounding;
     * both grids are whole multiples of their step, so each is exactly
       mirror-symmetric about 0 (the oscillator stack uses that to price
       only half its rows);
@@ -200,8 +206,11 @@ def paper_grids(state: EigenstateSpec, T: float, **overrides: float) -> GridBund
             raise DomainError(f"{name} must be positive and finite, got {value}")
         return value
 
-    delta_x_f = positive("delta_x_f", 0.1)
-    delta_p_c = positive("delta_p_c", 0.02)
+    # oscillator units, exactly 1 for the unit oscillator
+    length = math.sqrt(system.hbar / (system.mass * system.omega))
+    momentum = math.sqrt(system.hbar * system.mass * system.omega)
+    delta_x_f = positive("delta_x_f", 0.1 * length)
+    delta_p_c = positive("delta_p_c", 0.02 * momentum)
     half = math.pi / system.omega  # half a classical period
     delta_T = positive("delta_T", half / 16.0)
     _check_node_count(2.0 * half / delta_T, "T' sampling")
@@ -209,7 +218,7 @@ def paper_grids(state: EigenstateSpec, T: float, **overrides: float) -> GridBund
     step = half / per_half
     T_samples = tuple(T + (j + 0.5) * step for j in range(2 * per_half))
 
-    x_span = positive("x_f_span", 5.0 * width * math.sqrt(system.hbar / (system.mass * system.omega)))
+    x_span = positive("x_f_span", 5.0 * width * length)
     _check_node_count(2.0 * (x_span / delta_x_f) + 1.0, "x_f grid")
     m_steps = max(1, round(x_span / delta_x_f))
     x_f_grid = delta_x_f * np.arange(-m_steps, m_steps + 1)

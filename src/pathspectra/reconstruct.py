@@ -17,17 +17,22 @@ the paper defaults the step is 0.019999999999999574, so node 500 is
 9.999999999999787, not the lattice's 10.0.  Adjacent bands share their common
 edge node, so (p1,p2) + (p2,p3) re-brackets the same trapezoid cells as
 (p1,p3).  The sums are rounded separately, so adjacent bands add only to
-rounding: at most 4.0e-16 (oscillator n = 3) and 3.9e-16 (wall k = 2) of
+rounding: at most 4.0e-16 (oscillator n = 3) and 2.8e-16 (wall k = 2) of
 max |value|, default grids.
 
-Each state's bands share one stack of T'-averaged windows on the nodes
+Each state's bands share one set of rows on the nodes
 ``+-step * arange(lo, hi + 1)``, where ``[lo, hi]`` is the hull of the bands'
-index ranges; all states of one :func:`_reconstructions` call (fig8's n = 0
-and n = 3) go through one ``phasor._window_stack`` call, so oscillator
-levels on nested lattices share their ladder climbs.  Each band takes two
-``quadrature.trapezoid`` calls over its own column slices, negative momenta
-first (one ordered ``np.sum`` per row).  Windows are elementwise in ``p_c``,
-so a column of the shared stack has the same bits as on the band's own nodes.
+index ranges.  For the oscillator the rows are the stack of T'-averaged
+windows, one per x_f: all levels of one :func:`_reconstructions` call (fig8's
+n = 0 and n = 3) go through one ``phasor._window_stack`` call, so levels on
+nested lattices share their ladder climbs.  The wall, well, line and circle
+build no stack: their windows are ``sum_t pref_t(x_f) * G_t(p_c) / 2h``, so
+the rows are the Fresnel kernels ``G_t``, one per plane term, and a band is
+``sum_t pref_t(x_f) * B_t / 2h`` with ``B_t`` the band integral of ``G_t``.
+Each band takes two ``quadrature.trapezoid`` calls over its own column
+slices of the rows, negative momenta first (one ordered ``np.sum`` per row).
+Windows are elementwise in ``p_c``, so a column of the shared rows has the
+same bits as on the band's own nodes.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainError
-from .phasor import _window_stack
+from .phasor import _plane_factors, _window_stack
 from .quadrature import GridBundle, _check_node_count, _check_stack_size, trapezoid
 from .systems import EigenstateSpec, SystemKind, _check_travel_time, window_halfwidth
 
@@ -111,12 +116,14 @@ Request = tuple[EigenstateSpec, Sequence[tuple[float, float] | None], GridBundle
 
 
 def _reconstructions(requests: Sequence[Request], T: float) -> list[list[ReconstructionResult]]:
-    """:func:`reconstruct` for every band of every request, from one window stack call.
+    """:func:`reconstruct` for every band of every request, each state's windows priced once.
 
     Each state's nodes are ``+-step * arange(lo, hi + 1)`` over the hull
     ``[lo, hi]`` of its bands' index ranges, and each band reduces its own
-    column slices of that stack.  A band thinner than one lattice cell is
-    zeros and widens no hull.
+    column slices of that hull.  Oscillator levels share one
+    ``phasor._window_stack`` call; a quadratic system reduces its plane
+    kernels instead (see the module docstring).  A band thinner than one
+    lattice cell is zeros and widens no hull.
     """
     _check_travel_time(T)
     plans = []  # per request: (step, each band's (i1, i2), hull or None)
@@ -125,28 +132,37 @@ def _reconstructions(requests: Sequence[Request], T: float) -> list[list[Reconst
         spans = [_band_span(state, band, T, grids, step) for band in bands]
         live = [(i1, i2) for i1, i2 in spans if i2 > i1]
         hull = (min(i1 for i1, _ in live), max(i2 for _, i2 in live)) if live else None
-        if hull is not None:
+        if hull is not None and state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
             _check_stack_size(grids.x_f_grid.size, 2 * (hull[1] - hull[0] + 1))  # before any band node is built
         plans.append((step, spans, hull))
-    levels = []
-    for (state, _, grids), (step, _, hull) in zip(requests, plans):
-        if hull is not None:
-            pos = step * np.arange(hull[0], hull[1] + 1)
-            times = grids.T_samples if state.system.kind is SystemKind.HARMONIC_OSCILLATOR else (float(T),)
-            levels.append((state, np.concatenate([-pos[::-1], pos]), grids.x_f_grid, times, grids))
-    priced = zip([nodes for _, nodes, _, _, _ in levels], _window_stack(levels))
+    # each hull's nodes, +-step * arange(lo, hi + 1) with the negative momenta first
+    positive = [None if hull is None else step * np.arange(hull[0], hull[1] + 1) for step, _, hull in plans]
+    hull_nodes = [None if pos is None else np.concatenate([-pos[::-1], pos]) for pos in positive]
+    levels = [
+        (state, nodes, grids.x_f_grid, grids.T_samples, grids)
+        for (state, _, grids), nodes in zip(requests, hull_nodes)
+        if nodes is not None and state.system.kind is SystemKind.HARMONIC_OSCILLATOR
+    ]
+    stacks = iter(_window_stack(levels))
 
     results = []
-    for (state, bands, grids), (_, spans, hull) in zip(requests, plans):
+    for (state, bands, grids), (_, spans, hull), nodes in zip(requests, plans, hull_nodes):
+        oscillator = state.system.kind is SystemKind.HARMONIC_OSCILLATOR
         if hull is not None:
             lo, hi = hull
-            nodes, stack = next(priced)
             width = hi - lo + 1  # -step*i sits at column hi - i, +step*i at width + i - lo
+            if oscillator:  # one row per x_f
+                rows = next(stacks)
+            else:  # one row per plane term, scaled by its x_f prefactors once integrated
+                prefs, rows = _plane_factors(state, nodes, grids.x_f_grid, float(T))
+                scale = 2.0 * window_halfwidth(state.system, T)
         recs = []
         for band, (i1, i2) in zip(bands, spans):
             if i2 > i1:
                 neg, pos = slice(hi - i2, hi - i1 + 1), slice(width + i1 - lo, width + i2 - lo + 1)
-                values = trapezoid(nodes[neg], stack[:, neg]) + trapezoid(nodes[pos], stack[:, pos])
+                values = trapezoid(nodes[neg], rows[:, neg]) + trapezoid(nodes[pos], rows[:, pos])
+                if not oscillator:
+                    values = np.sum(prefs * values[:, None], axis=0) / scale
             else:  # band thinner than one lattice cell: nothing to integrate
                 values = np.zeros(grids.x_f_grid.size, dtype=np.complex128)
             recs.append(
@@ -156,8 +172,9 @@ def _reconstructions(requests: Sequence[Request], T: float) -> list[list[Reconst
                     band=band,
                     state=state,
                     T=float(T),
-                    time_averaged=state.system.kind is SystemKind.HARMONIC_OSCILLATOR,
+                    time_averaged=oscillator,
                 )
             )
         results.append(recs)
     return results
+

@@ -97,6 +97,23 @@ def test_missing_config_file_is_usage_error(tmp_path):
     assert main(["fig10", "--config", str(tmp_path / "nope.cfg")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("chunk_rows", [3, 1 << 14])
+def test_csv_writer_gives_the_bytes_of_per_value_format(tmp_path, monkeypatch, chunk_rows):
+    # chunks of 3 rows end on a partial chunk; 2^14 holds the whole table
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
+    edge = [-0.0, 5e-324, 1e16, 1e22, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 2.0 / 3.0]
+    real = np.array(edge + [1.0, -2.5])
+    cplx = np.array(edge[::-1] + [3.0, 4.0]) + 1j * np.array(edge + [-0.0, 1e-300])
+    whole = np.arange(10)  # a non-float column is written as float
+    cli._emit(tmp_path, "table", ("a", "re", "im", "n"), (real, cplx, whole), "csv")
+    columns = [real, cplx.real, cplx.imag, whole.astype(float)]
+    rows = [",".join(format(v, ".17g") for v in row) for row in zip(*(c.tolist() for c in columns))]
+    want = "\n".join(["a,re,im,n", *rows]) + "\n"
+    assert (tmp_path / "table.csv").read_bytes() == want.encode()
+    cli._emit(tmp_path, "empty", ("a",), (np.zeros(0),), "csv")
+    assert (tmp_path / "empty.csv").read_bytes() == b"a\n"
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -641,6 +658,6 @@ def _benchmark_argvs() -> list[list[str]]:
 
 def test_benchmark_and_datacheck_command_lines_are_accepted(tmp_path, no_runners):
     argvs = _benchmark_argvs()
-    assert len(argvs) == 83
+    assert len(argvs) == 85
     codes = [main([*argv, "--threads", "2", "--out", str(tmp_path / str(i))]) for i, argv in enumerate(argvs)]
     assert [argv for argv, code in zip(argvs, codes) if code != EXIT_OK] == []

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pathspectra as ps
+from pathspectra import compare
 from pathspectra.compare import (
     TailMassWarning,
     _wigner_values,
@@ -63,17 +64,22 @@ def test_marginal_warns_on_short_grid():
         wigner_momentum_marginal(3, 0.0, HO, x)
 
 
-def test_marginals_broadcast_bit_for_bit_over_their_argument():
-    # 4001 abscissae put 65 rows in a block: 200 values span four blocks,
-    # while each scalar call is a block of one row
+def test_marginals_broadcast_bit_for_bit_over_their_argument(monkeypatch):
+    # 4001 abscissae put 1, 8 or 65 rows in a block: 203 values end on a
+    # partial block at 2^15 and 2^18, while each scalar call is a block of one row
     grid = np.linspace(-14.0, 14.0, 4001)
-    points = np.linspace(-3.0, 3.0, 200)
-    for n in (0, 3):
-        batched = wigner_momentum_marginal(n, points, HO, grid)
-        single = np.array([wigner_momentum_marginal(n, float(q), HO, grid) for q in points])
-        assert batched.tobytes() == single.tobytes()
-        assert wigner_momentum_marginal(n, points.reshape(20, 10), HO, grid).shape == (20, 10)
-        assert isinstance(wigner_momentum_marginal(n, 0.4, HO, grid), float)
+    points = np.linspace(-3.0, 3.0, 203)
+    for block_cells in (1 << 10, 1 << 15, 1 << 18):
+        monkeypatch.setattr(compare, "_BLOCK_CELLS", block_cells)
+        for n in (0, 3):
+            batched = wigner_momentum_marginal(n, points, HO, grid)
+            single = np.array([wigner_momentum_marginal(n, float(q), HO, grid) for q in points])
+            assert batched.tobytes() == single.tobytes()
+            # the buffered arithmetic is that of the per-row oracle, bit for bit
+            oracle = [trapezoid(grid, _wigner_values(n, grid, q, HO)) for q in points]
+            assert batched.tobytes() == np.array(oracle).tobytes()
+            assert wigner_momentum_marginal(n, points[:200].reshape(20, 10), HO, grid).shape == (20, 10)
+            assert isinstance(wigner_momentum_marginal(n, 0.4, HO, grid), float)
 
 
 def test_batched_marginal_stays_within_ulps_of_compensated_trapezoid():

@@ -21,7 +21,7 @@ from pathspectra.distribution import (
     time_average,
 )
 from pathspectra.errors import DegenerateDistributionError, DomainError
-from pathspectra.phasor import _plane_terms, integrand, window_average, window_average_series
+from pathspectra.phasor import _plane_terms, _plane_window_stack, integrand, window_average, window_average_series
 from pathspectra.quadrature import GridBundle, paper_grids, trapezoid
 from pathspectra.reconstruct import reconstruct
 from pathspectra.specfun import gaussian_phase_integral
@@ -216,6 +216,19 @@ def test_hoisted_stack_is_bit_identical_to_per_column_windows(st, T):
     norm = trapezoid(g.x_f_grid, (psi.conj() * psi).real).real
     reduced = np.sum(want * weights[:, None], axis=0) / norm
     assert (_grid_average(st, (T,), g, weights) / norm).tobytes() == reduced.tobytes()
+
+
+@pytest.mark.parametrize("T", [100.41315519036377, 37.3])
+@pytest.mark.parametrize("st", STATIONARY_STATES, ids=lambda s: s.system.kind.name)
+def test_plane_term_average_matches_the_explicit_window_stack(st, T):
+    # c_t = sum_x w(x) * pref_t(x) against the weighted x_f sum of the stack:
+    # the same sums regrouped, so equal to rounding, not bit for bit
+    g = stationary_grids(st, T, p_c_span=(-6.0, 6.0))
+    weights, norm = _x_f_weights(st, g)
+    stack = _plane_window_stack(st, g.p_c_grid, g.x_f_grid, T)
+    want = np.sum(stack * weights[:, None], axis=0) / norm
+    got = spatial_average(st, T, g).values
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_window_average_x_f_shapes():

@@ -100,6 +100,32 @@ def test_oscillator_band_reconstruction_has_the_state_parity(n, T, band):
     assert np.max(np.abs(values[::-1] - sign * values)) <= 1e-13 * max(np.max(np.abs(values)), 1e-300)
 
 
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    n=st.integers(0, 3),
+    constants=st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+    T=_TRAVEL_TIME,
+)
+def test_default_oscillator_steps_make_every_oscillator_the_unit_one(n, constants, T):
+    """``p0 * P(p0 * u)`` at ``T / omega`` is the unit oscillator's ``P(u)`` at ``T``.
+
+    The spans and T' step are set small, in oscillator units; ``delta_x_f``
+    and ``delta_p_c`` keep their defaults, which carry the units themselves."""
+    hbar, mass, omega = constants
+    length, momentum = math.sqrt(hbar / (mass * omega)), math.sqrt(hbar * mass * omega)
+    unit_state = ps.EigenstateSpec(HO, n)
+    unit = ps.time_average(
+        unit_state, T, paper_grids(unit_state, T, x_f_span=3.0, p_c_max=4.0, delta_T=math.pi / 2.0)
+    )
+    state = ps.EigenstateSpec(ps.harmonic_oscillator(hbar=hbar, mass=mass, omega=omega), n)
+    t = T / omega
+    grids = paper_grids(state, t, x_f_span=3.0 * length, p_c_max=4.0 * momentum, delta_T=math.pi / (2.0 * omega))
+    scaled = ps.time_average(state, t, grids)
+    assert scaled.p_c_grid.shape == unit.p_c_grid.shape
+    assert np.max(np.abs(scaled.p_c_grid / momentum - unit.p_c_grid)) <= 1e-13 * unit.p_c_grid[-1]
+    assert np.max(np.abs(momentum * scaled.values - unit.values)) <= 1e-12 * np.max(np.abs(unit.values))
+
+
 def _band_case(kind: str, n: int, T: float) -> tuple[ps.EigenstateSpec, ps.GridBundle]:
     if kind == "oscillator":
         state = ps.EigenstateSpec(HO, n)

@@ -277,7 +277,7 @@ def test_window_stacks_past_the_cell_limit_are_refused(call):
 def test_stack_limit_boundary():
     _check_stack_size(1 << 13, 1 << 13)
     _check_stack_size(1, _MAX_CELLS)
-    # the largest default stack, the hard-wall distribution at T = 100.41
+    # the default hard-wall grids at T = 100.41 as one window_average x_f stack (its distribution builds none)
     _check_stack_size(129, 174_446)
     for rows, columns in (((1 << 13) + 1, 1 << 13), (1, _MAX_CELLS + 1)):
         with pytest.raises(DomainError):

@@ -30,6 +30,7 @@ import numpy as np
 
 T_STATIONARY = 100.41315519036377
 T_OSCILLATOR = 32.0 * math.pi + 0.3  # the preset T = 32*pi is a singular time for one-time stages
+BAND = ["--set", "band_lo=0.5", "--set", "band_hi=3.0"]  # the band of the fixed-band reconstructions
 BENCH_GRIDS = ["--set", f"delta_T={math.pi / 2.0!r}", "--set", "delta_x_f=0.4"]  # perfbench's oscillator grids
 
 
@@ -64,9 +65,11 @@ COMMANDS: dict[str, list[str]] = {
         "window", "--set", "system=free_line", "--set", "quantum_number=1", "--set", "T=400",
         "--set", "p_c_lo=0.6", "--set", "p_c_hi=1.4", "--set", "delta_p_c=0.01",
     ],
-    "reconstruct_wall": ["reconstruct", *_stationary("hard_wall", 2.0), "--set", "band_lo=0.5", "--set", "band_hi=3.0"],
-    "reconstruct_circle": ["reconstruct", *_stationary("circle", 2.0), "--set", "band_lo=0.5", "--set", "band_hi=3.0"],
-    "reconstruct_oscillator": ["reconstruct", "--set", "quantum_number=1", "--set", "band_lo=0.5", "--set", "band_hi=3.0"],
+    "reconstruct_wall": ["reconstruct", *_stationary("hard_wall", 2.0), *BAND],
+    "reconstruct_well": ["reconstruct", *_stationary("square_well", 3.0), *BAND],
+    "reconstruct_line": ["reconstruct", *_stationary("free_line", 1.0), *BAND],
+    "reconstruct_circle": ["reconstruct", *_stationary("circle", 2.0), *BAND],
+    "reconstruct_oscillator": ["reconstruct", "--set", "quantum_number=1", *BAND],
     "reconstruct_oscillator_thin": [  # thinner than one lattice cell: zeros
         "reconstruct", "--set", "quantum_number=1", "--set", "band_lo=1.001", "--set", "band_hi=1.002",
     ],
