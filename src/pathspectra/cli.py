@@ -23,6 +23,7 @@ from typing import Callable, Collection, Mapping, Sequence, get_args, get_type_h
 import numpy as np
 
 from . import __version__
+from ._csvtext import csv_rows
 from .compare import coherent_overlap, momentum_density, wigner_momentum_marginal
 from .distribution import PathDistribution, _distributions, moments, spatial_average, stationary_grids, time_average
 from .errors import (
@@ -156,8 +157,9 @@ def build_state(cfg: RunConfig) -> EigenstateSpec:
 # ---------------------------------------------------------------------------
 # output plumbing
 
-# CSV rows formatted by one `%` format: a cap on the writer's text buffer
-_CSV_CHUNK_ROWS = 1 << 14
+# CSV rows formatted per call of `_csvtext.csv_rows`: about 1 MB of its
+# temporaries at three columns
+_CSV_CHUNK_ROWS = 1 << 11
 
 
 def _emit(
@@ -170,8 +172,10 @@ def _emit(
     """Write one data table as ``<name>.csv`` or ``<name>.json``; return the filename.
 
     A complex column fills two header slots: its real part, then its
-    imaginary part.  CSV rows are formatted ``_CSV_CHUNK_ROWS`` at a time by
-    one ``%`` format, whose ``%.17g`` gives the bytes of ``format(v, ".17g")``.
+    imaginary part.  CSV values are ``'%.17g' % v``, byte for byte: 17
+    significant digits, which read back as the same float64.  Rows are
+    rendered ``_CSV_CHUNK_ROWS`` at a time by :func:`_csvtext.csv_rows`,
+    so the text of a whole table is never held at once.
     """
     parts: list[np.ndarray] = []
     for column in map(np.asarray, columns):
@@ -182,13 +186,10 @@ def _emit(
         (out_dir / filename).write_text(text + "\n", encoding="utf-8")
     else:
         filename = f"{name}.csv"
-        table = np.column_stack(parts)
-        row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-        with open(out_dir / filename, "w", encoding="utf-8") as handle:
-            handle.write(",".join(header) + "\n")
-            for start in range(0, len(table), _CSV_CHUNK_ROWS):
-                chunk = table[start : start + _CSV_CHUNK_ROWS]
-                handle.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+        with open(out_dir / filename, "wb") as handle:
+            handle.write((",".join(header) + "\n").encode())
+            for start in range(0, len(parts[0]), _CSV_CHUNK_ROWS):
+                handle.write(csv_rows(np.column_stack([part[start : start + _CSV_CHUNK_ROWS] for part in parts])))
     log.debug("wrote %s (%d rows)", filename, len(parts[0]))
     return filename
 

@@ -533,10 +533,13 @@ def _oscillator_stacks(
 def _window_stack(levels: Sequence[Level]) -> list[NDArray[np.complex128]]:
     """Mean over each level's ``times`` of its window averages on its ``(x_f, p_c)`` lattice.
 
-    The only loop over travel times.  Stationary x_f stacks (``window_average``'s)
-    from :func:`_plane_window_stack` add up in place, one level at a time.  Oscillator
-    levels whose lattices nest share one ladder climb per (row, time) of
-    their largest lattice (see :func:`_oscillator_stacks`); parity gives
+    The only loop over travel times.  A stationary level (``window_average``'s
+    x_f stack) carries exactly one time and is :func:`_plane_window_stack`
+    there; more than one is refused with a ``DomainError``, since stationary
+    distributions and reconstructions sum plane terms and never average a
+    stack over T'.  Oscillator levels whose lattices nest share one ladder
+    climb per (row, time) of their largest lattice (see
+    :func:`_oscillator_stacks`); parity gives
     ``W(-x_f, -p_c) = (-1)^n W(x_f, p_c)``, so on exactly mirror-symmetric
     grids each ``x_f < 0`` row of the mean is the reversed ``-x_f`` row times
     ``(-1)^n``.  Each finished stack is checked for finiteness once.
@@ -546,10 +549,9 @@ def _window_stack(levels: Sequence[Level]) -> list[NDArray[np.complex128]]:
     stacks: dict[int, NDArray[np.complex128]] = {}
     for i, (state, p_c, x_f, times, grids) in enumerate(levels):
         if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
+            if len(times) != 1:
+                raise DomainError(f"a stationary window stack takes one travel time, got {len(times)}")
             stacks[i] = _plane_window_stack(state, p_c, x_f, times[0])
-            for t in times[1:]:
-                stacks[i] += _plane_window_stack(state, p_c, x_f, t)
-            stacks[i] /= len(times)
     for group in _shared_climbs(levels):
         stacks.update(zip([i for i, _, _ in group], _oscillator_stacks(levels, group)))
     return [stacks[i] for i in range(len(levels))]

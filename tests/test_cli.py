@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from pathspectra import cli
+from pathspectra import _csvtext, cli
 from pathspectra.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
@@ -97,14 +97,42 @@ def test_missing_config_file_is_usage_error(tmp_path):
     assert main(["fig10", "--config", str(tmp_path / "nope.cfg")]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("chunk_rows", [3, 1 << 14])
-def test_csv_writer_gives_the_bytes_of_per_value_format(tmp_path, monkeypatch, chunk_rows):
-    # chunks of 3 rows end on a partial chunk; 2^14 holds the whole table
+def _and_neighbours(xs) -> list[float]:
+    """Each of ``xs`` and the floats one ulp either side of it."""
+    return [y for x in xs for y in (x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf))]
+
+
+def _writer_values(n_random: int) -> np.ndarray:
+    """Values the CSV writer's fast path must render exactly or hand to ``%``, both signs."""
+    # %g's switch points between fixed and exponent form; 99999999999999999.0 is 1e17
+    values = _and_neighbours([1e-5, 1e-4, 1e16, 1e17, 99999999999999999.0])
+    # powers of ten, where log10 of the float below may round up to the power
+    values += _and_neighbours(float(f"1e{e}") for e in range(-300, 301))
+    # exact 17-digit ties, broken to even by %: 1234567890123456.75 -> ...56.8,
+    # 2^-25 = 2.98023223876953125e-08 -> ...12e-08; then their neighbours
+    ties = [1234567890123456.75, 1234567890123456.25, 100000000000000.125, 123456789012345.875]
+    ties += [m * 2.0**-k for k in range(1, 80) for m in (1, 3, 7, 99)]
+    values += _and_neighbours(ties)
+    # subnormals, zeros, the largest finite, non-finite, both ends of the fast path
+    values += [5e-324, 1e-310, np.nextafter(2.2250738585072014e-308, 0.0), 2.2250738585072014e-308]
+    values += [0.0, 1.7976931348623157e308, np.inf, np.nan, 0.1, 2.0 / 3.0, 1e22, 1.0, 10.0]
+    values += _and_neighbours([_csvtext._LOWEST, _csvtext._HIGHEST])
+    bits = np.random.default_rng(20261020).integers(0, 2**64, n_random, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([values, bits[np.isfinite(bits)]])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("chunk_rows, n_random", [(3, 0), (1 << 11, 1 << 19)])
+def test_csv_writer_gives_the_bytes_of_per_value_format(tmp_path, monkeypatch, chunk_rows, n_random):
+    # chunks of 3 rows end on a partial chunk; 2^11-row chunks take the
+    # random sample through many full ones
     monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
-    edge = [-0.0, 5e-324, 1e16, 1e22, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 2.0 / 3.0]
-    real = np.array(edge + [1.0, -2.5])
-    cplx = np.array(edge[::-1] + [3.0, 4.0]) + 1j * np.array(edge + [-0.0, 1e-300])
-    whole = np.arange(10)  # a non-float column is written as float
+    values = _writer_values(n_random)
+    values = np.concatenate([values, np.zeros(-values.size % 3)]).reshape(3, -1)
+    real = values[0]
+    cplx = np.empty(real.size, complex)
+    cplx.real, cplx.imag = values[1], values[2]  # no complex arithmetic on inf and NaN
+    whole = np.arange(real.size)  # a non-float column is written as float
     cli._emit(tmp_path, "table", ("a", "re", "im", "n"), (real, cplx, whole), "csv")
     columns = [real, cplx.real, cplx.imag, whole.astype(float)]
     rows = [",".join(format(v, ".17g") for v in row) for row in zip(*(c.tolist() for c in columns))]
@@ -112,6 +140,28 @@ def test_csv_writer_gives_the_bytes_of_per_value_format(tmp_path, monkeypatch, c
     assert (tmp_path / "table.csv").read_bytes() == want.encode()
     cli._emit(tmp_path, "empty", ("a",), (np.zeros(0),), "csv")
     assert (tmp_path / "empty.csv").read_bytes() == b"a\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the hard wall over a reduced span: p_c, Re P, Im P
+        ["distribution", "--set", "system=hard_wall", "--set", "quantum_number=2", "--set", "T=100.41315519036377",
+         "--set", "p_c_lo=-4", "--set", "p_c_hi=4"],
+        ["fig10"],  # alpha, overlap: four tables
+    ],
+)
+def test_written_csv_values_round_trip_through_17_digits(tmp_path, argv):
+    # '%.17g' reads back as the same float64, so re-formatting a parsed
+    # value gives its text again unless a digit was misrendered
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    tables = sorted(tmp_path.glob("*.csv"))
+    assert tables
+    for path in tables:
+        lines = path.read_text().splitlines()[1:]
+        assert lines
+        for line in lines:
+            assert line == ",".join(format(float(t), ".17g") for t in line.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -661,3 +711,20 @@ def test_benchmark_and_datacheck_command_lines_are_accepted(tmp_path, no_runners
     assert len(argvs) == 85
     codes = [main([*argv, "--threads", "2", "--out", str(tmp_path / str(i))]) for i, argv in enumerate(argvs)]
     assert [argv for argv, code in zip(argvs, codes) if code != EXIT_OK] == []
+
+
+@pytest.mark.parametrize(
+    "text_b, tol, verdict, code",
+    [
+        ("a\n1e+16\n", 0.0, "identical", 0),
+        ("a\n10000000000000000\n", 0.0, "same values, bytes differ  OVER TOLERANCE", 1),
+        ("a\n10000000000000000\n", 1e-14, "same values, bytes differ", 0),
+        ("a\n1.0000000000000002e+16\n", 1e-14, "a=2.00e-16", 0),
+    ],
+)
+def test_datacheck_diff_fails_a_byte_change_only_at_zero_tolerance(tmp_path, capsys, text_b, tol, verdict, code):
+    for side, text in (("A", "a\n1e+16\n"), ("B", text_b)):
+        (tmp_path / side / "run").mkdir(parents=True)
+        (tmp_path / side / "run" / "table.csv").write_text(text)
+    assert datacheck.diff(tmp_path / "A", tmp_path / "B", tol) == code
+    assert capsys.readouterr().out == f"run/table.csv: {verdict}\n"

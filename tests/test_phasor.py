@@ -525,16 +525,15 @@ def test_window_stack_is_the_mean_of_single_time_stacks(n):
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
-def test_stationary_window_stack_is_the_mean_of_single_time_stacks():
-    times = (100.0, 103.7, 111.2)
+def test_stationary_window_stack_is_its_one_time_stack_and_refuses_more():
     args = (_WALL2, _WALL_GRIDS.p_c_grid, _WALL_GRIDS.x_f_grid)
-    [got] = phasor._window_stack([(*args, times, _WALL_GRIDS)])
-    want = sum(window_average(*args, t, _WALL_GRIDS) for t in times) / len(times)
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
     # one time is the x_f stack itself, byte for byte
     assert phasor._window_stack([(*args, (100.0,), _WALL_GRIDS)])[0].tobytes() == window_average(
         *args, 100.0, _WALL_GRIDS
     ).tobytes()
+    # no caller averages a stationary stack over T'
+    with pytest.raises(DomainError, match="one travel time, got 3"):
+        phasor._window_stack([(*args, (100.0, 103.7, 111.2), _WALL_GRIDS)])
 
 
 @pytest.fixture

@@ -5,15 +5,17 @@
 
 ``run`` executes every command in ``COMMANDS`` with ``TREE/src`` on the
 import path, each into its own fresh subdirectory ``OUT/<name>``.  ``diff``
-walks the subdirectories of ``A`` and, for every data file, prints either
-``identical`` or each column's max |difference| relative to the file's max
-|value| in ``A``; it then prints every manifest key or check whose value
-differs, ignoring ``runtime_seconds`` and ``out``.  The exit status is 1 if
-a data column differs by more than ``--tol`` (default 0: bytes must match in
-value), a file or subdirectory is missing on one side, or the manifests'
-key sets differ.  Differing manifest values are printed with their relative
-size and left to the reader, since near-zero checks (a mean of 1e-17) and
-the sign of an even profile's peak may move at rounding level.
+walks the subdirectories of ``A`` and, for every data file, prints
+``identical``, ``same values, bytes differ`` (say ``1e+16`` against
+``10000000000000000``), or each column's max |difference| relative to the
+file's max |value| in ``A``; it then prints every manifest key or check
+whose value differs, ignoring ``runtime_seconds`` and ``out``.  The exit
+status is 1 if a data column differs by more than ``--tol``, a data file is
+not byte-identical at the default ``--tol 0``, a file or subdirectory is
+missing on one side, or the manifests' key sets differ.  Differing
+manifest values are printed with their relative size and left to the
+reader, since near-zero checks (a mean of 1e-17) and the sign of an even
+profile's peak may move at rounding level.
 """
 
 from __future__ import annotations
@@ -115,6 +117,8 @@ def _data_diff(a: Path, b: Path) -> tuple[str, float]:
     head_b, cols_b = _columns(b)
     if head_a != head_b or cols_a.shape != cols_b.shape:
         return f"shape differs: {head_a} {cols_a.shape} vs {head_b} {cols_b.shape}", math.inf
+    if np.array_equal(cols_a, cols_b):
+        return "same values, bytes differ", 0.0
     scale = float(np.max(np.abs(cols_a))) or 1.0
     rel = np.max(np.abs(cols_a - cols_b), axis=1) / scale
     return " ".join(f"{h}={r:.2e}" for h, r in zip(head_a, rel)), float(np.max(rel))
@@ -167,7 +171,7 @@ def diff(a_root: Path, b_root: Path, tol: float) -> int:
                 failed = failed or keys_differ
             else:
                 text, worst = _data_diff(a, b)
-                over = worst > tol
+                over = worst > tol or (tol == 0.0 and text != "identical")
                 print(f"{name}/{fname}: {text}" + ("  OVER TOLERANCE" if over else ""))
                 failed = failed or over
     return 1 if failed else 0
