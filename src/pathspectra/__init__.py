@@ -10,12 +10,7 @@ coherent-state references they are compared against.  Start with
 
 from __future__ import annotations
 
-from .compare import (
-    TailMassWarning,
-    coherent_overlap,
-    momentum_density,
-    wigner_momentum_marginal,
-)
+from .compare import coherent_overlap, momentum_density, wigner_momentum_marginal
 from .distribution import (
     PathDistribution,
     moments,
@@ -106,7 +101,6 @@ __all__ = [
     "ReconstructionResult",
     "reconstruct",
     # compare
-    "TailMassWarning",
     "wigner_momentum_marginal",
     "momentum_density",
     "coherent_overlap",

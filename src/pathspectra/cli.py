@@ -255,16 +255,14 @@ def _curve_grid(state: EigenstateSpec, cfg: RunConfig) -> np.ndarray:
 
 def _marginal_table(write: Writer, name: str, n: int, system: SystemSpec, delta_p: float | None) -> float:
     """Write the Wigner momentum marginal of level ``n`` as ``name``; return its
-    largest deviation from the closed-form momentum density.  Grids are in
-    oscillator units, which are exactly 1 for the presets' unit oscillator."""
+    largest deviation from the closed-form momentum density.  The momentum grid
+    is in oscillator units, which are exactly 1 for the presets' unit oscillator."""
     reach = 5.0 * math.sqrt(2.0 * n + 1.0) + 1.0
-    scale_x = math.sqrt(system.hbar / (system.mass * system.omega))
     scale_p = math.sqrt(system.hbar * system.mass * system.omega)
-    x_grid = uniform_grid(-reach * scale_x, reach * scale_x, 0.01 * scale_x)
     p_step = (delta_p if delta_p is not None else 0.01) * scale_p
     p_grid = uniform_grid(-reach * scale_p, reach * scale_p, p_step)
     log.info("%s: Wigner momentum marginal n=%d (%d momenta)", name, n, p_grid.size)
-    marginal = wigner_momentum_marginal(n, p_grid, system, x_grid)
+    marginal = wigner_momentum_marginal(n, p_grid, system)
     write(name, ("p", "value"), (p_grid, marginal))
     exact = np.asarray(momentum_density(n, p_grid, system))
     return float(np.max(np.abs(marginal - exact)))
@@ -274,7 +272,7 @@ def _overlap_table(write: Writer, name: str, n: int) -> float:
     """Write |<alpha|n>|^2 for real alpha in [0, 3] as ``name``; return the
     alpha of the largest overlap."""
     alpha = uniform_grid(0.0, 3.0, 0.002)
-    overlap = np.asarray([coherent_overlap(n, float(a)) for a in alpha])
+    overlap = coherent_overlap(n, alpha)
     write(name, ("alpha", "value"), (alpha, overlap))
     return float(alpha[int(np.argmax(overlap))])
 

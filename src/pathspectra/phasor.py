@@ -65,7 +65,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import DivergentSampleError, DomainError
-from .quadrature import _MAX_NODES, GridBundle, _check_node_count, _check_stack_size
+from .quadrature import GridBundle, _check_node_count, _check_stack_size
 from .quadrature import cumulative_trapezoid
 from .specfun import (
     _hermite_phase_primitive,
@@ -100,6 +100,9 @@ __all__ = [
 # discretisation error is ~3e-7 of the column maximum, so columns below this
 # lose nothing by leaving the grid.
 _LADDER_TOLERANCE = 1e-9
+
+# Trapezoid cells per segment window (even, so each window centre is a grid node)
+_CELLS_PER_WINDOW = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -558,32 +561,26 @@ def _window_stack(levels: Sequence[Level]) -> list[NDArray[np.complex128]]:
 
 
 def segment_windows(
-    state: EigenstateSpec,
-    x_f: float,
-    T: float,
-    delta_p: float,
-    p_lo: float,
-    p_hi: float,
-    *,
-    cells_per_window: int = 64,
+    state: EigenstateSpec, x_f: float, T: float, delta_p: float, p_lo: float, p_hi: float
 ) -> tuple[NDArray[np.float64], NDArray[np.complex128]]:
     """Window integrals of the contiguous tiling ``p_nu = 2*nu*h + delta_p``.
 
     The momentum line tiles exactly into windows ``[p_nu - h, p_nu + h]`` for
     *any* offset ``delta_p``; each window is a difference of one
-    :func:`phasor_curve` over the extent.  ``delta_p`` is snapped to the
-    curve's grid (spacing ``2h / cells_per_window``) so every window edge is
-    a grid node and the windows re-bracket the same trapezoid cells;
-    windows overhanging the extent are clipped to it.  Returns (window
-    centers, window integrals).
+    :func:`phasor_curve` over the extent.  ``delta_p`` is first reduced
+    modulo ``2h`` (exactly, by ``math.fmod``: the tiling is the same), then
+    snapped to the curve's grid (spacing ``2h / _CELLS_PER_WINDOW``) so every
+    window edge is a grid node and the windows re-bracket the same trapezoid
+    cells; windows overhanging the extent are clipped to it.  Returns
+    (window centers, window integrals).
     """
-    cpw = cells_per_window
-    if not (isinstance(cpw, (int, np.integer)) and 2 <= cpw <= _MAX_NODES and cpw % 2 == 0):
-        raise DomainError(f"cells_per_window must be an even integer in [2, 2^24], got {cpw!r}")
     # Python numbers: NumPy scalars would warn, not give inf, on an overflow below
-    cpw, delta_p, p_lo, p_hi = int(cpw), float(delta_p), float(p_lo), float(p_hi)
+    delta_p, p_lo, p_hi = float(delta_p), float(p_lo), float(p_hi)
+    if not math.isfinite(delta_p):
+        raise DomainError(f"delta_p must be finite, got {delta_p!r}")
     if not p_hi > p_lo:
         raise DomainError("extent must have p_hi > p_lo")
+    cpw = _CELLS_PER_WINDOW
     h = window_halfwidth(state.system, T)
     step = 2.0 * h / cpw
     cells = (p_hi - p_lo) / step + 1e-9
@@ -591,16 +588,13 @@ def segment_windows(
     n_cells = int(math.floor(cells))
     if n_cells < cpw:
         raise DomainError("extent narrower than a single window")
-    offset = (delta_p - p_lo) / step
-    if not math.isfinite(offset):  # NaN or inf delta_p, or one too far out to snap
-        raise DomainError(f"delta_p must be finite and within reach of the grid, got {delta_p!r}")
     grid = p_lo + step * np.arange(n_cells + 1)
     curve = phasor_curve(state, x_f, T, grid).cumulative
     half = cpw // 2
-    base = round(offset)
+    base = round((math.fmod(delta_p, 2.0 * h) - p_lo) / step)
     # windows nu with [base + nu*cpw - half, base + nu*cpw + half] meeting [0, n]
-    nu_lo = math.ceil((-half - base) / cpw)
-    nu_hi = math.floor((n_cells + half - 1 - base) / cpw)
+    nu_lo = -((half + base) // cpw)
+    nu_hi = (n_cells + half - 1 - base) // cpw
     centers = []
     windows = []
     for nu in range(nu_lo, nu_hi + 1):
@@ -615,14 +609,7 @@ def segment_windows(
 
 
 def segment_sum_check(
-    state: EigenstateSpec,
-    x_f: float,
-    T: float,
-    delta_p: float,
-    p_lo: float,
-    p_hi: float,
-    *,
-    cells_per_window: int = 64,
+    state: EigenstateSpec, x_f: float, T: float, delta_p: float, p_lo: float, p_hi: float
 ) -> complex:
     """Sum of the segment windows over the extent: independent of ``delta_p``.
 
@@ -631,7 +618,5 @@ def segment_sum_check(
     this is the numerical face of the claim that the window decomposition
     loses nothing.
     """
-    _, windows = segment_windows(
-        state, x_f, T, delta_p, p_lo, p_hi, cells_per_window=cells_per_window
-    )
+    _, windows = segment_windows(state, x_f, T, delta_p, p_lo, p_hi)
     return complex(np.sum(windows))

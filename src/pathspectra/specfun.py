@@ -84,26 +84,13 @@ def laguerre(n: int, x: ArrayLike) -> NDArray[np.float64] | float:
     """
     n = _check_degree(n)
     xa = np.asarray(x, dtype=float)
-    l = np.ones_like(xa) if n == 0 else _laguerre_into(n, xa, *(np.empty_like(xa) for _ in range(3)))
-    return float(l) if xa.ndim == 0 else l
-
-
-def _laguerre_into(n: int, x: NDArray, lag: NDArray, lag_prev: NDArray, spare: NDArray) -> NDArray:
-    """The recurrence of :func:`laguerre` for ``n >= 1`` in three buffers shaped like ``x``.
-
-    Returns the buffer that holds ``L_n(x)``; the operations and their order
-    are those of ``((2k + 1 - x) * L_k - k * L_{k-1}) / (k + 1)``.
-    """
-    np.subtract(1.0, x, out=lag)
-    lag_prev.fill(1.0)
+    l_prev = np.ones_like(xa)
+    if n == 0:
+        return float(l_prev) if xa.ndim == 0 else l_prev
+    l = 1.0 - xa
     for k in range(1, n):
-        np.subtract(2.0 * k + 1.0, x, out=spare)
-        spare *= lag
-        lag_prev *= k
-        spare -= lag_prev
-        spare /= k + 1.0
-        lag, lag_prev, spare = spare, lag, lag_prev
-    return lag
+        l, l_prev = ((2.0 * k + 1.0 - xa) * l - k * l_prev) / (k + 1.0), l
+    return float(l) if xa.ndim == 0 else l
 
 
 def ho_eigenfunction(

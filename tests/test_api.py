@@ -46,7 +46,6 @@ PUBLIC = [
     "ReconstructionResult",
     "reconstruct",
     # compare
-    "TailMassWarning",
     "wigner_momentum_marginal",
     "momentum_density",
     "coherent_overlap",

@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 import pathspectra as ps
-from pathspectra import compare
 from pathspectra.compare import (
-    TailMassWarning,
     _wigner_values,
     coherent_overlap,
     momentum_density,
@@ -36,15 +33,35 @@ def test_wigner_first_excited_negative_at_origin():
 
 def test_wigner_rejects_non_oscillator():
     with pytest.raises(DomainError):
-        wigner_momentum_marginal(0, 0.0, ps.free_line(), np.linspace(-8.0, 8.0, 101))
+        wigner_momentum_marginal(0, 0.0, ps.free_line())
 
 
 def test_momentum_marginal_matches_closed_form():
-    x = np.linspace(-14.0, 14.0, 4001)
     for n in range(4):
         for p in (0.0, 0.7, -1.9, 2.6):
-            got = wigner_momentum_marginal(n, p, HO, x)
+            got = wigner_momentum_marginal(n, p, HO)
             assert got == pytest.approx(float(momentum_density(n, p, HO)), abs=1e-10)
+
+
+@pytest.mark.parametrize("scales", [(1.0, 1.0, 1.0), (0.7, 2.0, 0.5), (1.0, 1.0, 3.0)])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 16, 64])
+def test_gauss_hermite_marginal_matches_closed_form_and_fine_trapezoid(n, scales):
+    # the (n + 1)-node rule is exact for the degree-2n polynomial in x/l: it meets
+    # the closed form and a trapezoid over a fine grid covering the whole state
+    hbar, mass, omega = scales
+    system = ps.harmonic_oscillator(hbar=hbar, mass=mass, omega=omega)
+    reach = 5.0 * math.sqrt(2.0 * n + 1.0) + 1.0
+    scale_x, scale_p = math.sqrt(hbar / (mass * omega)), math.sqrt(hbar * mass * omega)
+    x = np.linspace(-reach, reach, 8001) * scale_x
+    p = np.linspace(-reach, reach, 41) * scale_p
+    got = wigner_momentum_marginal(n, p, system)
+    assert np.max(np.abs(got - momentum_density(n, p, system))) <= 5e-14
+    fine = trapezoid(x, _wigner_values(n, x, p[:, None], system))
+    assert np.max(np.abs(got - fine)) <= 5e-14
+    # a scalar gives a float with the bits of its row, and an array keeps its shape
+    single = [wigner_momentum_marginal(n, float(q), system) for q in p]
+    assert all(isinstance(v, float) for v in single) and got.tobytes() == np.array(single).tobytes()
+    assert wigner_momentum_marginal(n, p[:40].reshape(8, 5), system).shape == (8, 5)
 
 
 def test_position_marginal_matches_eigenfunction_density():
@@ -56,51 +73,6 @@ def test_position_marginal_matches_eigenfunction_density():
             got = trapezoid(p, _wigner_values(n, x, p, HO))
             want = abs(complex(ps.eigenfunction(st, x))) ** 2
             assert got == pytest.approx(want, abs=1e-10)
-
-
-def test_marginal_warns_on_short_grid():
-    x = np.linspace(-4.0, 4.0, 801)  # n = 3 reaches ~13.2
-    with pytest.warns(TailMassWarning):
-        wigner_momentum_marginal(3, 0.0, HO, x)
-
-
-def test_marginals_broadcast_bit_for_bit_over_their_argument(monkeypatch):
-    # 4001 abscissae put 1, 8 or 65 rows in a block: 203 values end on a
-    # partial block at 2^15 and 2^18, while each scalar call is a block of one row
-    grid = np.linspace(-14.0, 14.0, 4001)
-    points = np.linspace(-3.0, 3.0, 203)
-    for block_cells in (1 << 10, 1 << 15, 1 << 18):
-        monkeypatch.setattr(compare, "_BLOCK_CELLS", block_cells)
-        for n in (0, 3):
-            batched = wigner_momentum_marginal(n, points, HO, grid)
-            single = np.array([wigner_momentum_marginal(n, float(q), HO, grid) for q in points])
-            assert batched.tobytes() == single.tobytes()
-            # the buffered arithmetic is that of the per-row oracle, bit for bit
-            oracle = [trapezoid(grid, _wigner_values(n, grid, q, HO)) for q in points]
-            assert batched.tobytes() == np.array(oracle).tobytes()
-            assert wigner_momentum_marginal(n, points[:200].reshape(20, 10), HO, grid).shape == (20, 10)
-            assert isinstance(wigner_momentum_marginal(n, 0.4, HO, grid), float)
-
-
-def test_batched_marginal_stays_within_ulps_of_compensated_trapezoid():
-    x = np.linspace(-14.0, 14.0, 4001)
-    p = np.linspace(-4.0, 4.0, 161)
-    for n in range(4):
-        batched = wigner_momentum_marginal(n, p, HO, x)
-        rows = [_wigner_values(n, x, np.asarray(q), HO) for q in p]
-        # each momentum is one trapezoid row: its pairwise np.sum is within
-        # ulps of the exactly rounded (math.fsum) sum of the same cells
-        assert np.array_equal(batched, [trapezoid(x, row) for row in rows])
-        exact_sum = np.array([math.fsum(0.5 * (row[1:] + row[:-1]) * np.diff(x)) for row in rows])
-        assert np.max(np.abs(batched - exact_sum)) <= 1e-15
-
-
-def test_batched_marginal_warns_once_per_call():
-    x = np.linspace(-4.0, 4.0, 801)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        wigner_momentum_marginal(3, np.linspace(-1.0, 1.0, 50), HO, x)
-    assert [w.category for w in caught] == [TailMassWarning]
 
 
 def test_momentum_density_scaled_units():
@@ -142,9 +114,6 @@ def test_coherent_overlap_argument_validation():
         coherent_overlap(2, -0.5)
 
 
-_GRID = np.linspace(-12.0, 12.0, 1201)
-
-
 @pytest.mark.parametrize(
     "call",
     [
@@ -156,21 +125,17 @@ _GRID = np.linspace(-12.0, 12.0, 1201)
         lambda: coherent_overlap(math.nan, 1.0),
         lambda: coherent_overlap(1, math.nan),
         lambda: coherent_overlap(1, math.inf),
-        lambda: wigner_momentum_marginal(1.5, 0.3, HO, _GRID),
-        lambda: wigner_momentum_marginal(1, 0.3, HO, []),
-        lambda: wigner_momentum_marginal(1, 0.3, HO, [0.0]),
-        lambda: wigner_momentum_marginal(1, 0.3, HO, np.ones((3, 3))),
-        lambda: wigner_momentum_marginal(1, 0.3, HO, _GRID[::-1]),
-        lambda: wigner_momentum_marginal(1, 0.3, HO, [-1.0, math.nan, 1.0]),
-        lambda: wigner_momentum_marginal(1, 0.3, HO, [-1e308, 1e308]),  # span past float range
-        lambda: wigner_momentum_marginal(1, [0.3, math.inf], HO, _GRID),
+        lambda: coherent_overlap(1, [0.5, -0.5]),
+        lambda: coherent_overlap(1, np.array([[1.0, math.inf]])),
+        lambda: wigner_momentum_marginal(1.5, 0.3, HO),
+        lambda: wigner_momentum_marginal(65, 0.3, HO),
+        lambda: wigner_momentum_marginal(1, [0.3, math.inf], HO),
     ],
     ids=[
         "density-negative-n", "density-fractional-n", "density-n-past-max", "density-nan-p",
         "overlap-fractional-n", "overlap-nan-n", "overlap-nan-alpha", "overlap-inf-alpha",
-        "momentum-marginal-fractional-n",
-        "empty-grid", "one-point-grid", "2d-grid", "descending-grid", "nan-grid", "overflowing-span",
-        "inf-point",
+        "overlap-negative-alpha-entry", "overlap-inf-alpha-entry",
+        "momentum-marginal-fractional-n", "momentum-marginal-n-past-max", "inf-point",
     ],
 )
 def test_hostile_compare_input_is_a_domain_error(call):
@@ -184,7 +149,9 @@ def test_compare_values_past_float_range_are_their_limit_zero():
     assert momentum_density(1, 1e300, HO) == 0.0
     assert np.array_equal(momentum_density(3, [1e100, -1e200], HO), [0.0, 0.0])
     assert float(_wigner_values(3, 1e200, 0.0, HO)) == 0.0
-    assert wigner_momentum_marginal(2, 1e300, HO, _GRID) == 0.0
+    assert wigner_momentum_marginal(2, 1e300, HO) == 0.0
+    assert np.array_equal(wigner_momentum_marginal(64, [1e154, -1e200, 40.0], HO), [0.0, 0.0, 0.0])
     assert coherent_overlap(64, 1e300) == 0.0
+    assert np.array_equal(coherent_overlap(64, [0.0, 1e300]), [0.0, 0.0])
     # integer-valued floats are the same level
     assert momentum_density(2.0, 0.7, HO) == momentum_density(2, 0.7, HO)

@@ -445,18 +445,27 @@ def test_segment_windows_cover_extent():
 
 def test_segment_windows_argument_validation():
     with pytest.raises(DomainError):
-        segment_windows(K1, 0.0, T_LONG, 0.0, 0.5, 1.5, cells_per_window=7)
-    with pytest.raises(DomainError):
-        segment_windows(K1, 0.0, T_LONG, 0.0, 0.5, 1.5, cells_per_window=0)
-    with pytest.raises(DomainError):
         segment_windows(K1, 0.0, T_LONG, 0.0, 1.5, 0.5)
     with pytest.raises(DomainError):
         # extent narrower than one window
         segment_windows(K1, 0.0, T_LONG, 0.0, 0.5, 0.5 + H_LONG)
-    # NumPy scalars overflow to a refusal, not a RuntimeWarning
-    for cells, p_lo, p_hi in ((np.int64(4), 0.0, 1e308), (64, np.float64(-1e308), np.float64(1e308))):
+    # an extent past the node limit is refused, NumPy scalars by overflow to a refusal, not a RuntimeWarning
+    for p_lo, p_hi in ((0.0, 1e308), (np.float64(-1e308), np.float64(1e308))):
         with pytest.raises(DomainError, match="more than the limit"):
-            segment_windows(K1, 0.0, 1.0, 0.0, p_lo, p_hi, cells_per_window=cells)
+            segment_windows(K1, 0.0, 1.0, 0.0, p_lo, p_hi)
+
+
+def test_segment_windows_reduce_far_offsets_to_their_residue():
+    # fmod by the lattice period 2h is exact, so a far offset tiles like its residue
+    centers0, windows0 = segment_windows(K1, 0.0, T_LONG, 0.0, 0.5, 1.5)
+    assert centers0.size == 51
+    base = segment_sum_check(K1, 0.0, T_LONG, 0.0, 0.5, 1.5)
+    for dp in (1e20, 1e300, -1e300):
+        centers, windows = segment_windows(K1, 0.0, T_LONG, dp, 0.5, 1.5)
+        c_res, w_res = segment_windows(K1, 0.0, T_LONG, math.fmod(dp, 2.0 * H_LONG), 0.5, 1.5)
+        assert centers.tobytes() == c_res.tobytes() and windows.tobytes() == w_res.tobytes()
+        assert centers.size >= 50
+        assert abs(segment_sum_check(K1, 0.0, T_LONG, dp, 0.5, 1.5) - base) < 1e-10 * abs(base)
 
 
 # ------------------------------------------------------------ hostile inputs
@@ -475,7 +484,7 @@ HOSTILE = {
     },
     **{
         f"segment_windows-delta_p={dp}": (lambda dp=dp: segment_windows(K1, 0.0, T_LONG, dp, 0.5, 1.5))
-        for dp in (math.nan, math.inf, 1e308)
+        for dp in (math.nan, math.inf, -math.inf)
     },
     "segment_sum_check-T=nan": lambda: segment_sum_check(K1, 0.0, math.nan, 0.0, 0.5, 1.5),
     "segment_sum_check-delta_p=inf": lambda: segment_sum_check(K1, 0.0, T_LONG, math.inf, 0.5, 1.5),
@@ -642,15 +651,3 @@ def test_non_finite_windows_are_refused_once_per_stack():
     g_band = GridBundle(p_c_grid=np.array([0.0, 1e200]), x_f_grid=g.x_f_grid, T_samples=(_T_HO,))
     with pytest.raises(DomainError, match="not finite"):
         reconstruct(_HO1, (0.0, 2e200), _T_HO, g_band)
-
-
-# ----------------------------------------------------- cells_per_window type
-
-def test_segment_windows_take_only_integer_cells_per_window():
-    centers, _ = segment_windows(K1, 0.0, T_LONG, 0.0, 0.5, 1.5, cells_per_window=np.int64(64))
-    assert centers.size == 51
-    for bad in (64.0, np.float64(64.0), True, 2**25, 2**1100, "64"):
-        with pytest.raises(DomainError, match="cells_per_window"):
-            segment_windows(K1, 0.0, T_LONG, 0.0, 0.5, 1.5, cells_per_window=bad)
-        with pytest.raises(DomainError, match="cells_per_window"):
-            segment_sum_check(K1, 0.0, T_LONG, 0.0, 0.5, 1.5, cells_per_window=bad)

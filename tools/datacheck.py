@@ -52,6 +52,7 @@ COMMANDS: dict[str, list[str]] = {
     # both levels on one cropped x_f window, with another node step and its rounding
     "fig8_pinned": ["fig8", "--set", "x_f_span=3", "--set", f"delta_T={math.pi!r}", "--set", "delta_p_c=0.05"],
     "fig9": ["fig9", "--set", "delta_p_c=0.04"],
+    "fig9_default": ["fig9"],  # the default momentum step 0.01
     "fig10": ["fig10"],
     "distribution_wall": ["distribution", *_stationary("hard_wall", 2.0)],
     "distribution_well": ["distribution", *_stationary("square_well", 3.0)],
@@ -77,6 +78,10 @@ COMMANDS: dict[str, list[str]] = {
     ],
     "reconstruct_full_band": ["reconstruct", "--set", "quantum_number=2"],  # no band keys: the full-band cutoff
     "compare": ["compare", "--set", "quantum_number=2"],
+    # non-unit oscillator scales move the nodes and weights off their unit values
+    "compare_scaled": [
+        "compare", "--set", "hbar=0.7", "--set", "mass=2", "--set", "omega=0.5", "--set", "quantum_number=3",
+    ],
 }
 
 IGNORED_KEYS = {"runtime_seconds", "out"}
