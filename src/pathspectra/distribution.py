@@ -194,8 +194,8 @@ def _grid_averages(
 ) -> list[NDArray[np.complex128]]:
     """One x_f-trapezoid pass over each member's mean stack: the unnormalised values.
 
-    A member is ``(state, times, grids, weights)``; oscillator levels on
-    nested lattices share their ladder climbs in ``phasor._window_stack``.
+    A member is ``(state, times, grids, weights)``; the members are one
+    nested family of ``phasor._window_stack``, sharing its ladder climbs.
     """
     levels = [(state, grids.p_c_grid, grids.x_f_grid, times, grids) for state, times, grids, _ in members]
     stacks = _window_stack(levels)
@@ -247,8 +247,9 @@ def _distributions(
 
     Quadratic systems sum their plane terms over x_f (see the module
     docstring).  Oscillator levels take :func:`_grid_average` of the window
-    stack; several priced together (fig7's four) share one ladder climb per
-    (x_f, T') column where their lattices nest.
+    stack; several priced together (fig7's four) must be one nested family
+    of ``phasor._window_stack`` and share one ladder climb per (x_f, T')
+    column of the largest lattice.
     """
     if time_averaged and any(state.system.kind is not SystemKind.HARMONIC_OSCILLATOR for state, _ in pairs):
         raise DomainError("time averaging over a classical period is an oscillator operation")

@@ -48,10 +48,11 @@ finite (phases past float range) are refused too, both with a ``DomainError``.
 Oscillator distributions, time averages and reconstruction take their
 windows from one private engine, ``_window_stack``: the mean over T' of an
 ``(x_f, p_c)`` stack per level, pricing only its ``x_f >= 0`` half when
-parity fixes the rest.  Levels priced together on nested lattices (fig7's
-four, fig8's two) share one ``wofz`` start and one ladder climb per
-``(x_f, T')`` column, since the ladder to level n passes through every level
-below it.
+parity fixes the rest.  One call prices one nested family, levels of one
+oscillator and one T' set on centred slices of the largest lattice (fig7's
+four, fig8's two), so they share one ``wofz`` start and one ladder climb
+per ``(x_f, T')`` column, since the ladder to level n passes through every
+level below it.
 """
 
 from __future__ import annotations
@@ -100,6 +101,7 @@ __all__ = [
 # discretisation error is ~3e-7 of the column maximum, so columns below this
 # lose nothing by leaving the grid.
 _LADDER_TOLERANCE = 1e-9
+_EPS = np.finfo(float).eps
 
 # Trapezoid cells per segment window (even, so each window centre is a grid node)
 _CELLS_PER_WINDOW = 64
@@ -288,17 +290,21 @@ def window_average(
 ) -> NDArray[np.complex128] | complex:
     """Integrand averaged over the window ``[p_c - h, p_c + h]``, ``h = sqrt(hbar*m/T)``.
 
-    Closed-form for every system: the one-time case of :func:`_window_stack`.
-    ``x_f`` may be a scalar or a 1-D array; an array gives a result of shape
-    ``x_f.shape + p_c.shape``.  Each row shares its work across its windows:
-    one Fresnel kernel per plane term for the quadratic-exponent systems, one
-    antiderivative per row for the oscillator.
+    Closed-form for every system: :func:`_plane_window_stack` for the wall,
+    well, line and circle, the one-time case of :func:`_window_stack` for the
+    oscillator.  ``x_f`` may be a scalar or a 1-D array; an array gives a
+    result of shape ``x_f.shape + p_c.shape``.  Each row shares its work
+    across its windows: one Fresnel kernel per plane term for the
+    quadratic-exponent systems, one antiderivative per row for the oscillator.
     """
     pa = _finite(p_c, "momenta p_c")
     xa = np.asarray(x_f, dtype=float)
     if xa.ndim > 1 or not np.all(np.isfinite(xa)):
         raise DomainError("x_f must be a finite scalar or 1-D array")
-    [out] = _window_stack([(state, pa.ravel(), np.atleast_1d(xa), (float(T),), grids)])
+    if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
+        [out] = _window_stack([(state, pa.ravel(), np.atleast_1d(xa), (float(T),), grids)])
+    else:
+        out = _plane_window_stack(state, pa.ravel(), np.atleast_1d(xa), float(T))
     if xa.ndim:
         return out.reshape(xa.shape + pa.shape)
     return complex(out[0, 0]) if pa.ndim == 0 else out[0].reshape(pa.shape)
@@ -419,39 +425,16 @@ def _centred_slice(big: NDArray, small: NDArray) -> slice | None:
     return part
 
 
-def _shared_climbs(levels: Sequence[Level]) -> list[list[tuple[int, slice, slice]]]:
-    """Oscillator levels grouped by the lattice whose ladder climbs they share.
+@_finite_result
+def _window_stack(levels: Sequence[Level]) -> list[NDArray[np.complex128]]:
+    """Mean over T' of each oscillator level's window averages on its ``(x_f, p_c)`` lattice.
 
-    Each group is a list of ``(index into levels, x_f slice, p_c slice)``,
-    led by its largest lattice; every other member runs on the same system
-    and times, on exact centred slices of the lead's x_f and p_c arrays.  A
-    level that nests in no earlier lead leads its own group.
-    """
-    groups: list[list[tuple[int, slice, slice]]] = []
-    by_size = sorted(range(len(levels)), key=lambda i: (levels[i][2].size, levels[i][1].size), reverse=True)
-    for i in by_size:
-        state, p_c, x_f, times, _ = levels[i]
-        if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
-            continue
-        for group in groups:
-            lead, lead_p_c, lead_x_f, lead_times, _ = levels[group[0][0]]
-            if lead.system != state.system or lead_times != times:
-                continue
-            rows, columns = _centred_slice(lead_x_f, x_f), _centred_slice(lead_p_c, p_c)
-            if rows is not None and columns is not None:
-                group.append((i, rows, columns))
-                break
-        else:
-            groups.append([(i, slice(0, x_f.size), slice(0, p_c.size))])
-    return groups
+    The only loop over travel times.  The levels are one nested family,
+    oscillator levels of one system and one T' set, each on exact centred
+    slices of the largest lattice's x_f and p_c arrays (as fig7's four and
+    fig8's two are); any other call is a ``DomainError``.
 
-
-def _oscillator_stacks(
-    levels: Sequence[Level], group: list[tuple[int, slice, slice]]
-) -> list[NDArray[np.complex128]]:
-    """The T'-mean stacks of one group from :func:`_shared_climbs`, in group order.
-
-    Per row of the lead lattice and time, the window edges, the gap mask
+    Per row of the largest lattice and time, the window edges, the gap mask
     and the ladder's start are computed once: on branch ``sigma = sign(e)``
     the substitution ``xi = kappa*(x_f*cos(wT) - sigma*sin(wT)*v/(M*omega))``,
     ``v = sqrt(e^2 - b^2)``, ``kappa = sqrt(M*omega/hbar)``, turns
@@ -460,40 +443,49 @@ def _oscillator_stacks(
     integral at edge ``e`` is ``A_n(e) = -C_n * J_n(xi_b, xi(e))`` on both
     branches, ``xi_b = kappa*x_f*cos(wT)``, and zero in the gap
     ``|e| < b = M*omega*|x_f|``.  One climb gives ``J_n`` for every level up
-    to the highest whose ladder gain passes ``_LADDER_TOLERANCE / eps``
-    (the gain never falls as n grows); each level then scales its rung by
-    its own column constant ``C_n`` on its own p_c slice.  Levels above the
-    climb take :func:`_ho_antiderivative_grid`.  Only the ``x_f >= 0`` rows
-    are priced when the lead lattice is mirror-symmetric.
+    to the highest whose ladder gain passes ``_LADDER_TOLERANCE / eps``; the
+    gain depends on ``kappa*|x_f|`` only (and never falls as n grows), so
+    each row chooses once, before the T' loop.  Each level scales its rung
+    by its own column constant ``C_n`` on its own p_c slice; levels above
+    the climb take :func:`_ho_antiderivative_grid`.  Parity gives
+    ``W(-x_f, -p_c) = (-1)^n W(x_f, p_c)``, so on an exactly mirror-symmetric
+    largest lattice only its ``x_f >= 0`` rows are priced, and each
+    ``x_f < 0`` row of the mean is the reversed ``-x_f`` row times
+    ``(-1)^n``.  Each finished stack is checked for finiteness once.
     """
-    lead, p_c, x_f, times, _ = levels[group[0][0]]
+    if not levels:
+        return []
+    order = sorted(range(len(levels)), key=lambda i: (levels[i][2].size, levels[i][1].size), reverse=True)
+    lead, p_c, x_f, times, _ = levels[order[0]]  # the largest lattice
+    _check_stack_size(x_f.size, p_c.size)
     system = lead.system
+    members, stacks = [], []  # per level, largest first: (state, n, grids, x_f slice, p_c slice), and its stack
+    for state, level_p_c, level_x_f, level_times, grids in (levels[i] for i in order):
+        rows, columns = _centred_slice(x_f, level_x_f), _centred_slice(p_c, level_p_c)
+        family = system.kind is SystemKind.HARMONIC_OSCILLATOR and state.system == system and level_times == times
+        if not family or rows is None or columns is None:
+            raise DomainError("a window stack takes oscillator levels of one system and one T' set on nested lattices")
+        members.append((state, int(state.quantum_number), grids, rows, columns))
+        stacks.append(np.zeros((level_x_f.size, level_p_c.size), dtype=np.complex128))
     assert system.omega is not None
     m, omega = system.mass, system.omega
     kappa = math.sqrt(m * omega / system.hbar)
-    # (state, n, grids, x_f slice, p_c slice) of each level
-    members = [
-        (levels[i][0], int(levels[i][0].quantum_number), levels[i][4], rows, columns) for i, rows, columns in group
-    ]
-    stacks = [
-        np.zeros((rows.stop - rows.start, columns.stop - columns.start), dtype=np.complex128)
-        for *_, rows, columns in members
-    ]
     n_p = p_c.size
     mirrored = np.array_equal(x_f, -x_f[::-1]) and np.array_equal(p_c, -p_c[::-1])
+    plans = {}  # per priced row: the levels on it, and those whose ladder gain lets them climb
+    for j in range(x_f.size // 2 if mirrored else 0, x_f.size):
+        present = [k for k, (*_, rows, _) in enumerate(members) if rows.start <= j < rows.stop]
+        gains = [hermite_phase_gain(members[k][1], 0.0, kappa * float(x_f[j])) for k in present]
+        plans[j] = present, [k for k, gain in zip(present, gains) if gain * _EPS <= _LADDER_TOLERANCE]
     for t in times:
         h = window_halfwidth(system, t)
         kernels = [_ho_kernel(state, t) for state, *_ in members]
         s, c, _, _ = kernels[0]
         q = 0.5 * c / s
         edges = np.concatenate([p_c - h, p_c + h])
-        for j in range(x_f.size // 2 if mirrored else 0, x_f.size):
+        for j, (present, climbed) in plans.items():
             x = float(x_f[j])
             r = -kappa * x / s
-            present = [k for k, (*_, rows, _) in enumerate(members) if rows.start <= j < rows.stop]
-            climbed = [
-                k for k in present if hermite_phase_gain(members[k][1], q, r) * np.finfo(float).eps <= _LADDER_TOLERANCE
-            ]
             b = m * omega * abs(x)
             live = np.abs(edges) >= b
             reached = bool(np.any(live))  # else every closed-form window of the row is 0
@@ -524,40 +516,12 @@ def _oscillator_stacks(
                 a = np.zeros(2 * n_p, dtype=np.complex128)
                 a[live] = -column * (rungs[n][1:] - rungs[n][0])
                 stacks[k][j - rows.start] += (a[n_p:][columns] - a[columns]) / (2.0 * h)
-    for (state, n, *_), stack in zip(members, stacks):
+    for (_, n, *_), stack in zip(members, stacks):
         stack /= len(times)
         if mirrored:
             first = stack.shape[0] // 2  # the x_f < 0 rows: W(-x_f, -p_c) = (-1)^n W(x_f, p_c)
             stack[:first] = (-1.0 if n % 2 else 1.0) * stack[::-1, ::-1][:first]
-    return stacks
-
-
-@_finite_result
-def _window_stack(levels: Sequence[Level]) -> list[NDArray[np.complex128]]:
-    """Mean over each level's ``times`` of its window averages on its ``(x_f, p_c)`` lattice.
-
-    The only loop over travel times.  A stationary level (``window_average``'s
-    x_f stack) carries exactly one time and is :func:`_plane_window_stack`
-    there; more than one is refused with a ``DomainError``, since stationary
-    distributions and reconstructions sum plane terms and never average a
-    stack over T'.  Oscillator levels whose lattices nest share one ladder
-    climb per (row, time) of their largest lattice (see
-    :func:`_oscillator_stacks`); parity gives
-    ``W(-x_f, -p_c) = (-1)^n W(x_f, p_c)``, so on exactly mirror-symmetric
-    grids each ``x_f < 0`` row of the mean is the reversed ``-x_f`` row times
-    ``(-1)^n``.  Each finished stack is checked for finiteness once.
-    """
-    for _, p_c, x_f, _, _ in levels:
-        _check_stack_size(x_f.size, p_c.size)
-    stacks: dict[int, NDArray[np.complex128]] = {}
-    for i, (state, p_c, x_f, times, grids) in enumerate(levels):
-        if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
-            if len(times) != 1:
-                raise DomainError(f"a stationary window stack takes one travel time, got {len(times)}")
-            stacks[i] = _plane_window_stack(state, p_c, x_f, times[0])
-    for group in _shared_climbs(levels):
-        stacks.update(zip([i for i, _, _ in group], _oscillator_stacks(levels, group)))
-    return [stacks[i] for i in range(len(levels))]
+    return [stacks[order.index(i)] for i in range(len(levels))]
 
 
 def segment_windows(

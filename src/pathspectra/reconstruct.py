@@ -11,28 +11,31 @@ classical period, same as the distributions, but without the x_f integral:
 Narrow bands centred on sqrt(2*M*E_n) reproduce the state only between the
 classical turning points -- the band selects the paths that classically exist.
 
-Band edges are rounded to the nodes ``k * step``, where ``step`` is
-``min(diff(p_c_grid))``; those nodes need not lie on ``p_c_grid`` itself.  At
-the paper defaults the step is 0.019999999999999574, so node 500 is
-9.999999999999787, not the lattice's 10.0.  Adjacent bands share their common
-edge node, so (p1,p2) + (p2,p3) re-brackets the same trapezoid cells as
-(p1,p3).  The sums are rounded separately, so adjacent bands add only to
-rounding: at most 4.0e-16 (oscillator n = 3) and 2.8e-16 (wall k = 2) of
-max |value|, default grids.
+Band edges are rounded to the nodes ``k * step``, where ``step`` is the
+lattice's cell where it meets ``p_c = 0`` (the cell nearest 0 if it does not
+straddle 0).  A ``paper_grids`` lattice is ``delta_p_c * arange(-k, k + 1)``,
+so the step is exactly ``delta_p_c`` and band node 500 is lattice node 500,
+10.0 at the defaults.  Adjacent bands share their common edge node, so
+(p1,p2) + (p2,p3) re-brackets the same trapezoid cells as (p1,p3).  The sums
+are rounded separately, so adjacent bands add only to rounding: at most
+4.0e-16 (oscillator n = 3) and 2.8e-16 (wall k = 2) of max |value|, default
+grids.
 
 Each state's bands share one set of rows on the nodes
 ``+-step * arange(lo, hi + 1)``, where ``[lo, hi]`` is the hull of the bands'
 index ranges.  For the oscillator the rows are the stack of T'-averaged
-windows, one per x_f: all levels of one :func:`_reconstructions` call (fig8's
-n = 0 and n = 3) go through one ``phasor._window_stack`` call, so levels on
-nested lattices share their ladder climbs.  The wall, well, line and circle
-build no stack: their windows are ``sum_t pref_t(x_f) * G_t(p_c) / 2h``, so
-the rows are the Fresnel kernels ``G_t``, one per plane term, and a band is
-``sum_t pref_t(x_f) * B_t / 2h`` with ``B_t`` the band integral of ``G_t``.
-Each band takes two ``quadrature.trapezoid`` calls over its own column
-slices of the rows, negative momenta first (one ordered ``np.sum`` per row).
-Windows are elementwise in ``p_c``, so a column of the shared rows has the
-same bits as on the band's own nodes.
+windows, one per x_f: all levels of one :func:`_reconstructions` call go
+through one ``phasor._window_stack`` call, which takes one nested family.
+fig8's n = 0 and n = 3 are one at every ``delta_p_c`` (both hulls start at
+node 0 with the same step), so they share their ladder climbs.  The wall,
+well, line and circle build no stack: their windows are
+``sum_t pref_t(x_f) * G_t(p_c) / 2h``, so the rows are the Fresnel kernels
+``G_t``, one per plane term, and a band is ``sum_t pref_t(x_f) * B_t / 2h``
+with ``B_t`` the band integral of ``G_t``.  Each band takes two
+``quadrature.trapezoid`` calls over its own column slices of the rows,
+negative momenta first (one ordered ``np.sum`` per row).  Windows are
+elementwise in ``p_c``, so a column of the shared rows has the same bits as
+on the band's own nodes.
 """
 
 from __future__ import annotations
@@ -120,15 +123,18 @@ def _reconstructions(requests: Sequence[Request], T: float) -> list[list[Reconst
 
     Each state's nodes are ``+-step * arange(lo, hi + 1)`` over the hull
     ``[lo, hi]`` of its bands' index ranges, and each band reduces its own
-    column slices of that hull.  Oscillator levels share one
-    ``phasor._window_stack`` call; a quadratic system reduces its plane
-    kernels instead (see the module docstring).  A band thinner than one
-    lattice cell is zeros and widens no hull.
+    column slices of that hull.  The oscillator requests are one nested
+    family of ``phasor._window_stack`` (a ``DomainError`` otherwise); a
+    quadratic system reduces its plane kernels instead (see the module
+    docstring).  A band thinner than one lattice cell is zeros and widens no
+    hull.
     """
     _check_travel_time(T)
     plans = []  # per request: (step, each band's (i1, i2), hull or None)
     for state, bands, grids in requests:
-        step = float(np.min(np.diff(grids.p_c_grid)))
+        p = grids.p_c_grid
+        i = min(max(int(np.searchsorted(p, 0.0, side="right")) - 1, 0), p.size - 2)
+        step = float(p[i + 1] - p[i])  # the lattice's cell at p_c = 0
         spans = [_band_span(state, band, T, grids, step) for band in bands]
         live = [(i1, i2) for i1, i2 in spans if i2 > i1]
         hull = (min(i1 for i1, _ in live), max(i2 for _, i2 in live)) if live else None

@@ -237,7 +237,10 @@ def hermite_phase_gain(n: int, q: float, r: float) -> float:
         G_n = prod_{k<n} max(1, |r| / (sqrt((k+1)/2) * sqrt(1 + 4q^2))).
 
     ``G_n * eps`` bounds the relative error of ``J_n`` against the scale of
-    ``J_0``; it is 1 whenever ``|r|/sqrt(1 + 4q^2) <= 1/sqrt(2)``.
+    ``J_0``; it is 1 whenever ``|r|/sqrt(1 + 4q^2) <= 1/sqrt(2)``.  In the
+    oscillator's windows ``q = cot(wT)/2`` and ``r = -kappa*x_f/sin(wT)``, so
+    the ratio is ``kappa*|x_f|`` at every travel time and the gain depends
+    on ``kappa*|x_f|`` only: ``hermite_phase_gain(n, 0.0, kappa*x_f)``.
     """
     n = _check_degree(n)
     ratio = abs(r) / math.sqrt(1.0 + 4.0 * q * q)

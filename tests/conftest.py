@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 import pathspectra.cli  # noqa: F401  (the package does not import its CLI)
-from perfbench import workloads  # noqa: F401
+from pathspectra import phasor
+from perfbench import tracer, workloads  # noqa: F401
 from tools import datacheck  # noqa: F401
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,3 +42,17 @@ def pytest_collection_finish(session: pytest.Session) -> None:
     late = _project_modules() - PRELOADED
     if late:
         raise pytest.UsageError(f"import {', '.join(sorted(late))} in tests/conftest.py: see its docstring")
+
+
+@pytest.fixture
+def climbs(monkeypatch):
+    """The degree of every ladder climb the window engine starts."""
+    original = phasor._hermite_phase_primitive
+    degrees = []
+
+    def counted(n, *args):
+        degrees.append(n)
+        return original(n, *args)
+
+    monkeypatch.setattr(phasor, "_hermite_phase_primitive", counted)
+    return degrees

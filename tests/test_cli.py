@@ -7,6 +7,7 @@ import collections
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from pathspectra.cli import (
     parse_config_file,
 )
 from pathspectra.errors import UsageError
-from perfbench import workloads
+from perfbench import tracer, workloads
 from tools import datacheck
 
 MANIFEST_KEYS = {
@@ -292,6 +293,21 @@ def test_fig10_overlap_checks(tmp_path):
     assert manifest["checks"]["completeness_sum_alpha_1.5_n40"] == pytest.approx(
         1.0, abs=1e-10
     )
+
+
+def test_benchmark_tracer_finds_every_function_it_wraps(tmp_path):
+    """The benchmark's traced pass swaps each ``tracer.TARGETS`` function, and
+    ``distribution._grid_average``, for a wrapper by name: a renamed one breaks it."""
+    hooks = [(mod, name) for mod, name, _ in tracer.TARGETS] + [("distribution", "_grid_average")]
+    originals = [getattr(sys.modules[f"pathspectra.{mod}"], name) for mod, name in hooks]
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        assert cli.main(["fig10", "--out", str(tmp_path)]) == EXIT_OK
+    finally:
+        traced.uninstall()
+    assert {"cli.main", "cli._emit", "compare.coherent_overlap"} <= {span.name for span in traced.spans()}
+    assert [getattr(sys.modules[f"pathspectra.{mod}"], name) for mod, name in hooks] == originals
 
 
 def test_phasor_stage_endpoint_vs_eigenfunction(tmp_path):
@@ -708,7 +724,7 @@ def _benchmark_argvs() -> list[list[str]]:
 
 def test_benchmark_and_datacheck_command_lines_are_accepted(tmp_path, no_runners):
     argvs = _benchmark_argvs()
-    assert len(argvs) == 87
+    assert len(argvs) == 88
     codes = [main([*argv, "--threads", "2", "--out", str(tmp_path / str(i))]) for i, argv in enumerate(argvs)]
     assert [argv for argv, code in zip(argvs, codes) if code != EXIT_OK] == []
 

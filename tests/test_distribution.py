@@ -12,7 +12,6 @@ import pytest
 import pathspectra as ps
 from pathspectra.distribution import (
     PathDistribution,
-    _grid_average,
     _trapezoid_weights,
     _x_f_weights,
     moments,
@@ -126,7 +125,7 @@ def test_collapsed_form_matches_grid_route():
     g = stationary_grids(K1, 1.0e3, p_c_span=(-2.0, 4.0), x_window=2.0 * math.pi)
     d_auto = spatial_average(K1, 1.0e3, g)
     weights, norm = _x_f_weights(K1, g)
-    d_grid = _grid_average(K1, (1.0e3,), g, weights) / norm
+    d_grid = np.sum(window_average(K1, g.p_c_grid, g.x_f_grid, 1.0e3, g) * weights[:, None], axis=0) / norm
     assert np.max(np.abs(d_auto.values - d_grid)) < 1e-12
 
 
@@ -215,7 +214,7 @@ def test_hoisted_stack_is_bit_identical_to_per_column_windows(st, T):
     weights = _trapezoid_weights(g.x_f_grid) * psi.conj()
     norm = trapezoid(g.x_f_grid, (psi.conj() * psi).real).real
     reduced = np.sum(want * weights[:, None], axis=0) / norm
-    assert (_grid_average(st, (T,), g, weights) / norm).tobytes() == reduced.tobytes()
+    assert (np.sum(got * weights[:, None], axis=0) / norm).tobytes() == reduced.tobytes()
 
 
 @pytest.mark.parametrize("T", [100.41315519036377, 37.3])

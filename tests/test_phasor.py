@@ -10,7 +10,7 @@ from scipy.signal import find_peaks
 
 import pathspectra as ps
 from pathspectra import phasor
-from pathspectra.distribution import _distributions
+from pathspectra.distribution import _distributions, stationary_grids
 from pathspectra.errors import DivergentSampleError, DomainError, SingularTimeError
 from pathspectra.phasor import (
     ho_regular_factor,
@@ -534,29 +534,25 @@ def test_window_stack_is_the_mean_of_single_time_stacks(n):
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
-def test_stationary_window_stack_is_its_one_time_stack_and_refuses_more():
-    args = (_WALL2, _WALL_GRIDS.p_c_grid, _WALL_GRIDS.x_f_grid)
-    # one time is the x_f stack itself, byte for byte
-    assert phasor._window_stack([(*args, (100.0,), _WALL_GRIDS)])[0].tobytes() == window_average(
-        *args, 100.0, _WALL_GRIDS
-    ).tobytes()
-    # no caller averages a stationary stack over T'
-    with pytest.raises(DomainError, match="one travel time, got 3"):
-        phasor._window_stack([(*args, (100.0, 103.7, 111.2), _WALL_GRIDS)])
+@pytest.mark.parametrize(
+    "st",
+    [
+        _WALL2,
+        ps.EigenstateSpec(system=ps.square_well(width=math.pi), quantum_number=3.0),
+        K1,
+        ps.EigenstateSpec(system=ps.circle(radius=1.0), quantum_number=2.0),
+    ],
+    ids=lambda s: s.system.kind.name,
+)
+def test_window_average_prices_the_plane_systems_as_their_plane_stack(monkeypatch, st):
+    g = stationary_grids(st, 100.0, p_c_span=(-3.0, 3.0))
+    want = phasor._plane_window_stack(st, g.p_c_grid, g.x_f_grid, 100.0)
 
+    def engine(levels):
+        raise AssertionError("the oscillator engine priced a plane system")
 
-@pytest.fixture
-def climbs(monkeypatch):
-    """The degree of every ladder climb the window engine starts."""
-    original = phasor._hermite_phase_primitive
-    degrees = []
-
-    def counted(n, *args):
-        degrees.append(n)
-        return original(n, *args)
-
-    monkeypatch.setattr(phasor, "_hermite_phase_primitive", counted)
-    return degrees
+    monkeypatch.setattr(phasor, "_window_stack", engine)
+    assert window_average(st, g.p_c_grid, g.x_f_grid, 100.0, g).tobytes() == want.tobytes()
 
 
 def _levels_0_to_3(**overrides):
@@ -595,24 +591,42 @@ def test_window_stack_prices_the_kept_rows_once_per_time(climbs):
     ],
     ids=["bench", "small", "pinned"],
 )
-def test_shared_climb_gives_each_level_its_own_bytes(overrides):
+def test_shared_climb_gives_each_level_its_own_bytes(overrides, climbs):
     levels = [_level(st, g) for st, g in _levels_0_to_3(**overrides)]
-    assert len(phasor._shared_climbs(levels)) == 1
     shared = phasor._window_stack(levels)
+    # one climb to n = 3 per kept row of the n = 3 lattice and time
+    top = levels[3][2]
+    assert climbs == [3] * (len(levels[3][3]) * (top.size - top.size // 2))
     for level, stack in zip(levels, shared):
         assert stack.tobytes() == phasor._window_stack([level])[0].tobytes()
 
 
-def test_levels_on_lattices_that_do_not_nest_climb_apart(climbs):
+def _family_breakers():
     st0, st3 = (ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=n) for n in (0, 3))
-    g0 = paper_grids(st0, _T_HO, delta_x_f=0.5, delta_p_c=0.1, delta_T=math.pi / 2.0)
-    g3 = paper_grids(st3, _T_HO, delta_x_f=0.3, delta_p_c=0.1, delta_T=math.pi / 2.0)
-    levels = [_level(st0, g0), _level(st3, g3)]
-    assert [[i for i, _, _ in group] for group in phasor._shared_climbs(levels)] == [[1], [0]]
-    shared = phasor._window_stack(levels)
-    assert sorted(climbs) == [0] * (4 * 11) + [3] * (4 * 45)
-    for level, stack in zip(levels, shared):
-        assert stack.tobytes() == phasor._window_stack([level])[0].tobytes()
+    g0, g3 = _small_grids(st0, _T_HO), _small_grids(st3, _T_HO)
+    other_x_f = paper_grids(st3, _T_HO, delta_x_f=0.3, delta_p_c=0.1, delta_T=math.pi / 2.0)
+    other_p_c = paper_grids(st3, _T_HO, delta_x_f=0.5, delta_p_c=0.07, delta_T=math.pi / 2.0)
+    heavy = ps.EigenstateSpec(system=ps.harmonic_oscillator(mass=2.0), quantum_number=3)
+    wall = (_WALL2, _WALL_GRIDS.p_c_grid, _WALL_GRIDS.x_f_grid, (100.0,), _WALL_GRIDS)
+    return {
+        "x_f-lattices-do-not-nest": [_level(st0, g0), _level(st3, other_x_f)],
+        "p_c-lattices-do-not-nest": [_level(st0, g0), _level(st3, other_p_c)],
+        "p_c-slice-off-centre": [(st0, g3.p_c_grid[:-2], g0.x_f_grid, g0.T_samples, g0), _level(st3, g3)],
+        "systems-differ": [_level(st0, g0), (heavy, g3.p_c_grid, g3.x_f_grid, g3.T_samples, g3)],
+        "T-sets-differ": [_level(st0, g0, g0.T_samples[:2]), _level(st3, g3)],
+        "stationary-level": [wall],
+        "stationary-beside-oscillator": [_level(st3, g3), wall],
+    }
+
+
+FAMILY_BREAKERS = _family_breakers()
+
+
+@pytest.mark.parametrize("levels", FAMILY_BREAKERS.values(), ids=FAMILY_BREAKERS.keys())
+def test_a_window_stack_that_is_not_one_nested_family_is_refused(levels, climbs):
+    with pytest.raises(DomainError, match="one system and one T' set on nested lattices"):
+        phasor._window_stack(levels)
+    assert climbs == []  # refused before any work
 
 
 def test_a_level_past_the_ladder_takes_the_grid_while_the_rest_share_the_climb(monkeypatch, climbs):
@@ -624,7 +638,6 @@ def test_a_level_past_the_ladder_takes_the_grid_while_the_rest_share_the_climb(m
         for st in states
     ]
     levels = [_level(st, g) for st, g in zip(states, grids)]
-    assert [[i for i, _, _ in group] for group in phasor._shared_climbs(levels)] == [[2, 1, 0]]
     original = phasor._ho_antiderivative_grid
     fallback = []
 
@@ -636,7 +649,9 @@ def test_a_level_past_the_ladder_takes_the_grid_while_the_rest_share_the_climb(m
     shared = phasor._window_stack(levels)
     assert fallback and {n for n, _ in fallback} == {16}
     assert min(x for _, x in fallback) <= grids[1].x_f_grid[-1]  # a row both climbs and falls back
-    assert set(climbs) == {1, 16}  # to n = 16 near the centre, to n = 1 where n = 16 falls back
+    # per time, over the kept rows x_f = 0, 2, ..., 28 of the n = 16 lattice: one climb to n = 16
+    # at x_f <= 4, one to n = 1 at 6 and 8 (n = 0's lattice ends at 4), none where only n = 16 is left
+    assert climbs == ([16] * 3 + [1] * 2) * len(grids[2].T_samples)
     for level, stack in zip(levels, shared):
         assert stack.tobytes() == phasor._window_stack([level])[0].tobytes()
 

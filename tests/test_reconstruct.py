@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib
 import math
 import tracemalloc
 
@@ -13,7 +12,7 @@ import pytest
 import pathspectra as ps
 from pathspectra.distribution import stationary_grids
 from pathspectra.errors import DomainError
-from pathspectra.phasor import _plane_terms, _shared_climbs, window_average_series
+from pathspectra.phasor import _plane_terms, window_average_series
 from pathspectra.quadrature import GridBundle, _check_stack_size, trapezoid
 from pathspectra.reconstruct import _reconstructions, reconstruct
 from pathspectra.specfun import gaussian_phase_integral
@@ -153,7 +152,8 @@ def _column_series(st, nodes, x_f, T, g):
 def _per_column_reconstruct(st, band, T, g):
     """Reference: one window series per (x_f, T') column, each column's mean
     over T', then two ordered np.sum trapezoids (negative momenta first)."""
-    step = float(np.min(np.diff(g.p_c_grid)))
+    i = int(np.searchsorted(g.p_c_grid, 0.0, side="right")) - 1
+    step = float(g.p_c_grid[i + 1] - g.p_c_grid[i])  # the lattice's cell at p_c = 0
     pos = step * np.arange(round(band[0] / step), round(band[1] / step) + 1)
     nodes = np.concatenate([-pos[::-1], pos])
     n_half = pos.size
@@ -238,31 +238,43 @@ def _assert_same_as_per_band_calls(requests, T):
             assert rec.values.tobytes() == alone.values.tobytes()
 
 
-def test_fig8_requests_share_one_stack_bit_for_bit(monkeypatch):
-    T = 32.0 * math.pi + 0.3
+def _fig8_requests(T, **overrides):
+    """fig8's two levels and three bands, on small grids."""
     requests = []
     for n in (0, 3):
         st = ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=n)
         b_n = math.sqrt(2.0 * st.energy)
         bands = [(0.0, 10.0), (max(b_n - 1.0, 0.0), b_n + 1.0), (b_n - 0.2, b_n + 0.2)]
-        if n == 0:
-            bands.append((1.001, 1.002))  # thinner than one cell
-        requests.append((st, bands, _small_oscillator_grids(st, T)))
-    groups = []
-    module = importlib.import_module("pathspectra.reconstruct")  # the package's name is the function
-    stack_calls = module._window_stack
+        grids = ps.paper_grids(st, T, **{"delta_x_f": 0.5, "delta_p_c": 0.1, "delta_T": math.pi / 2.0, **overrides})
+        requests.append((st, bands, grids))
+    return requests
 
-    def spy(levels):
-        groups.append(_shared_climbs(levels))
-        return stack_calls(levels)
 
-    monkeypatch.setattr(module, "_window_stack", spy)
+def _one_climb_per_reached_row(grids, top):
+    """One climb to n = 3 per time and kept row whose gap |p_c| < |x_f| some window edge passes."""
+    kept = grids.x_f_grid[grids.x_f_grid.size // 2 :]
+    return [3] * sum(int(np.sum(kept <= top + math.sqrt(1.0 / t))) for t in grids.T_samples)
+
+
+def test_fig8_requests_share_one_stack_bit_for_bit(climbs):
+    T = 32.0 * math.pi + 0.3
+    requests = _fig8_requests(T)
+    requests[0][1].append((1.001, 1.002))  # thinner than one cell
     got = _reconstructions(requests, T)
-    # one call, and n = 0 rides the n = 3 lattice's ladder climbs
-    assert [[i for i, _, _ in group] for group in groups[0]] == [[1, 0]]
+    # n = 0 rides the n = 3 lattice's ladder climbs
+    assert climbs == _one_climb_per_reached_row(requests[1][2], 10.0)
     assert not np.any(got[0][3].values)
-    monkeypatch.undo()
     _assert_same_as_per_band_calls(requests, T)
+
+
+@pytest.mark.parametrize("delta_p_c", [k / 200 for k in range(1, 41)])
+def test_fig8_shares_its_climbs_at_every_node_step(delta_p_c, climbs):
+    """The band step is the lattice's own cell at p_c = 0, exactly delta_p_c for both
+    levels, so their hulls nest even where min(diff(p_c_grid)) tells the lattices apart."""
+    T = 32.0 * math.pi + 0.3
+    requests = _fig8_requests(T, delta_p_c=delta_p_c)
+    _reconstructions(requests, T)
+    assert climbs == _one_climb_per_reached_row(requests[1][2], delta_p_c * round(10.0 / delta_p_c))
 
 
 @pytest.mark.parametrize("low", [0.0, 0.5], ids=["hull-from-0", "hull-from-i1"])
@@ -280,7 +292,8 @@ def test_band_hull_over_the_stack_cap_is_refused_before_its_nodes_are_built():
     T = 32.0 * math.pi + 0.3
     g = ps.paper_grids(st, T)
     bands = [(0.0, 6000.0), (10000.0, 16000.0)]
-    step = float(np.min(np.diff(g.p_c_grid)))
+    zero = g.p_c_grid.size // 2
+    step = float(g.p_c_grid[zero + 1] - g.p_c_grid[zero])  # the lattice's cell at p_c = 0
     for p1, p2 in bands:
         _check_stack_size(g.x_f_grid.size, 2 * (round(p2 / step) - round(p1 / step) + 1))
     tracemalloc.start()

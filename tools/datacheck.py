@@ -51,6 +51,8 @@ COMMANDS: dict[str, list[str]] = {
     "fig8_bench": ["fig8", *BENCH_GRIDS],
     # both levels on one cropped x_f window, with another node step and its rounding
     "fig8_pinned": ["fig8", "--set", "x_f_span=3", "--set", f"delta_T={math.pi!r}", "--set", "delta_p_c=0.05"],
+    # a node step at which the two lattices' min(diff(p_c_grid)) differ, though not their cell at p_c = 0
+    "fig8_step": ["fig8", "--set", "delta_p_c=0.07"],
     "fig9": ["fig9", "--set", "delta_p_c=0.04"],
     "fig9_default": ["fig9"],  # the default momentum step 0.01
     "fig10": ["fig10"],
