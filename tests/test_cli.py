@@ -7,7 +7,10 @@ import collections
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +296,43 @@ def test_fig10_overlap_checks(tmp_path):
     assert manifest["checks"]["completeness_sum_alpha_1.5_n40"] == pytest.approx(
         1.0, abs=1e-10
     )
+
+
+# Refuses every scipy import, then runs the CLI; exits non-zero on a failed run
+# or if anything loaded scipy.
+NO_SCIPY = """
+import importlib.abc
+import sys
+
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+import pathspectra
+import pathspectra.cli
+
+out = sys.argv[1]
+tiny = ["--set", "delta_T=3.141592653589793", "--set", "delta_x_f=1.0", "--set", "delta_p_c=0.1",
+        "--set", "n_p_floor=5", "--set", "n_p_slope=5"]
+line = ["--set", "system=free_line", "--set", "quantum_number=1", "--set", "T=100"]
+assert pathspectra.cli.main(["fig7", *tiny, "--out", out + "/fig7"]) == 0
+assert pathspectra.cli.main(["distribution", *line, "--out", out + "/line"]) == 0
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+
+
+def test_the_package_runs_without_scipy(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_benchmark_tracer_finds_every_function_it_wraps(tmp_path):
@@ -724,7 +764,7 @@ def _benchmark_argvs() -> list[list[str]]:
 
 def test_benchmark_and_datacheck_command_lines_are_accepted(tmp_path, no_runners):
     argvs = _benchmark_argvs()
-    assert len(argvs) == 88
+    assert len(argvs) == 89
     codes = [main([*argv, "--threads", "2", "--out", str(tmp_path / str(i))]) for i, argv in enumerate(argvs)]
     assert [argv for argv, code in zip(argvs, codes) if code != EXIT_OK] == []
 

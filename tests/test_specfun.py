@@ -1,17 +1,22 @@
-"""Special-function layer: recurrences against scipy, Fresnel and Hermite chirps against quad."""
+"""Special-function layer: recurrences against scipy, Fresnel and Hermite chirps against quad,
+the Faddeeva and Fresnel functions against 40-digit mpmath."""
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import eval_hermite, eval_laguerre
 
+from pathspectra import cli, specfun
 from pathspectra.errors import DomainError
 from pathspectra.specfun import (
     MAX_DEGREE,
+    _faddeeva,
+    _fresnel,
     _hermite_phase_primitive,
     gaussian_phase_integral,
     hermite,
@@ -108,6 +113,13 @@ def test_gaussian_phase_integral_conjugation():
     assert mirrored == pytest.approx(np.conj(value), rel=1e-14)
 
 
+def test_gaussian_phase_integral_takes_infinite_ends():
+    half = 0.5 * math.sqrt(math.pi / 4.0) * (1.0 + 1.0j)
+    assert gaussian_phase_integral(0.0, math.inf, 2.0) == half
+    assert gaussian_phase_integral(-math.inf, math.inf, 2.0) == 2.0 * half
+    assert gaussian_phase_integral(-math.inf, 0.0, -2.0) == np.conj(half)
+
+
 def test_gaussian_phase_integral_broadcasts():
     a = np.array([0.0, 1.0, 2.0])
     out = gaussian_phase_integral(a, a + 0.5, 1.3)
@@ -184,3 +196,72 @@ def test_hermite_phase_gain_is_the_ladder_product():
     )
     with pytest.raises(DomainError):
         hermite_phase_gain(MAX_DEGREE + 1, 0.0, 0.0)
+
+
+def test_fresnel_limits_zero_symmetry_and_nan():
+    assert _fresnel(0.0) == 0.0
+    signed = _fresnel(-0.0)
+    assert signed == 0.0 and np.signbit(signed.real) and np.signbit(signed.imag)
+    ends = _fresnel(np.array([math.inf, -math.inf, 1e300, -2.0**60]))
+    assert ends.tolist() == [0.5 + 0.5j, -0.5 - 0.5j, 0.5 + 0.5j, -0.5 - 0.5j]
+    nan = _fresnel(np.array([math.nan]))
+    assert np.isnan(nan.real).all() and np.isnan(nan.imag).all()
+    # every region: the series, w, the asymptotic series, the flat far end
+    x = np.concatenate([np.logspace(-8, 20, 301), [0.999999, 1.0, 7.999999, 8.0]])
+    assert _fresnel(-x).tobytes() == (-_fresnel(x)).tobytes()
+
+
+def _mp_faddeeva(z: complex) -> complex:
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z)
+        return complex(mpmath.exp(-zm * zm) * mpmath.erfc(-1j * zm))
+
+
+def _mp_fresnel(x: float) -> complex:
+    with mpmath.workdps(40):
+        return complex(mpmath.fresnelc(x), mpmath.fresnels(x))
+
+
+def _relative_error(got, want):
+    return np.abs(got - want) / np.abs(want)
+
+
+def test_faddeeva_matches_mpmath_over_the_closed_upper_half_plane():
+    radius = np.concatenate([np.logspace(-300, -20, 8), np.logspace(-20, 4, 61)])
+    angle = np.linspace(0.0, math.pi, 17)  # both real half-axes included
+    z = (radius[:, None] * np.exp(1j * angle)).ravel()
+    z = z.real + 1j * np.abs(z.imag)  # cos(pi) rounding leaves no -0j below the axis
+    want = np.array([_mp_faddeeva(v) for v in z])
+    assert np.max(_relative_error(_faddeeva(z), want)) <= 4e-15
+
+
+def test_faddeeva_matches_mpmath_on_the_oscillator_engine_arguments(tmp_path, monkeypatch):
+    seen = []
+    original = specfun._faddeeva
+
+    def recorded(z):
+        seen.append(np.array(z))
+        return original(z)
+
+    monkeypatch.setattr(specfun, "_faddeeva", recorded)
+    argv = ["fig7", "--set", f"delta_T={math.pi!r}", "--set", "delta_x_f=1.0", "--set", "delta_p_c=0.1"]
+    assert cli.main([*argv, "--set", "n_p_floor=5", "--set", "n_p_slope=5", "--out", str(tmp_path)]) == 0
+    z = np.concatenate(seen)
+    z = z[:: max(1, z.size // 300)]
+    assert z.size >= 250 and np.min(z.imag) >= 0.0
+    want = np.array([_mp_faddeeva(v) for v in z])
+    assert np.max(_relative_error(original(z), want)) <= 4e-15
+
+
+def test_fresnel_matches_mpmath():
+    x = np.concatenate([[0.0, 1e-300], np.logspace(-6, 5, 221)])
+    x = np.concatenate([x, -x])
+    got = _fresnel(x)
+    want = np.array([_mp_fresnel(v) for v in x])
+    assert got[0] == 0.0 and got[x.size // 2] == 0.0
+    error = _relative_error(got[x != 0.0], want[x != 0.0])
+    beyond = np.abs(x[x != 0.0]) >= 8.0
+    assert np.max(error[~beyond]) <= 2e-15
+    # far out the phase pi*x^2/2 is reduced exactly; rounded, it would be off
+    # by about x * 5.5e-17 (5.5e-12 at |x| = 1e5)
+    assert np.max(error[beyond]) <= 1e-15

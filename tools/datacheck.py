@@ -59,6 +59,10 @@ COMMANDS: dict[str, list[str]] = {
     "distribution_wall": ["distribution", *_stationary("hard_wall", 2.0)],
     "distribution_well": ["distribution", *_stationary("square_well", 3.0)],
     "distribution_line": ["distribution", *_stationary("free_line", 1.0)],
+    # the README's free line at T = 1e4: Fresnel arguments out to |x| ~ 5e3
+    "distribution_line_far": [
+        "distribution", "--set", "system=free_line", "--set", "quantum_number=1", "--set", "T=10000",
+    ],
     "distribution_circle": ["distribution", *_stationary("circle", 2.0)],
     "time_average": ["time-average"],
     "time_average_omega3": ["time-average", "--set", "omega=3"],  # 32 T' samples over one period 2*pi/3
