@@ -220,7 +220,8 @@ def _bundle_for(state: EigenstateSpec, cfg: RunConfig) -> GridBundle:
 def _grid_report(state: EigenstateSpec, bundle: GridBundle, *, one_time: bool = False) -> dict[str, float]:
     """The grid sizes a computation actually ran on, for the manifest (inner v-grid: oscillator only).
 
-    ``one_time`` marks a computation at the one time T, not at the bundle's T' samples."""
+    ``one_time`` marks a computation at the one time T, not at the bundle's T' samples;
+    a one-time stationary one (fig2, a window, a distribution) reads no x_f grid."""
     report = {
         "n_time": 1 if one_time else len(bundle.T_samples),
         "x_f_nodes": int(bundle.x_f_grid.size),
@@ -228,6 +229,8 @@ def _grid_report(state: EigenstateSpec, bundle: GridBundle, *, one_time: bool = 
     }
     if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
         report.update(n_p_floor=bundle.n_p_floor, n_p_slope=bundle.n_p_slope)
+    elif one_time:
+        del report["x_f_nodes"]
     return report
 
 
@@ -299,12 +302,10 @@ def _fig2(cfg: RunConfig, write: Writer) -> dict:
     averaged = window_average_series(state, grid, cfg.x_f, cfg.T, bundle)
     write("fig2_window", ("p_c", "re", "im"), (grid, averaged))
     window_integral = trapezoid(grid, averaged)
-    grids = _grid_report(state, bundle)
-    del grids["x_f_nodes"]  # one x_f: the bundle's x_f grid goes unread
     return {
         "window_series_integral_re": window_integral.real,
         "window_series_integral_im": window_integral.imag,
-        "grids": grids,
+        "grids": _grid_report(state, bundle, one_time=True),
     }
 
 
@@ -395,15 +396,12 @@ def _stage_window(cfg: RunConfig, write: Writer) -> dict:
     write("window", ("p_c", "re", "im"), (grid, series))
     target = complex(eigenfunction(state, cfg.x_f))
     total = trapezoid(grid, series)
-    grids = _grid_report(state, bundle, one_time=True)
-    if state.system.kind is not SystemKind.HARMONIC_OSCILLATOR:
-        del grids["x_f_nodes"]  # one x_f; only the oscillator's p_c grid is sized by its x_f grid
     return {
         "series_integral_re": total.real,
         "series_integral_im": total.imag,
         "eigenfunction_re": target.real,
         "eigenfunction_im": target.imag,
-        "grids": grids,
+        "grids": _grid_report(state, bundle, one_time=True),
     }
 
 
@@ -455,12 +453,12 @@ def _stage_compare(cfg: RunConfig, write: Writer) -> dict:
 # The command table: each command's runner, the RunConfig keys it reads (plus
 # out and format) and the values it pins.  In the keys, "state" stands for
 # `_STATE_KEYS` and the system kind's shape constant, "grids" for the keys of
-# the kind's grid recipe, "grids at T" for those of them that a computation at
-# the one time T reads (no T' sampling), and "window grids" for those that
-# shape the windows of one x_f (an oscillator bundle's x_f grid still sizes its
-# default p_c grid; a stationary one's goes unused).  A pin fills its key
-# unless the configuration sets it, and a pinned key the command does not
-# read is refused like any other.
+# the kind's grid recipe, and "window grids" for those that a computation at
+# the one time T reads: no T' sampling, and for a stationary system no x_f
+# grid (an oscillator bundle's x_f grid is averaged over and sizes its default
+# p_c grid; a stationary window prices one x_f and a stationary distribution
+# is closed-form over x_f).  A pin fills its key unless the configuration sets
+# it, and a pinned key the command does not read is refused like any other.
 _FREE_LINE_PINS = dict(system="free_line", hbar=1.0, mass=1.0, quantum_number=1.0, T=1.0e4, x_f=0.0)
 _FREE_LINE_PINS.update(delta_p_c=1e-4, p_c_lo=0.5, p_c_hi=1.5)  # fig1 and fig2 read these three
 _UNIT_OSCILLATOR_PINS = dict(system="harmonic_oscillator", hbar=1.0, mass=1.0, omega=1.0)
@@ -477,7 +475,7 @@ _COMMANDS = {
     "phasor": (_stage_phasor, ("state", "T", "x_f", *_P_C_KEYS), {}),
     "window": (_stage_window, ("state", "T", "x_f", "window grids"), {}),
     "distribution": (
-        partial(_stage_distribution, average=spatial_average, name="distribution"), ("state", "T", "grids at T"), {}
+        partial(_stage_distribution, average=spatial_average, name="distribution"), ("state", "T", "window grids"), {}
     ),
     "time-average": (partial(_stage_distribution, average=time_average, name="time-average"), _AVERAGE_KEYS, {}),
     "reconstruct": (_stage_reconstruct, (*_AVERAGE_KEYS, "band_lo", "band_hi"), {}),
@@ -491,12 +489,11 @@ def _run_command(command: str, cfg: RunConfig, given: Collection[str]) -> list[s
     kind = SystemKind(pins.get("system", cfg.system))
     oscillator = kind is SystemKind.HARMONIC_OSCILLATOR
     recipe = _PAPER_GRID_KEYS if oscillator else _STATIONARY_GRID_KEYS
-    at_T = tuple(key for key in recipe if key != "delta_T")  # delta_T alone sets paper_grids' T' samples
     spelled = {
         "state": (*_STATE_KEYS, *[key for shaped, key in SHAPE_CONSTANT.items() if shaped is kind]),
         "grids": recipe,
-        "grids at T": at_T,
-        "window grids": at_T if oscillator else _P_C_KEYS,
+        # delta_T alone sets paper_grids' T' samples
+        "window grids": tuple(key for key in recipe if key != "delta_T") if oscillator else _P_C_KEYS,
     }
     unread = set(given) - {key for item in reads for key in spelled.get(item, (item,))} - {"out", "format"}
     if unread:

@@ -13,22 +13,24 @@ number of midpoints over exactly that period, 32 at the default delta_T)
 produces the stationary, real, non-negative profiles peaking at
 |p_c| = sqrt(2*M*E_n).
 
-Normalization note: the x_f integral and N are always computed over the same
-window, so distributions integrate to 1 regardless of the window size.  For
-the phase-like eigenfunctions (free line, circle) the conjugate weight cancels
-the only x_f dependence of the window average exactly, so the quotient of
-integrals is the window kernel itself to rounding: the plane-term average
-below computes it as the one-term case, and the x_f window cannot matter.
+Closed form: the wall, well, line and circle windows are a sum of at most
+two plane terms, ``W = sum_t pref_t(x_f) * G_t(p_c) / 2h``, with
+``pref = amp * e^{ikx_f}`` (line, circle) or ``+-amp * e^{+-ikx_f} / 2i``
+(the standing waves ``sin(kx_f)`` of the wall and well).  Against the
+conjugated eigenfunction the x_f dependence cancels exactly, each
+standing-wave term averaging to ``amp/2``, so
 
-Cost note: the wall, well, line and circle windows are a sum of at most two
-plane terms, ``W(x_f, p_c) = sum_t pref_t(x_f) * G_t(p_c) / 2h``, so their
-x_f average is ``sum_t c_t * G_t(p_c) / 2h`` with ``c_t`` the weighted x_f
-sum of ``pref_t``: one Fresnel kernel per term and no ``(x_f, p_c)`` stack
-(the default hard wall's would be 129 x 174,446 cells).  The oscillator
-takes ``phasor._window_stack``, the engine reconstruction shares: the
-``(x_f, p_c)`` stack already averaged over the T' samples, so the
-T'-independent weights and N apply once, one ordered ``np.sum`` (the x_f
-trapezoid as weights).  Levels priced together (fig7's n = 0..3, one
+    P(p_c) = amp * mean_t G_t(p_c) / 2h,    amp = sqrt(T / (2*pi*i*hbar*m)):
+
+one Fresnel kernel per stationary point, no x_f grid and no N.  A trapezoid
+over x_f rows matches it only where its nodes do not alias ``e^{2ikx_f}``
+(Trefethen & Weideman, SIAM Review 56 (2014) 385), so none is taken.
+
+Cost note: the oscillator takes ``phasor._window_stack``, the engine
+reconstruction shares: the ``(x_f, p_c)`` stack already averaged over the T'
+samples, so the T'-independent weights and N (over the same x_f window, so
+P integrates to 1 whatever its size) apply once, one ordered ``np.sum``
+(the x_f trapezoid as weights).  Levels priced together (fig7's n = 0..3, one
 ``_distributions`` call) share one ladder climb per (x_f, T') column of
 their largest lattice.
 """
@@ -43,7 +45,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateDistributionError, DomainError
-from .phasor import _plane_factors, _window_stack
+from .phasor import _plane_amplitude, _plane_factors, _window_stack
 from .quadrature import GridBundle, _check_node_count, trapezoid, uniform_grid
 from .systems import EigenstateSpec, SystemKind, _check_travel_time, eigenfunction, mass_parameter, window_halfwidth
 
@@ -62,7 +64,7 @@ class PathDistribution:
 
     ``values`` keeps its (small) imaginary parts on purpose: realness is one
     of the claims worth *measuring*, not assuming.  ``normalization_N`` is the
-    squared-eigenfunction integral over the x_f window actually used.
+    oscillator's x_f window norm ``int |psi|^2``; None for the closed-form four.
     """
 
     p_c_grid: NDArray[np.float64]
@@ -70,12 +72,13 @@ class PathDistribution:
     state: EigenstateSpec
     T: float
     time_averaged: bool
-    normalization_N: float
+    normalization_N: float | None
     grids: GridBundle
 
 
 _PLANE_KINDS = (SystemKind.FREE_LINE, SystemKind.CIRCLE)
-_DEFAULT_TAIL_BUDGET = 1e-6
+# the norm the default p_c span may leave in the neglected oscillatory tail
+_TAIL_BUDGET = 1e-6
 
 
 def stationary_grids(
@@ -86,30 +89,28 @@ def stationary_grids(
     p_c_span: tuple[float, float] | None = None,
     x_window: float | None = None,
     delta_x_f: float | None = None,
-    tail_budget: float = _DEFAULT_TAIL_BUDGET,
 ) -> GridBundle:
     """Default grids for the four stationary (non-oscillator) systems.
 
     The momentum grid covers every stationary point ``+-hbar*k`` plus a margin
-    ``max(50*h, sqrt(75*hbar*m/(T*tail_budget)))`` sized so the neglected
-    oscillatory tail stays below ``tail_budget`` in the norm (the constant 75
-    is calibrated against measured free-line truncation errors, with slack for
-    the oscillating sign of the tail); spacing defaults to ``h/10`` (the
-    window averages are smooth on the window scale ``h``).  Sampling the
-    chirped tail aliases it into images spaced ``2*pi*hbar*m/(T*delta_p_c)``
-    from each stationary point; a span edge that cuts an image in half leaves
-    a spurious norm contribution, so the default margin is rounded outward to
-    the midpoint between image centres.
-    The x_f window is the full interval for bounded systems; unbounded systems
-    get a finite window (hard wall: snapped to half-periods of the standing
-    wave so the boundary cross terms cancel identically).
+    ``max(50*h, sqrt(75*hbar*m/(T*budget)))`` sized so the neglected
+    oscillatory tail stays below ``budget = _TAIL_BUDGET = 1e-6`` in the norm
+    (the constant 75 is calibrated against measured free-line truncation
+    errors, with slack for the oscillating sign of the tail); spacing
+    defaults to ``h/10`` (the window averages are smooth on the scale ``h``).
+    Sampling the chirped tail aliases it into images spaced
+    ``2*pi*hbar*m/(T*delta_p_c)`` from each stationary point; a span edge that
+    cuts an image in half leaves a spurious norm contribution, so the default
+    margin is rounded outward to the midpoint between image centres.
+    The x_f grid is the output domain of ``reconstruct``; a distribution
+    reads none of it.  It spans the full interval for the bounded systems and
+    ``[0, x_window]`` (wall) or ``[-x_window, x_window]`` (line) for the
+    unbounded ones, ``x_window = 8*pi/|k|`` by default.
     """
     system = state.system
     kind = system.kind
     if kind is SystemKind.HARMONIC_OSCILLATOR:
         raise DomainError("oscillator runs use paper_grids, not stationary_grids")
-    if not (math.isfinite(tail_budget) and tail_budget > 0):
-        raise DomainError(f"tail_budget must be positive and finite, got {tail_budget}")
     hbar_mass = system.hbar * mass_parameter(system)
     h = window_halfwidth(system, T)
     step = h / 10.0 if delta_p_c is None else float(delta_p_c)
@@ -120,8 +121,8 @@ def stationary_grids(
     mirrored = kind not in _PLANE_KINDS  # standing waves: stationary points at +-hbar*k
     center = system.hbar * (state.wavenumber if mirrored else float(k))
     if p_c_span is None:
-        # divided in turn, so that a tiny T * tail_budget overflows to inf (refused) instead of to 0
-        margin = max(50.0 * h, math.sqrt(75.0 * hbar_mass / T / tail_budget))
+        # divided in turn: a tiny T overflows the quotient to inf (refused), where T * budget would round to 0
+        margin = max(50.0 * h, math.sqrt(75.0 * hbar_mass / T / _TAIL_BUDGET))
         _check_node_count(2.0 * (margin / step + 1.0), "stationary p_c grid")
         image_spacing = 2.0 * math.pi * hbar_mass / (T * step)
         snapped = (math.floor(margin / image_spacing) + 0.5) * image_spacing
@@ -154,21 +155,9 @@ def stationary_grids(
         x_max = 8.0 * math.pi / wavelength_scale if x_window is None else float(x_window)
         if not (math.isfinite(x_max) and x_max > 0):
             raise DomainError(f"x_window must be positive and finite, got {x_max}")
-        if kind is SystemKind.HARD_WALL:
-            # snap to an integer number of standing-wave half-periods
-            half = math.pi / float(k)
-            x_max = max(1, round(x_max / half)) * half
         dx = math.pi / (16.0 * wavelength_scale) if delta_x_f is None else float(delta_x_f)
-        if kind is SystemKind.HARD_WALL:
-            x_f_grid = uniform_grid(0.0, x_max, dx)
-        else:
-            x_f_grid = uniform_grid(-x_max, x_max, dx)
-
-    return GridBundle(
-        p_c_grid=p_c_grid,
-        x_f_grid=x_f_grid,
-        T_samples=(float(T),),
-    )
+        x_f_grid = uniform_grid(0.0 if kind is SystemKind.HARD_WALL else -x_max, x_max, dx)
+    return GridBundle(p_c_grid=p_c_grid, x_f_grid=x_f_grid, T_samples=(float(T),))
 
 
 def _trapezoid_weights(x: NDArray) -> NDArray[np.float64]:
@@ -185,7 +174,7 @@ def _x_f_weights(state: EigenstateSpec, grids: GridBundle) -> tuple[NDArray[np.c
     """The T'-independent half of the x_f average: (psi* x trapezoid weights, N)."""
     x_grid = grids.x_f_grid
     psi = np.asarray(eigenfunction(state, x_grid), dtype=np.complex128)
-    norm = trapezoid(x_grid, (psi.conj() * psi).real).real
+    norm = float(trapezoid(x_grid, (psi.conj() * psi).real).real)
     return _trapezoid_weights(x_grid) * psi.conj(), norm
 
 
@@ -217,8 +206,9 @@ def _grid_average(
 def spatial_average(state: EigenstateSpec, T: float, grids: GridBundle) -> PathDistribution:
     """Average the window integrals against the conjugated eigenfunction at ``T``.
 
-    The wall, well, line and circle sum their plane terms over x_f, with no
-    ``(x_f, p_c)`` stack (see the module docstring).
+    The wall, well, line and circle take the closed form
+    ``amp * mean_t G_t(p_c) / 2h`` and read no x_f grid (see the module
+    docstring); the oscillator sums its window stack over ``grids.x_f_grid``.
     """
     return _distributions([(state, grids)], T, time_averaged=False)[0]
 
@@ -245,41 +235,36 @@ def _distributions(
 ) -> list[PathDistribution]:
     """The normalised x_f average for each ``(state, grids)`` over ``(T,)`` or its ``grids.T_samples``.
 
-    Quadratic systems sum their plane terms over x_f (see the module
-    docstring).  Oscillator levels take :func:`_grid_average` of the window
-    stack; several priced together (fig7's four) must be one nested family
-    of ``phasor._window_stack`` and share one ladder climb per (x_f, T')
-    column of the largest lattice.
+    The wall, well, line and circle take the closed form
+    ``amp * mean_t G_t(p_c) / 2h`` (see the module docstring).  Oscillator
+    levels take :func:`_grid_average` of the window stack; several priced
+    together (fig7's four) must be one nested family of
+    ``phasor._window_stack`` and share one ladder climb per (x_f, T') column
+    of the largest lattice.
     """
     if time_averaged and any(state.system.kind is not SystemKind.HARMONIC_OSCILLATOR for state, _ in pairs):
         raise DomainError("time averaging over a classical period is an oscillator operation")
     _check_travel_time(T)
-    weighted = [(state, grids, *_x_f_weights(state, grids)) for state, grids in pairs]
+    oscillator = [(state, grids) for state, grids in pairs if state.system.kind is SystemKind.HARMONIC_OSCILLATOR]
+    weighted = [_x_f_weights(state, grids) for state, grids in oscillator]
     members = [
         (state, grids.T_samples if time_averaged else (float(T),), grids, weights)
-        for state, grids, weights, _ in weighted
-        if state.system.kind is SystemKind.HARMONIC_OSCILLATOR
+        for (state, grids), (weights, _) in zip(oscillator, weighted)
     ]
     # one state goes through _grid_average, the helper perfbench's tracer wraps
     sums = iter(_grid_averages(members) if len(members) > 1 else [_grid_average(*member) for member in members])
+    norms = iter(norm for _, norm in weighted)
     dists = []
-    for state, grids, weights, norm in weighted:
+    for state, grids in pairs:
         if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
+            norm = next(norms)
             values = next(sums) / norm
-        else:  # sum_t c_t * G_t(p_c) / 2h with c_t = sum_x weights(x) * pref_t(x)
-            prefs, kernels = _plane_factors(state, grids.p_c_grid, grids.x_f_grid, float(T))
-            coeffs = np.sum(prefs * weights, axis=1)
-            values = np.sum(coeffs[:, None] * kernels, axis=0) / (2.0 * window_halfwidth(state.system, T)) / norm
+        else:  # amp * mean_t G_t(p_c) / 2h: the kernels alone, no x_f prefactors
+            norm = None
+            _, kernels = _plane_factors(state, grids.p_c_grid, grids.x_f_grid[:0], float(T))
+            values = _plane_amplitude(state, T) * np.mean(kernels, axis=0) / (2.0 * window_halfwidth(state.system, T))
         dists.append(
-            PathDistribution(
-                p_c_grid=grids.p_c_grid,
-                values=values,
-                state=state,
-                T=float(T),
-                time_averaged=time_averaged,
-                normalization_N=float(norm),
-                grids=grids,
-            )
+            PathDistribution(grids.p_c_grid, values, state, float(T), time_averaged, normalization_N=norm, grids=grids)
         )
     return dists
 
@@ -306,11 +291,15 @@ def moments(dist: PathDistribution) -> dict[str, float]:
 
     mag = np.abs(dist.values)
     i = int(np.argmax(mag))
+    peak = float(p[i])
     if 0 < i < p.size - 1:
-        coeffs = np.polyfit(p[i - 1 : i + 2], mag[i - 1 : i + 2], 2)
-        peak = float(-coeffs[1] / (2.0 * coeffs[0])) if coeffs[0] != 0.0 else float(p[i])
-    else:
-        peak = float(p[i])
+        # on offsets from p[i] in units of the three nodes' span, so nothing squares past float range
+        span = p[i + 1] - p[i - 1]
+        u0, u2 = (p[i - 1] - p[i]) / span, (p[i + 1] - p[i]) / span
+        d0, d2 = (mag[i - 1] - mag[i]) / u0, (mag[i + 1] - mag[i]) / u2
+        curvature = (d2 - d0) / (u2 - u0)
+        if curvature != 0.0:  # else the three samples are collinear: keep the node
+            peak = float(p[i] - span * (d0 - curvature * u0) / (2.0 * curvature))
 
     half = mag[i] / 2.0
     left = right = math.nan

@@ -21,8 +21,8 @@ system family:
   sum of plane terms ``pref_t(x_f) * exp(i*gamma*(p_c - c_t)^2)``, so only
   the prefactor depends on ``x_f``: ``_plane_factors`` prices each term's
   Fresnel kernel once, which :func:`window_average` scales into an
-  ``(x_f, p_c)`` stack and distributions and reconstruction reduce without
-  one.
+  ``(x_f, p_c)`` stack, reconstruction integrates without one, and a
+  distribution averages in closed form.
 * The oscillator integrand carries integrable ``1/sqrt`` divergences at
   ``|p_c| = M*omega*|x_f|``.  Substituting ``v = sqrt(p_c^2 - b^2)`` removes
   them, and on each sign branch the starting point ``x0`` is linear in v
@@ -50,9 +50,9 @@ windows from one private engine, ``_window_stack``: the mean over T' of an
 ``(x_f, p_c)`` stack per level, pricing only its ``x_f >= 0`` half when
 parity fixes the rest.  One call prices one nested family, levels of one
 oscillator and one T' set on centred slices of the largest lattice (fig7's
-four, fig8's two), so they share one ``wofz`` start and one ladder climb
-per ``(x_f, T')`` column, since the ladder to level n passes through every
-level below it.
+four, fig8's two), so they share one ``specfun._faddeeva`` start and one
+ladder climb per ``(x_f, T')`` column, since the ladder to level n passes
+through every level below it.
 """
 
 from __future__ import annotations
@@ -155,6 +155,11 @@ def _gamma(state: EigenstateSpec, T: float) -> float:
     return T / (2.0 * state.system.hbar * mass_parameter(state.system))
 
 
+def _plane_amplitude(state: EigenstateSpec, T: float) -> complex:
+    """The amplitude ``sqrt(T / (2*pi*i*hbar*m))`` that every plane term carries."""
+    return complex(np.sqrt(T / (2j * np.pi * state.system.hbar * mass_parameter(state.system))))
+
+
 def _plane_terms(
     state: EigenstateSpec, x_f: float, T: float
 ) -> list[tuple[complex, float]]:
@@ -164,8 +169,7 @@ def _plane_terms(
     standing waves of the wall and well.
     """
     sys_ = state.system
-    m = mass_parameter(sys_)
-    amp = complex(np.sqrt(T / (2j * np.pi * sys_.hbar * m)))
+    amp = _plane_amplitude(state, T)
     kind = sys_.kind
     if kind in (SystemKind.FREE_LINE, SystemKind.CIRCLE):
         k = state.quantum_number
@@ -321,9 +325,10 @@ def _plane_factors(
     Returns ``(prefs, kernels)``, each with one row per plane term, so that
     ``W(x_f, p_c) = sum_t prefs[t, x_f] * kernels[t, p_c] / (2h)``: the
     prefactors ``pref_t(x_f)`` of :func:`_plane_terms` and the Fresnel window
-    kernels ``G_t(p_c)``, each evaluated once.  Consumers that need only a
-    product of the sum (an x_f average, a band integral) never build the
-    ``(x_f, p_c)`` stack.
+    kernels ``G_t(p_c)``, each evaluated once.  A band integral scales the
+    integrated kernels by the prefactors, and a distribution's closed-form
+    x_f average ``amp * mean_t G_t / 2h`` takes the kernels alone (an empty
+    ``x_f``); neither builds the ``(x_f, p_c)`` stack.
     """
     h = window_halfwidth(state.system, T)
     gamma = _gamma(state, T)

@@ -97,6 +97,10 @@ def laguerre(n: int, x: ArrayLike) -> NDArray[np.float64] | float:
     return float(l) if xa.ndim == 0 else l
 
 
+# exp(-xi^2/2) is exactly 0 in float64 beyond |xi| ~ 38.6
+_XI_CLIP = 40.0
+
+
 def ho_eigenfunction(
     n: int,
     x: ArrayLike,
@@ -114,22 +118,25 @@ def ho_eigenfunction(
     with ``xi = sqrt(M*omega/hbar) * x`` and
     ``phi_0 = (M*omega/(pi*hbar))^{1/4} exp(-xi^2/2)``, so the Gaussian weight
     damps the polynomial growth at every step.  Normalised to unit L2 norm.
+    x is clipped to ``|xi| <= _XI_CLIP`` before it is scaled, so nothing
+    overflows and every value past the clip is 0 (``phi_0`` is), not NaN.
     """
     n = _check_degree(n)
     if hbar <= 0 or mass <= 0 or omega <= 0:
         raise DomainError("hbar, mass and omega must all be positive")
-    xa = np.asarray(x, dtype=float)
-    xi = np.sqrt(mass * omega / hbar) * xa
+    scale = np.sqrt(mass * omega / hbar)
+    reach = _XI_CLIP / scale
+    xi = scale * np.clip(np.asarray(x, dtype=float), -reach, reach)
     phi_prev = (mass * omega / (np.pi * hbar)) ** 0.25 * np.exp(-0.5 * xi * xi)
     if n == 0:
-        return float(phi_prev) if xa.ndim == 0 else phi_prev
+        return float(phi_prev) if xi.ndim == 0 else phi_prev
     phi = np.sqrt(2.0) * xi * phi_prev
     for k in range(1, n):
         phi, phi_prev = (
             np.sqrt(2.0 / (k + 1.0)) * xi * phi - np.sqrt(k / (k + 1.0)) * phi_prev,
             phi,
         )
-    return float(phi) if xa.ndim == 0 else phi
+    return float(phi) if xi.ndim == 0 else phi
 
 
 def _horner(coeffs: NDArray[np.float64], u: NDArray) -> NDArray:

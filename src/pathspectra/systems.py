@@ -7,8 +7,9 @@ quantum label.  Both are frozen values, safe to share across threads.
 Conventions that matter downstream:
 
 * Plane-wave-like states (free line ``e^{ikx}``, circle ``e^{i l phi}``, wall
-  and well ``sin(kx)``) are deliberately *unnormalized*; the distribution
-  layer divides by the window norm ``N = int |psi|^2`` so the choice cancels.
+  and well ``sin(kx)``) are deliberately *unnormalized*; the normalization
+  cancels in a distribution, whose x_f average is closed-form for these
+  four (the oscillator's divides by its window norm ``N = int |psi|^2``).
 * The oscillator kernel carries the Morse-index phase ``exp(-i pi/2 *
   floor(omega T / pi))`` and is singular whenever ``sin(omega T) == 0``;
   :func:`regular_sin` refuses every time within float resolution of one.

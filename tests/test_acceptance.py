@@ -100,7 +100,7 @@ def test_wall_and_well_distributions_peak_at_both_signed_momenta():
         (ps.EigenstateSpec(system=ps.square_well(math.pi), quantum_number=2), 1.1, 2.0),
     )
     for state, x_probe, k in cases:
-        grids = ps.stationary_grids(state, T, tail_budget=1e-4)
+        grids = ps.stationary_grids(state, T)
         dist = ps.spatial_average(state, T, grids)
         norm_err = abs(ps.moments(dist)["norm"] - 1.0)
         probe = ps.uniform_grid(-k - 1.0, k + 1.0, 0.01)
@@ -126,7 +126,7 @@ def test_circle_distribution_peaks_at_integer_angular_momenta():
     T = 300.0
     for ell in (1, 2, 3):
         state = ps.EigenstateSpec(system=system, quantum_number=ell)
-        dist = ps.spatial_average(state, T, ps.stationary_grids(state, T, tail_budget=1e-4))
+        dist = ps.spatial_average(state, T, ps.stationary_grids(state, T))
         m = ps.moments(dist)
         print(
             f"[acceptance] circle l={ell}: peak-l={abs(m['peak_location']) - ell:.2e} "

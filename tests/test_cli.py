@@ -615,9 +615,10 @@ def test_compare_stage_tables_match_fig9_and_fig10(tmp_path):
         ["fig1", "--set", "p_c_hi=1e300"],
         ["reconstruct", "--set", "T=100.41315519036377", "--set", "band_hi=1e300"],
         ["window", "--set", "p_c_max=1e300", "--set", "T=100.41315519036377"],
-        ["distribution", "--set", "system=hard_wall", "--set", "quantum_number=2", "--set", "delta_x_f=1e-300"],
+        ["distribution", "--set", "system=hard_wall", "--set", "quantum_number=2", "--set", "delta_p_c=1e-300"],
+        ["reconstruct", "--set", "system=hard_wall", "--set", "quantum_number=2", "--set", "delta_x_f=1e-300"],
     ],
-    ids=["fig1", "reconstruct", "window", "distribution"],
+    ids=["fig1", "reconstruct", "window", "distribution", "reconstruct-stationary-x_f"],
 )
 def test_oversized_grids_are_domain_errors(tmp_path, argv):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_DOMAIN
@@ -648,6 +649,8 @@ WALL = ["--set", "system=hard_wall", "--set", "quantum_number=2", "--set", "T=10
         ["distribution", *WALL, "--set", "n_p_slope=7"],
         ["distribution", *WALL, "--set", "delta_T=0.3"],
         ["distribution", *WALL, "--set", "p_c_max=1"],
+        ["distribution", *WALL, "--set", "x_f_span=3"],
+        ["distribution", *WALL, "--set", "delta_x_f=0.1"],
         ["reconstruct", *WALL, "--set", "band_hi=3", "--set", "n_p_floor=7"],
         ["fig2", "--set", "n_p_floor=7"],
         ["time-average", "--set", "p_c_lo=-1", "--set", "p_c_hi=1"],
@@ -655,7 +658,7 @@ WALL = ["--set", "system=hard_wall", "--set", "quantum_number=2", "--set", "T=10
     ],
     ids=[
         "p_c_lo-alone", "p_c_hi-alone", "phasor-p_c_hi-alone", "band_lo-alone", "wall-n_p_floor",
-        "wall-n_p_slope", "wall-delta_T", "wall-p_c_max", "wall-reconstruct-n_p_floor",
+        "wall-n_p_slope", "wall-delta_T", "wall-p_c_max", "wall-x_f_span", "wall-delta_x_f", "wall-reconstruct-n_p_floor",
         "fig2-n_p_floor", "oscillator-p_c_span", "fig7-p_c_span",
     ],
 )
@@ -673,11 +676,15 @@ def test_stationary_manifests_report_only_the_grids_they_take(tmp_path):
     # band_hi alone integrates from 0; the unset band_lo is echoed as null
     assert manifest["checks"]["band"] == [0.0, 2.0]
     assert manifest["effective_config"]["band_lo"] is None
-    # fig2 and a stationary window price one x_f, so no x_f grid is reported
+    # fig2 and a stationary window price one x_f, and a stationary distribution
+    # is closed-form over x_f, so no x_f grid is reported
     window = ["window", *WALL, "--set", "x_f=0.7", "--set", "p_c_lo=-3", "--set", "p_c_hi=3"]
-    for argv, name in ((["fig2"], "fig2"), (window, "window")):
+    distribution = ["distribution", *WALL, "--set", "p_c_lo=-3", "--set", "p_c_hi=3"]
+    for argv, name in ((["fig2"], "fig2"), (window, "window"), (distribution, "distribution")):
         assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
         assert set(_manifest(tmp_path, name)["checks"]["grids"]) == {"n_time", "p_c_nodes"}
+    # and it has no x_f norm
+    assert _manifest(tmp_path, "distribution")["checks"]["normalization_N"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +705,7 @@ READS: dict[tuple[str, str | None], set[str]] = {
     ("fig9", None): {"delta_p_c"},
     ("fig10", None): set(),
 }
-# the one-time stages take no T' sampling; a stationary window takes no x_f grid
+# the one-time stages take no T' sampling; a stationary window or distribution takes no x_f grid
 for _system, _state, _grids, _window_grids in (
     ("harmonic_oscillator", STATE | {"omega"}, PAPER_GRIDS, PAPER_GRIDS - T_PRIME),
     ("circle", STATE | {"radius"}, STATIONARY_GRIDS, P_C_SPAN),
@@ -707,7 +714,7 @@ for _system, _state, _grids, _window_grids in (
         {
             ("phasor", _system): _state | {"T", "x_f"} | P_C_SPAN,
             ("window", _system): _state | {"T", "x_f"} | _window_grids,
-            ("distribution", _system): _state | {"T"} | (_grids - T_PRIME),
+            ("distribution", _system): _state | {"T"} | _window_grids,
             ("time-average", _system): _state | {"T"} | _grids,
             ("reconstruct", _system): _state | {"T", "band_lo", "band_hi"} | _grids,
             ("compare", _system): _state | {"delta_p_c"},

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,13 +63,13 @@ def test_stationary_grids_free_line_structure():
     assert g.T_samples == (1.0e3,)
 
 
-def test_stationary_grids_hard_wall_x_snapping():
+def test_stationary_grids_hard_wall_x_window():
     st = ps.EigenstateSpec(system=ps.hard_wall(), quantum_number=2.0)
     g = stationary_grids(st, 300.0)
-    # default window 8*pi/k, snapped to half-periods pi/k of the standing wave
-    half = math.pi / 2.0
+    # default window 8*pi/k; a given one is the reconstruction domain as set, not snapped
     assert g.x_f_grid[0] == 0.0
-    assert g.x_f_grid[-1] / half == pytest.approx(round(g.x_f_grid[-1] / half), abs=1e-9)
+    assert g.x_f_grid[-1] == pytest.approx(4.0 * math.pi, abs=1e-12)
+    assert stationary_grids(st, 300.0, x_window=3.0).x_f_grid[-1] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_stationary_grids_bounded_domains():
@@ -87,8 +88,6 @@ def test_stationary_grids_validation():
     with pytest.raises(DomainError):
         stationary_grids(K1, -1.0)
     with pytest.raises(DomainError):
-        stationary_grids(K1, 100.0, tail_budget=0.0)
-    with pytest.raises(DomainError):
         stationary_grids(K1, 100.0, delta_p_c=-0.1)
     stc = ps.EigenstateSpec(system=ps.circle(radius=1.0), quantum_number=1.0)
     with pytest.raises(DomainError):
@@ -105,8 +104,6 @@ def test_stationary_grids_validation():
         (100.0, {"delta_x_f": math.nan}),
         (100.0, {"x_window": math.nan}),
         (100.0, {"x_window": math.inf}),
-        (100.0, {"tail_budget": math.nan}),
-        (100.0, {"tail_budget": math.inf}),
         (100.0, {"p_c_span": (math.nan, 2.0)}),
         (100.0, {"p_c_span": (0.0, math.inf)}),
     ],
@@ -121,7 +118,7 @@ def test_stationary_grids_refuse_non_finite(T, kwargs):
 
 def test_collapsed_form_matches_grid_route():
     # free line: the conjugate weight cancels the x_f dependence exactly,
-    # so the collapsed evaluation and the literal trapezoid must agree
+    # so the closed form and the literal trapezoid must agree
     g = stationary_grids(K1, 1.0e3, p_c_span=(-2.0, 4.0), x_window=2.0 * math.pi)
     d_auto = spatial_average(K1, 1.0e3, g)
     weights, norm = _x_f_weights(K1, g)
@@ -146,7 +143,7 @@ def test_circle_norm_and_peak():
 
 def test_hard_wall_norm_even_mean_and_peaks():
     st = ps.EigenstateSpec(system=ps.hard_wall(), quantum_number=2.0)
-    g = stationary_grids(st, 300.0, tail_budget=1e-4)
+    g = stationary_grids(st, 300.0)
     m = moments(spatial_average(st, 300.0, g))
     assert abs(m["norm"] - 1.0) < 1e-4
     assert abs(m["mean"]) < 1e-8          # even in p_c: two mirrored ridges
@@ -155,21 +152,37 @@ def test_hard_wall_norm_even_mean_and_peaks():
 
 def test_square_well_norm_and_even_mean():
     st = ps.EigenstateSpec(system=ps.square_well(width=math.pi), quantum_number=2.0)
-    g = stationary_grids(st, 300.0, tail_budget=1e-4)
+    g = stationary_grids(st, 300.0)
     m = moments(spatial_average(st, 300.0, g))
     assert abs(m["norm"] - 1.0) < 1e-4
     assert abs(m["mean"]) < 1e-8
 
 
 def test_hard_wall_window_choice_is_immaterial():
-    # the x window snaps to standing-wave half-periods, which kills the
-    # boundary cross terms identically -- doubling it changes nothing
     st = ps.EigenstateSpec(system=ps.hard_wall(), quantum_number=2.0)
-    g1 = stationary_grids(st, 300.0, tail_budget=1e-4)
-    g2 = stationary_grids(st, 300.0, tail_budget=1e-4, x_window=8.0 * math.pi)
+    g1 = stationary_grids(st, 300.0, p_c_span=(-6.0, 6.0))
+    g2 = stationary_grids(st, 300.0, p_c_span=(-6.0, 6.0), x_window=8.0 * math.pi)
     d1 = spatial_average(st, 300.0, g1)
     d2 = spatial_average(st, 300.0, g2)
     assert np.max(np.abs(d1.values - d2.values)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "st, delta_x_f",
+    [
+        (ps.EigenstateSpec(system=ps.hard_wall(), quantum_number=2.0), math.pi / 2.0),
+        (ps.EigenstateSpec(system=ps.square_well(width=math.pi), quantum_number=3.0), math.pi / 3.0),
+    ],
+    ids=["wall", "well"],
+)
+def test_aliased_x_f_grids_leave_standing_wave_distributions_unchanged(st, delta_x_f):
+    # x_f nodes on the zeros of sin(kx): a trapezoid over them sees a zero
+    # eigenfunction and a zero norm; the closed form reads no x_f grid
+    aliased = spatial_average(st, 100.0, stationary_grids(st, 100.0, p_c_span=(-6.0, 6.0), delta_x_f=delta_x_f))
+    want = spatial_average(st, 100.0, stationary_grids(st, 100.0, p_c_span=(-6.0, 6.0))).values
+    assert np.max(np.abs(aliased.values - want)) <= 1e-15 * np.max(np.abs(want))
+    assert aliased.normalization_N is None
+    assert moments(aliased)["norm"] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_fwhm_scales_as_inverse_sqrt_time():
@@ -220,8 +233,8 @@ def test_hoisted_stack_is_bit_identical_to_per_column_windows(st, T):
 @pytest.mark.parametrize("T", [100.41315519036377, 37.3])
 @pytest.mark.parametrize("st", STATIONARY_STATES, ids=lambda s: s.system.kind.name)
 def test_plane_term_average_matches_the_explicit_window_stack(st, T):
-    # c_t = sum_x w(x) * pref_t(x) against the weighted x_f sum of the stack:
-    # the same sums regrouped, so equal to rounding, not bit for bit
+    # the closed form amp * mean_t G_t / 2h against the weighted x_f sum of the
+    # stack over the default x_f grid (whole periods of e^{2ikx}): equal to rounding
     g = stationary_grids(st, T, p_c_span=(-6.0, 6.0))
     weights, norm = _x_f_weights(st, g)
     stack = _plane_window_stack(st, g.p_c_grid, g.x_f_grid, T)
@@ -366,6 +379,19 @@ def test_moments_on_synthetic_gaussian():
     assert m["fwhm"] == pytest.approx(2.0 * sigma * math.sqrt(2.0 * math.log(2.0)), abs=1e-3)
     assert m["max_im_ratio"] == 0.0
     assert all(isinstance(v, float) for v in m.values())
+
+
+def test_moments_peak_vertex_at_huge_momenta_without_warnings():
+    # polyfit would square p ~ 1e200 past float range; the vertex is taken on scaled offsets
+    p0, sigma = 1e200, 1e190
+    p = np.linspace(p0 - 5.0 * sigma, p0 + 5.0 * sigma, 1001)
+    vals = np.exp(-0.5 * ((p - p0 - 0.3 * (p[1] - p[0])) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = moments(_synthetic(p, vals))
+    step = p[1] - p[0]
+    assert abs(m["peak_location"] - (p0 + 0.3 * step)) <= 0.01 * step
+    assert m["norm"] == pytest.approx(1.0, abs=1e-6)  # the tails past 5 sigma are cut
 
 
 def test_moments_degenerate_and_unbracketed():

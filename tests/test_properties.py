@@ -282,19 +282,13 @@ _OPTIONAL_STEP = st.one_of(st.none(), _SPECIAL, st.floats(0.05, 5.0))
     span=st.one_of(st.none(), st.tuples(_HOSTILE_EDGE, _HOSTILE_EDGE)),
     x_window=st.one_of(st.none(), _SPECIAL, st.floats(0.1, 30.0)),
     delta_x_f=_OPTIONAL_STEP,
-    tail_budget=st.one_of(_SPECIAL, st.sampled_from([1e-300, 1e300]), st.floats(1e-3, 1.0)),
 )
-# T * tail_budget underflows to 0: once a ZeroDivisionError
-@example(state=_WALL2, T=1e-300, delta_p_c=None, span=None, x_window=None, delta_x_f=None, tail_budget=1e-300)
-def test_stationary_grids_return_or_raise_pathspectra_errors(
-    state, T, delta_p_c, span, x_window, delta_x_f, tail_budget
-):
-    """Bounded: finite steps and budgets keep every grid to a few ten thousand nodes."""
+# the default margin's quotient 75/T/budget near float range: refused by the node count
+@example(state=_WALL2, T=1e-300, delta_p_c=None, span=None, x_window=None, delta_x_f=None)
+def test_stationary_grids_return_or_raise_pathspectra_errors(state, T, delta_p_c, span, x_window, delta_x_f):
+    """Bounded: finite steps keep every grid to a few hundred thousand nodes."""
     try:
-        g = stationary_grids(
-            state, T, delta_p_c=delta_p_c, p_c_span=span, x_window=x_window,
-            delta_x_f=delta_x_f, tail_budget=tail_budget,
-        )
+        g = stationary_grids(state, T, delta_p_c=delta_p_c, p_c_span=span, x_window=x_window, delta_x_f=delta_x_f)
     except PathspectraError:
         return
     for grid in (g.p_c_grid, g.x_f_grid):

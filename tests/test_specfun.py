@@ -88,6 +88,15 @@ def test_ho_eigenfunction_high_degree_finite():
     assert np.all(np.isfinite(values))
 
 
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_ho_eigenfunction_is_zero_at_huge_positions(n):
+    # xi = 2*x past float range: clipped before scaling, so 0 and no inf * 0
+    x = np.array([1e154, -1e154, 1e300, -1e300, 1.7e308])
+    values = ho_eigenfunction(n, x, omega=4.0)
+    assert np.all(values == 0.0)
+    assert all(ho_eigenfunction(n, float(v), omega=4.0) == 0.0 for v in x)
+
+
 def _quad_oracle(a: float, b: float, gamma: float) -> complex:
     re = quad(lambda u: math.cos(gamma * u * u), a, b, limit=400, epsabs=1e-13)[0]
     im = quad(lambda u: math.sin(gamma * u * u), a, b, limit=400, epsabs=1e-13)[0]

@@ -4,7 +4,9 @@
     python3 tools/datacheck.py diff A B [--tol 1e-14]
 
 ``run`` executes every command in ``COMMANDS`` with ``TREE/src`` on the
-import path, each into its own fresh subdirectory ``OUT/<name>``.  ``diff``
+import path, each into its own fresh subdirectory ``OUT/<name>``, under
+``-W error::RuntimeWarning`` as the tests run: a NumPy float warning fails
+the command.  ``diff``
 walks the subdirectories of ``A`` and, for every data file, prints
 ``identical``, ``same values, bytes differ`` (say ``1e+16`` against
 ``10000000000000000``), or each column's max |difference| relative to the
@@ -102,7 +104,7 @@ def run(out: Path, src: Path) -> int:
     for name, argv in COMMANDS.items():
         target = out / name
         target.mkdir(parents=True, exist_ok=False)
-        cmd = [sys.executable, "-m", "pathspectra.cli", *argv, "--out", str(target)]
+        cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "pathspectra.cli", *argv, "--out", str(target)]
         done = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
         print(f"{name}: exit {done.returncode}")
         if done.returncode:
