@@ -34,15 +34,15 @@ from .errors import (
     SingularTimeError,
     UsageError,
 )
-from .phasor import integrand, phasor_curve, segment_windows, window_average_series
+from .phasor import _plane_terms, integrand, phasor_curve, segment_windows, window_average_series
 from .quadrature import GridBundle, paper_grids, trapezoid, uniform_grid
 from .reconstruct import _reconstructions, reconstruct
 from .systems import SHAPE_CONSTANT, EigenstateSpec, SystemKind, SystemSpec, eigenfunction, window_halfwidth
 
 log = logging.getLogger("pathspectra")
 
-# Each runner gets ``write(name, header, columns)``, which writes one table
-# through `_emit` and records it in the manifest's output list.
+# Each runner gets ``write(name, header, columns)``, which queues one table for
+# `_emit` once the runner returns: a refused run leaves no data file.
 Writer = Callable[[str, Sequence[str], Sequence[np.ndarray]], None]
 
 EXIT_OK = 0
@@ -237,8 +237,8 @@ def _grid_report(state: EigenstateSpec, bundle: GridBundle, *, one_time: bool = 
 def _curve_grid(state: EigenstateSpec, cfg: RunConfig) -> np.ndarray:
     """Raw-integrand grid for the phasor stage/figures.
 
-    Defaults to the 100-samples-per-window spacing over stationary-point
-    centred spans; oscillator spans are symmetric about 0.
+    Defaults to the 100-samples-per-window spacing, 50 windows past the
+    stationary points of ``_plane_terms``; oscillator spans are symmetric about 0.
     """
     system = state.system
     h = window_halfwidth(system, cfg.T)
@@ -251,9 +251,8 @@ def _curve_grid(state: EigenstateSpec, cfg: RunConfig) -> np.ndarray:
             system.mass * system.omega * abs(cfg.x_f) + 10.0 * h,
         )
         return uniform_grid(-p_max, p_max, step)
-    standing = system.kind in (SystemKind.HARD_WALL, SystemKind.SQUARE_WELL)
-    center = system.hbar * (state.wavenumber if standing else float(state.quantum_number))
-    return uniform_grid((-center if standing else center) - 50.0 * h, center + 50.0 * h, step)
+    centers = [center for _, center in _plane_terms(state, 0.0, cfg.T)]
+    return uniform_grid(min(centers) - 50.0 * h, max(centers) + 50.0 * h, step)
 
 
 def _marginal_table(write: Writer, name: str, n: int, system: SystemSpec, delta_p: float | None) -> float:
@@ -507,12 +506,9 @@ def _run_command(command: str, cfg: RunConfig, given: Collection[str]) -> list[s
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    outputs: list[str] = []
-
-    def write(name: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-        outputs.append(_emit(out_dir, name, header, columns, cfg.format))
-
-    checks = runner(cfg, write)
+    tables: list[tuple[str, Sequence[str], Sequence[np.ndarray]]] = []
+    checks = runner(cfg, lambda *table: tables.append(table))
+    outputs = [_emit(out_dir, *table, cfg.format) for table in tables]
     manifest = {
         "command": command,
         "version": __version__,

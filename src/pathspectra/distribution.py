@@ -45,8 +45,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateDistributionError, DomainError
-from .phasor import _plane_amplitude, _plane_factors, _window_stack
-from .quadrature import GridBundle, _check_node_count, trapezoid, uniform_grid
+from .phasor import _plane_amplitude, _plane_factors, _plane_terms, _window_stack
+from .quadrature import GridBundle, _check_node_count, _check_period_samples, trapezoid, uniform_grid
 from .systems import EigenstateSpec, SystemKind, _check_travel_time, eigenfunction, mass_parameter, window_halfwidth
 
 __all__ = [
@@ -76,7 +76,6 @@ class PathDistribution:
     grids: GridBundle
 
 
-_PLANE_KINDS = (SystemKind.FREE_LINE, SystemKind.CIRCLE)
 # the norm the default p_c span may leave in the neglected oscillatory tail
 _TAIL_BUDGET = 1e-6
 
@@ -92,7 +91,7 @@ def stationary_grids(
 ) -> GridBundle:
     """Default grids for the four stationary (non-oscillator) systems.
 
-    The momentum grid covers every stationary point ``+-hbar*k`` plus a margin
+    The momentum grid covers the stationary points of ``_plane_terms`` plus a margin
     ``max(50*h, sqrt(75*hbar*m/(T*budget)))`` sized so the neglected
     oscillatory tail stays below ``budget = _TAIL_BUDGET = 1e-6`` in the norm
     (the constant 75 is calibrated against measured free-line truncation
@@ -117,9 +116,6 @@ def stationary_grids(
     if not (math.isfinite(step) and step > 0):
         raise DomainError(f"delta_p_c must be positive and finite, got {step}")
 
-    k = state.quantum_number if kind is not SystemKind.SQUARE_WELL else state.wavenumber
-    mirrored = kind not in _PLANE_KINDS  # standing waves: stationary points at +-hbar*k
-    center = system.hbar * (state.wavenumber if mirrored else float(k))
     if p_c_span is None:
         # divided in turn: a tiny T overflows the quotient to inf (refused), where T * budget would round to 0
         margin = max(50.0 * h, math.sqrt(75.0 * hbar_mass / T / _TAIL_BUDGET))
@@ -131,8 +127,8 @@ def stationary_grids(
         # a whole number of steps keeps uniform_grid from perturbing the
         # spacing, which would detune the step/window-width ratio
         margin = round(snapped / step) * step
-        lo = (-abs(center) if mirrored else center) - margin
-        hi = (abs(center) if mirrored else center) + margin
+        centers = [center for _, center in _plane_terms(state, 0.0, T)]
+        lo, hi = min(centers) - margin, max(centers) + margin
     else:
         lo, hi = float(p_c_span[0]), float(p_c_span[1])
     p_c_grid = uniform_grid(lo, hi, step)
@@ -151,7 +147,7 @@ def stationary_grids(
         dx = a / (16.0 * n) if delta_x_f is None else float(delta_x_f)
         x_f_grid = uniform_grid(0.0, a, dx)
     else:
-        wavelength_scale = abs(float(k)) if float(k) != 0.0 else 1.0
+        wavelength_scale = abs(float(state.quantum_number)) or 1.0
         x_max = 8.0 * math.pi / wavelength_scale if x_window is None else float(x_window)
         if not (math.isfinite(x_max) and x_max > 0):
             raise DomainError(f"x_window must be positive and finite, got {x_max}")
@@ -245,6 +241,9 @@ def _distributions(
     if time_averaged and any(state.system.kind is not SystemKind.HARMONIC_OSCILLATOR for state, _ in pairs):
         raise DomainError("time averaging over a classical period is an oscillator operation")
     _check_travel_time(T)
+    for state, grids in pairs:
+        if time_averaged:
+            _check_period_samples(state, T, grids)
     oscillator = [(state, grids) for state, grids in pairs if state.system.kind is SystemKind.HARMONIC_OSCILLATOR]
     weighted = [_x_f_weights(state, grids) for state, grids in oscillator]
     members = [

@@ -20,8 +20,8 @@ system family:
   :func:`~pathspectra.specfun.gaussian_phase_integral`.  The integrand is a
   sum of plane terms ``pref_t(x_f) * exp(i*gamma*(p_c - c_t)^2)``, so only
   the prefactor depends on ``x_f``: ``_plane_factors`` prices each term's
-  Fresnel kernel once, which :func:`window_average` scales into an
-  ``(x_f, p_c)`` stack, reconstruction integrates without one, and a
+  Fresnel kernel once, which :func:`window_average` scales row by row into
+  an ``(x_f, p_c)`` stack, reconstruction integrates without one, and a
   distribution averages in closed form.
 * The oscillator integrand carries integrable ``1/sqrt`` divergences at
   ``|p_c| = M*omega*|x_f|``.  Substituting ``v = sqrt(p_c^2 - b^2)`` removes
@@ -77,6 +77,7 @@ from .specfun import (
 from .systems import (
     EigenstateSpec,
     SystemKind,
+    _check_interval,
     _check_travel_time,
     _finite,
     maslov_index,
@@ -165,23 +166,21 @@ def _plane_terms(
 ) -> list[tuple[complex, float]]:
     """Quadratic-exponent decomposition: integrand = sum pref * e^{i*gamma*(p-center)^2}.
 
-    One term for the phase-like eigenfunctions, two (mirrored) for the
-    standing waves of the wall and well.
+    The centres are the stationary points, and this is the one place that
+    states them: ``hbar*k`` for the phase-like line and circle, ``+-hbar*k``
+    for the standing waves of the wall and well.
     """
     sys_ = state.system
-    amp = _plane_amplitude(state, T)
-    kind = sys_.kind
-    if kind in (SystemKind.FREE_LINE, SystemKind.CIRCLE):
-        k = state.quantum_number
+    if sys_.kind is SystemKind.HARMONIC_OSCILLATOR:
+        raise DomainError("oscillator integrands are not quadratic in p_c")
+    amp, k = _plane_amplitude(state, T), state.wavenumber
+    if sys_.kind in (SystemKind.FREE_LINE, SystemKind.CIRCLE):
         return [(amp * complex(np.exp(1j * k * x_f)), sys_.hbar * k)]
-    if kind in (SystemKind.HARD_WALL, SystemKind.SQUARE_WELL):
-        k = state.wavenumber
-        pref = amp / 2j
-        return [
-            (pref * complex(np.exp(1j * k * x_f)), sys_.hbar * k),
-            (-pref * complex(np.exp(-1j * k * x_f)), -sys_.hbar * k),
-        ]
-    raise DomainError("oscillator integrands are not quadratic in p_c")
+    pref = amp / 2j
+    return [
+        (pref * complex(np.exp(1j * k * x_f)), sys_.hbar * k),
+        (-pref * complex(np.exp(-1j * k * x_f)), -sys_.hbar * k),
+    ]
 
 
 def _ho_kernel(state: EigenstateSpec, T: float) -> tuple[float, float, complex, float]:
@@ -244,6 +243,7 @@ def integrand(
     _check_travel_time(T)
     if not math.isfinite(x_f):
         raise DomainError(f"x_f must be finite, got {x_f!r}")
+    _check_interval(state.system, x_f)
     pa = _finite(p_c, "momenta p_c")
     scalar = pa.ndim == 0
     if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
@@ -294,21 +294,30 @@ def window_average(
 ) -> NDArray[np.complex128] | complex:
     """Integrand averaged over the window ``[p_c - h, p_c + h]``, ``h = sqrt(hbar*m/T)``.
 
-    Closed-form for every system: :func:`_plane_window_stack` for the wall,
-    well, line and circle, the one-time case of :func:`_window_stack` for the
-    oscillator.  ``x_f`` may be a scalar or a 1-D array; an array gives a
-    result of shape ``x_f.shape + p_c.shape``.  Each row shares its work
-    across its windows: one Fresnel kernel per plane term for the
-    quadratic-exponent systems, one antiderivative per row for the oscillator.
+    Closed-form for every system: the one-time case of :func:`_window_stack`
+    for the oscillator; for the wall, well, line and circle each kernel of
+    :func:`_plane_factors` times its per-``x_f`` prefactors, accumulated in
+    place a row at a time: ``(0 + pref_1*G_1 + pref_2*G_2) / (2h)`` per cell.
+    ``x_f`` may be a scalar or a 1-D array (shape ``x_f.shape + p_c.shape``);
+    a position outside a bounded system's interval is refused before any
+    window is priced.
     """
     pa = _finite(p_c, "momenta p_c")
     xa = np.asarray(x_f, dtype=float)
     if xa.ndim > 1 or not np.all(np.isfinite(xa)):
         raise DomainError("x_f must be a finite scalar or 1-D array")
+    _check_interval(state.system, xa)
+    rows = np.atleast_1d(xa)
     if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
-        [out] = _window_stack([(state, pa.ravel(), np.atleast_1d(xa), (float(T),), grids)])
+        [out] = _window_stack([(state, pa.ravel(), rows, (float(T),), grids)])
     else:
-        out = _plane_window_stack(state, pa.ravel(), np.atleast_1d(xa), float(T))
+        _check_stack_size(rows.size, pa.size)
+        prefs, kernels = _plane_factors(state, pa.ravel(), rows, float(T))
+        out = np.zeros((rows.size, pa.size), dtype=np.complex128)
+        for per_x, kernel in zip(prefs, kernels):
+            for row, pref in zip(out, per_x):
+                row += pref * kernel
+        out /= 2.0 * window_halfwidth(state.system, T)
     if xa.ndim:
         return out.reshape(xa.shape + pa.shape)
     return complex(out[0, 0]) if pa.ndim == 0 else out[0].reshape(pa.shape)
@@ -343,29 +352,6 @@ def _plane_factors(
         u = p_c - center
         kernel[:] = gaussian_phase_integral(u - h, u + h, gamma)
     return prefs, kernels
-
-
-def _plane_window_stack(
-    state: EigenstateSpec,
-    p_c: NDArray[np.float64],
-    x_f: NDArray[np.float64],
-    T: float,
-) -> NDArray[np.complex128]:
-    """Windows of a quadratic-exponent system on the ``(x_f, p_c)`` lattice.
-
-    The explicit stack of :func:`_plane_factors`: each kernel row is scaled
-    row by row by the per-``x_f`` prefactors, accumulated in place into one
-    ``(x_f.size, p_c.size)`` stack.  Every element follows the per-column
-    arithmetic ``(0 + pref_1*G_1 + pref_2*G_2) / (2h)`` exactly.
-    """
-    _check_stack_size(x_f.size, p_c.size)
-    prefs, kernels = _plane_factors(state, p_c, x_f, T)
-    out = np.zeros((x_f.size, p_c.size), dtype=np.complex128)
-    for per_x, kernel in zip(prefs, kernels):
-        for row, pref in zip(out, per_x):
-            row += pref * kernel
-    out /= 2.0 * window_halfwidth(state.system, T)
-    return out
 
 
 def _ho_antiderivative_grid(

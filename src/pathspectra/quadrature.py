@@ -62,8 +62,8 @@ def _check_node_count(count: float, what: str) -> float:
     return count
 
 
-# largest (x_f, p_c) window stack, 1 GiB: the oscillator engine's and window_average's
-# x_f stacks; stationary distributions and reconstructions build none
+# largest (x_f, p_c) window stack, 1 GiB: the oscillator engine's, and window_average's
+# plane-kernel stack over an x_f array; stationary distributions and reconstructions build none
 _MAX_CELLS = 1 << 26
 
 
@@ -71,6 +71,14 @@ def _check_stack_size(rows: int, columns: int) -> None:
     """Refuse a ``rows x columns`` window stack over ``_MAX_CELLS`` before it is allocated."""
     if rows * columns > _MAX_CELLS:
         raise DomainError(f"a {rows} x {columns} window stack is more than the limit of {_MAX_CELLS} cells")
+
+
+def _check_period_samples(state: EigenstateSpec, T: float, grids: GridBundle) -> None:
+    """Refuse a bundle whose T' samples leave the classical period ``[T, T + 2*pi/omega]`` after ``T``."""
+    assert state.system.omega is not None
+    end = T + 2.0 * (math.pi / state.system.omega)  # paper_grids' samples stay below it after rounding
+    if not all(T <= t <= end for t in grids.T_samples):
+        raise DomainError(f"the bundle's T' samples are not in the period after T = {T!r}: build its grids at this T")
 
 
 def _cells(x: NDArray, y: NDArray) -> NDArray:

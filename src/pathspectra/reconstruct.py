@@ -49,7 +49,7 @@ from numpy.typing import NDArray
 
 from .errors import DomainError
 from .phasor import _plane_factors, _window_stack
-from .quadrature import GridBundle, _check_node_count, _check_stack_size, trapezoid
+from .quadrature import GridBundle, _check_node_count, _check_period_samples, _check_stack_size, trapezoid
 from .systems import EigenstateSpec, SystemKind, _check_travel_time, window_halfwidth
 
 __all__ = ["ReconstructionResult", "reconstruct"]
@@ -132,6 +132,8 @@ def _reconstructions(requests: Sequence[Request], T: float) -> list[list[Reconst
     _check_travel_time(T)
     plans = []  # per request: (step, each band's (i1, i2), hull or None)
     for state, bands, grids in requests:
+        if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
+            _check_period_samples(state, T, grids)
         p = grids.p_c_grid
         i = min(max(int(np.searchsorted(p, 0.0, side="right")) - 1, 0), p.size - 2)
         step = float(p[i + 1] - p[i])  # the lattice's cell at p_c = 0

@@ -224,18 +224,12 @@ def eigenfunction(
     xa = np.asarray(x, dtype=float)
     sys_ = state.system
     kind = sys_.kind
-    if kind is SystemKind.CIRCLE and (np.any(xa < 0.0) or np.any(xa > 2.0 * np.pi)):
-        raise DomainError("circle angles must lie in [0, 2*pi]")
+    _check_interval(sys_, xa)
     if kind in (SystemKind.FREE_LINE, SystemKind.CIRCLE):
         out = np.exp(1j * state.quantum_number * xa)
     elif kind is SystemKind.HARD_WALL:
-        if np.any(xa < 0.0):
-            raise DomainError("hard-wall positions must satisfy x >= 0")
         out = np.sin(state.quantum_number * xa).astype(np.complex128)
     elif kind is SystemKind.SQUARE_WELL:
-        assert sys_.width is not None
-        if np.any(xa < 0.0) or np.any(xa > sys_.width):
-            raise DomainError("square-well positions must lie in [0, a]")
         out = np.sin(state.wavenumber * xa).astype(np.complex128)
     else:
         out = ho_eigenfunction(
@@ -256,6 +250,15 @@ def _check_travel_time(T: float) -> None:
     """Refuse a travel time that is not positive and finite (NaN included)."""
     if not (math.isfinite(T) and T > 0):
         raise DomainError(f"travel time T must be positive and finite, got {T!r}")
+
+
+def _check_interval(system: SystemSpec, *positions: ArrayLike) -> None:
+    """Refuse a position outside a bounded system's interval, ends included:
+    ``x >= 0`` on the wall, ``[0, a]`` in the well, angles in ``[0, 2*pi]`` on the circle."""
+    bounds = {SystemKind.HARD_WALL: math.inf, SystemKind.SQUARE_WELL: system.width, SystemKind.CIRCLE: 2.0 * math.pi}
+    top = bounds.get(system.kind)
+    if top is not None and any(np.any(x < 0.0) or np.any(x > top) for x in positions):
+        raise DomainError(f"{system.kind.value} positions must lie in [0, {top!r}]")
 
 
 def _finite(values: ArrayLike, name: str) -> NDArray[np.float64]:
@@ -328,12 +331,12 @@ def propagator(
     scalar = x0a.ndim == 0 and xfa.ndim == 0
     kind = system.kind
     hbar, mass = system.hbar, system.mass
+    if kind is not SystemKind.CIRCLE:  # the circle's kernel takes unwound angles
+        _check_interval(system, x0a, xfa)
 
     if kind is SystemKind.FREE_LINE:
         out = _free_kernel(mass, hbar, xfa - x0a, T)
     elif kind is SystemKind.HARD_WALL:
-        if np.any(x0a < 0.0) or np.any(xfa < 0.0):
-            raise DomainError("hard-wall positions must satisfy x >= 0")
         out = _free_kernel(mass, hbar, xfa - x0a, T) - _free_kernel(mass, hbar, xfa + x0a, T)
     elif kind is SystemKind.CIRCLE:
         inertia = system.inertia
@@ -347,8 +350,6 @@ def propagator(
     elif kind is SystemKind.SQUARE_WELL:
         assert system.width is not None
         a = system.width
-        if np.any(x0a < 0.0) or np.any(x0a > a) or np.any(xfa < 0.0) or np.any(xfa > a):
-            raise DomainError("square-well positions must lie in [0, a]")
         nw = DEFAULT_IMAGE_TERMS if n_terms is None else int(n_terms)
         out = np.zeros(np.broadcast(x0a, xfa).shape, dtype=np.complex128)
         for w in range(-nw, nw + 1):

@@ -207,6 +207,21 @@ def test_non_integer_quantum_numbers_are_domain_errors(tmp_path, argv):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["window", "--set", "system=circle", "--set", "quantum_number=2", "--set", "T=100", "--set", "x_f=7"],
+        ["phasor", "--set", "system=hard_wall", "--set", "quantum_number=2", "--set", "T=100", "--set", "x_f=-1"],
+        # the curve is priced, then the extent is narrower than one segment window
+        ["fig1", "--set", "p_c_lo=0.5", "--set", "p_c_hi=0.5001"],
+    ],
+    ids=["window-circle-angle", "phasor-wall-position", "fig1-narrow-extent"],
+)
+def test_a_refused_run_writes_no_file(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_DOMAIN
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_integer_valued_quantum_numbers_give_the_same_bytes(tmp_path):
     for q in ("2", "2.0"):
         argv = ["distribution", "--set", "system=circle", "--set", f"quantum_number={q}", "--set", "T=100"]
@@ -771,7 +786,7 @@ def _benchmark_argvs() -> list[list[str]]:
 
 def test_benchmark_and_datacheck_command_lines_are_accepted(tmp_path, no_runners):
     argvs = _benchmark_argvs()
-    assert len(argvs) == 89
+    assert len(argvs) == 96
     codes = [main([*argv, "--threads", "2", "--out", str(tmp_path / str(i))]) for i, argv in enumerate(argvs)]
     assert [argv for argv, code in zip(argvs, codes) if code != EXIT_OK] == []
 

@@ -21,7 +21,7 @@ from pathspectra.distribution import (
     time_average,
 )
 from pathspectra.errors import DegenerateDistributionError, DomainError
-from pathspectra.phasor import _plane_terms, _plane_window_stack, integrand, window_average, window_average_series
+from pathspectra.phasor import _plane_terms, integrand, window_average, window_average_series
 from pathspectra.quadrature import GridBundle, paper_grids, trapezoid
 from pathspectra.reconstruct import reconstruct
 from pathspectra.specfun import gaussian_phase_integral
@@ -237,7 +237,7 @@ def test_plane_term_average_matches_the_explicit_window_stack(st, T):
     # stack over the default x_f grid (whole periods of e^{2ikx}): equal to rounding
     g = stationary_grids(st, T, p_c_span=(-6.0, 6.0))
     weights, norm = _x_f_weights(st, g)
-    stack = _plane_window_stack(st, g.p_c_grid, g.x_f_grid, T)
+    stack = window_average(st, g.p_c_grid, g.x_f_grid, T, g)
     want = np.sum(stack * weights[:, None], axis=0) / norm
     got = spatial_average(st, T, g).values
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -322,6 +322,22 @@ def test_time_average_is_mean_of_spatial_averages():
     assert d.time_averaged
     # the T' mean now comes before the x_f sum, so the two agree to rounding
     assert np.max(np.abs(d.values - manual)) <= 1e-15 * np.max(np.abs(manual))
+
+
+def test_a_period_average_refuses_a_bundle_built_for_another_T():
+    # the bundle's T' samples tile T ... T + 2*pi; averaging them is no period average after T = 7.3
+    st = ps.EigenstateSpec(system=HO, quantum_number=1.0)
+    T = T32 + 0.3
+    g = paper_grids(st, T, delta_x_f=0.5, delta_p_c=0.1, delta_T=math.pi / 2.0)
+    with pytest.raises(DomainError, match="period"):
+        time_average(st, 7.3, g)
+    with pytest.raises(DomainError, match="period"):
+        reconstruct(st, (0.5, 1.5), 7.3, g)
+    assert time_average(st, T, g).T == T
+    # both ends of the period are in it
+    ends = dataclasses.replace(g, T_samples=(T, T + 2.0 * math.pi))
+    assert time_average(st, T, ends).time_averaged
+    assert reconstruct(st, (0.5, 1.5), T, ends).time_averaged
 
 
 def test_time_average_is_oscillator_only():

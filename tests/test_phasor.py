@@ -23,7 +23,8 @@ from pathspectra.phasor import (
 )
 from pathspectra.quadrature import GridBundle, cumulative_trapezoid, paper_grids, singular_window_integral
 from pathspectra.reconstruct import reconstruct
-from pathspectra.specfun import hermite_phase_gain
+from pathspectra.specfun import gaussian_phase_integral, hermite_phase_gain
+from pathspectra.systems import mass_parameter
 
 T_LONG = 1.0e4
 H_LONG = math.sqrt(1.0 / T_LONG)          # window half-width at T = 1e4, hbar*M = 1
@@ -545,14 +546,51 @@ def test_window_stack_is_the_mean_of_single_time_stacks(n):
     ids=lambda s: s.system.kind.name,
 )
 def test_window_average_prices_the_plane_systems_as_their_plane_stack(monkeypatch, st):
-    g = stationary_grids(st, 100.0, p_c_span=(-3.0, 3.0))
-    want = phasor._plane_window_stack(st, g.p_c_grid, g.x_f_grid, 100.0)
+    T = 100.0
+    g = stationary_grids(st, T, p_c_span=(-3.0, 3.0))
+    # per row: (0 + pref_1*G_1 + pref_2*G_2) / 2h, each G_t the Fresnel window at its plane term's centre
+    h = ps.window_halfwidth(st.system, T)
+    gamma = T / (2.0 * st.system.hbar * mass_parameter(st.system))
+    want = np.empty((g.x_f_grid.size, g.p_c_grid.size), dtype=np.complex128)
+    for row, x in zip(want, g.x_f_grid):
+        total = np.zeros(g.p_c_grid.size, dtype=np.complex128)
+        for pref, center in phasor._plane_terms(st, float(x), T):
+            u = g.p_c_grid - center
+            total += pref * gaussian_phase_integral(u - h, u + h, gamma)
+        row[:] = total / (2.0 * h)
 
     def engine(levels):
         raise AssertionError("the oscillator engine priced a plane system")
 
     monkeypatch.setattr(phasor, "_window_stack", engine)
-    assert window_average(st, g.p_c_grid, g.x_f_grid, 100.0, g).tobytes() == want.tobytes()
+    assert window_average(st, g.p_c_grid, g.x_f_grid, T, g).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "st, x_f",
+    [
+        (ps.EigenstateSpec(system=ps.circle(radius=1.0), quantum_number=2.0), 7.0),
+        (_WALL2, -1.0),
+        (ps.EigenstateSpec(system=ps.square_well(width=math.pi), quantum_number=3.0), 3.5),
+    ],
+    ids=["circle", "wall", "well"],
+)
+def test_positions_outside_a_bounded_interval_are_refused_before_any_window(monkeypatch, st, x_f):
+    def priced(*args):
+        raise AssertionError("a window was priced at a refused position")
+
+    monkeypatch.setattr(phasor, "_plane_factors", priced)
+    g = stationary_grids(st, 100.0, p_c_span=(-3.0, 3.0))
+    for call in (
+        lambda: integrand(st, g.p_c_grid, x_f, 100.0),
+        lambda: phasor_curve(st, x_f, 100.0, g.p_c_grid),
+        lambda: window_average(st, g.p_c_grid, x_f, 100.0, g),
+        lambda: window_average(st, g.p_c_grid, np.array([0.5, x_f]), 100.0, g),
+        lambda: window_average_series(st, g.p_c_grid, x_f, 100.0, g),
+        lambda: ps.eigenfunction(st, x_f),
+    ):
+        with pytest.raises(DomainError, match="positions must lie in"):
+            call()
 
 
 def _levels_0_to_3(**overrides):

@@ -182,8 +182,8 @@ STATIONARY_STATES = (
 @pytest.mark.parametrize("band", [(0.5, 3.0), None], ids=["band", "full"])
 @pytest.mark.parametrize("st", STATIONARY_STATES, ids=lambda s: s.system.kind.name)
 def test_stationary_reconstruct_matches_per_column_loop(st, band):
-    # the per-column windows have the bits of the explicit _plane_window_stack
-    # (tests/test_distribution.py); integrating each plane kernel over the band
+    # the per-column windows have the bits of window_average's x_f stack
+    # (tests/test_phasor.py); integrating each plane kernel over the band
     # before scaling by its x_f prefactors regroups their sums, so the two
     # agree to rounding, not bit for bit
     T = 100.41315519036377

@@ -66,12 +66,19 @@ COMMANDS: dict[str, list[str]] = {
         "distribution", "--set", "system=free_line", "--set", "quantum_number=1", "--set", "T=10000",
     ],
     "distribution_circle": ["distribution", *_stationary("circle", 2.0)],
+    # negative levels: the stationary point, and with it the default p_c span, below p_c = 0
+    "distribution_circle_negative": ["distribution", *_stationary("circle", -2.0)],
+    "distribution_line_negative": ["distribution", *_stationary("free_line", -1.3)],
     "time_average": ["time-average"],
     "time_average_omega3": ["time-average", "--set", "omega=3"],  # 32 T' samples over one period 2*pi/3
     "phasor_oscillator": ["phasor", "--set", "x_f=0.7", "--set", f"T={T_OSCILLATOR!r}"],
     "window_oscillator": ["window", "--set", "quantum_number=1", "--set", "x_f=0.7", "--set", f"T={T_OSCILLATOR!r}"],
     "distribution_oscillator": ["distribution", "--set", "quantum_number=1", "--set", f"T={T_OSCILLATOR!r}"],
     "phasor_wall": ["phasor", *_stationary("hard_wall", 2.0), "--set", "x_f=0.7"],
+    "phasor_well": ["phasor", *_stationary("square_well", 3.0), "--set", "x_f=0.7"],
+    "phasor_circle_negative": ["phasor", *_stationary("circle", -2.0), "--set", "x_f=0.7"],
+    "window_well": ["window", *_stationary("square_well", 3.0), "--set", "x_f=0.7"],
+    "window_circle_negative": ["window", *_stationary("circle", -2.0), "--set", "x_f=0.7"],
     "window": [
         "window", "--set", "system=free_line", "--set", "quantum_number=1", "--set", "T=400",
         "--set", "p_c_lo=0.6", "--set", "p_c_hi=1.4", "--set", "delta_p_c=0.01",
@@ -80,6 +87,7 @@ COMMANDS: dict[str, list[str]] = {
     "reconstruct_well": ["reconstruct", *_stationary("square_well", 3.0), *BAND],
     "reconstruct_line": ["reconstruct", *_stationary("free_line", 1.0), *BAND],
     "reconstruct_circle": ["reconstruct", *_stationary("circle", 2.0), *BAND],
+    "reconstruct_circle_negative": ["reconstruct", *_stationary("circle", -2.0), *BAND],
     "reconstruct_oscillator": ["reconstruct", "--set", "quantum_number=1", *BAND],
     "reconstruct_oscillator_thin": [  # thinner than one lattice cell: zeros
         "reconstruct", "--set", "quantum_number=1", "--set", "band_lo=1.001", "--set", "band_hi=1.002",
