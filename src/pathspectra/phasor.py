@@ -57,6 +57,7 @@ through every level below it.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -482,31 +483,43 @@ def _window_stack(levels: Sequence[Level]) -> list[NDArray[np.complex128]]:
             reached = bool(np.any(live))  # else every closed-form window of the row is 0
             if climbed and reached:
                 e = edges[live]
-                v = np.sqrt(np.maximum(e * e - b * b, 0.0))
-                xi_b = kappa * x * c
-                xi = xi_b - np.sign(e) * (kappa * s / (m * omega)) * v
+                xi = np.empty(e.size + 1)  # xi_b, then xi at each live edge
+                xi[0] = xi_b = kappa * x * c
+                v = np.multiply(e, e, out=xi[1:])  # v = sqrt(e^2 - b^2)
+                v -= b * b
+                np.sqrt(np.maximum(v, 0.0, out=v), out=v)
+                np.sign(e, out=e)
+                e *= kappa * s / (m * omega)
+                v *= e
+                np.subtract(xi_b, v, out=v)  # xi = xi_b - sign(e) * (kappa*s/(M*omega)) * v
                 top = max(members[k][1] for k in climbed)
-                rungs = _hermite_phase_primitive(top, np.concatenate(([xi_b], xi)), q, r)
+                rungs = _hermite_phase_primitive(top, xi, q, r)
+                a = np.zeros(2 * n_p, dtype=np.complex128)  # every level fills the same live edges
+                scaled = {}  # rung n, differenced and scaled in place; levels of one n share it
             for k in present:
                 state, n, grids, rows, columns = members[k]
                 if k not in climbed:
                     part = np.concatenate([edges[columns], edges[n_p:][columns]])
-                    a = _ho_antiderivative_grid(state, x, t, part, grids.inner_spacing(x, t))
-                    stacks[k][j - rows.start] += (a[part.size // 2 :] - a[: part.size // 2]) / (2.0 * h)
+                    ends = _ho_antiderivative_grid(state, x, t, part, grids.inner_spacing(x, t))
+                    stacks[k][j - rows.start] += (ends[part.size // 2 :] - ends[: part.size // 2]) / (2.0 * h)
                     continue
                 if not reached:
                     continue
-                _, _, pref, phase = kernels[k]
-                # pref * psi_n's kappa^(1/2) * the xi-independent action * dv/dxi
-                column = (
-                    pref
-                    * math.sqrt(kappa)
-                    * complex(np.exp(1j * (phase + 0.5 * c * (kappa * x) ** 2 / s)))
-                    * (m * omega / (kappa * s))
-                )
-                a = np.zeros(2 * n_p, dtype=np.complex128)
-                a[live] = -column * (rungs[n][1:] - rungs[n][0])
-                stacks[k][j - rows.start] += (a[n_p:][columns] - a[columns]) / (2.0 * h)
+                if n not in scaled:
+                    _, _, pref, phase = kernels[k]
+                    # pref * psi_n's kappa^(1/2) * the xi-independent action * dv/dxi
+                    column = (
+                        pref
+                        * math.sqrt(kappa)
+                        * cmath.exp(1j * (phase + 0.5 * c * (kappa * x) ** 2 / s))
+                        * (m * omega / (kappa * s))
+                    )
+                    rung = rungs[n][1:]
+                    rung -= rungs[n][0]
+                    rung *= -column / (2.0 * h)
+                    scaled[n] = rung
+                a[live] = scaled[n]
+                stacks[k][j - rows.start] += a[n_p:][columns] - a[:n_p][columns]
     for (_, n, *_), stack in zip(members, stacks):
         stack /= len(times)
         if mirrored:

@@ -145,7 +145,8 @@ def _horner(coeffs: NDArray[np.float64], u: NDArray) -> NDArray:
     ``coeffs`` of shape ``(K, m, 1)`` evaluates m polynomials at once, one
     per row of the ``(m, u.size)`` result.
     """
-    p = coeffs[0] * u + coeffs[1]
+    p = coeffs[0] * u
+    p += coeffs[1]
     for c in coeffs[2:]:
         p *= u
         p += c
@@ -190,11 +191,20 @@ def _faddeeva(z: NDArray[np.complex128]) -> NDArray[np.complex128]:
     a few units and carries only an absolute error of that size, which is
     all its callers need, since they use ``w`` only inside complex products.
     Not valid for ``Im z < 0``.
+
+    Works in place on the arrays it allocates and never writes to ``z``.
     """
     iz = 1j * np.asarray(z, dtype=np.complex128)
-    d = 1.0 / (_WEIDEMAN_L - iz)
-    p = _horner(_WEIDEMAN_A, (_WEIDEMAN_L + iz) * d)
-    return (2.0 * p * d + 1.0 / math.sqrt(math.pi)) * d
+    d = np.subtract(_WEIDEMAN_L, iz)
+    np.divide(1.0, d, out=d)
+    iz += _WEIDEMAN_L
+    iz *= d  # Z = (L + iz)/(L - iz)
+    p = _horner(_WEIDEMAN_A, iz)
+    p *= d
+    p *= 2.0
+    p += 1.0 / math.sqrt(math.pi)
+    p *= d
+    return p
 
 
 def _double_factorial(k: int) -> int:
@@ -361,28 +371,57 @@ def _hermite_phase_primitive(
                             + sqrt((k+1)/2)(2iq - 1) J_{k+1}
 
     climbs to ``J_n``, keeping every rung; the boundary terms ``phi_k e^{i*Phi}``
-    run on the orthonormal Hermite recurrence alongside.
+    run on the orthonormal Hermite recurrence alongside.  The first step's
+    ``J_{-1}`` and ``phi_{-1}`` are zero, so their terms are left out, and
+    each step multiplies by the reciprocal of its divisor.  Works in place
+    on the arrays it allocates and never writes to ``xi``.
     """
     a = 0.5 - 1j * q
     root_a = cmath.sqrt(a)
-    z = root_a * xi - 0.5j * r / root_a
-    gauss = np.exp((-a * xi + 1j * r) * xi)
+    z = root_a * xi
+    z -= 0.5j * r / root_a
+    gauss = -a * xi
+    gauss += 1j * r
+    gauss *= xi
+    np.exp(gauss, out=gauss)
     tail = cmath.exp(-r * r / (4.0 * a))
     sign = np.where(z.real >= 0.0, 1.0, -1.0)
-    j = (math.pi**0.25 / (2.0 * root_a)) * sign * (tail - gauss * _faddeeva(1j * sign * z))
+    z *= sign
+    z *= 1j
+    # each product keeps its operand order: NumPy's complex multiply may use
+    # fused multiply-adds, and then a swapped product can round differently
+    j = _faddeeva(z)
+    np.multiply(gauss, j, out=j)
+    np.subtract(tail, j, out=j)
+    np.multiply(sign, j, out=j)
+    np.multiply(math.pi**0.25 / (2.0 * root_a), j, out=j)
     rungs = [j]
-    j_prev = np.zeros_like(j)
-    edge = np.pi**-0.25 * gauss  # phi_k(xi) * exp(i*Phi(xi)) at k = 0
-    edge_prev = np.zeros_like(edge)
+    if n == 0:
+        return rungs
+    edge = np.multiply(math.pi**-0.25, gauss, out=gauss)  # phi_k(xi) * exp(i*Phi(xi)) at k = 0
+    scratch = np.empty_like(j)
+    scaled_xi = np.empty(xi.shape)
     for k in range(n):
-        j, j_prev = (
-            edge - math.sqrt(k / 2.0) * (1.0 + 2j * q) * j_prev - 1j * r * j
-        ) / (math.sqrt((k + 1) / 2.0) * (2j * q - 1.0)), j
+        # J_{k+1} = (edge - sqrt(k/2)(1 + 2iq) J_{k-1} - i*r*J_k) / (sqrt((k+1)/2)(2iq - 1))
+        if k:
+            j = np.multiply(math.sqrt(k / 2.0) * (1.0 + 2j * q), rungs[k - 1])
+            np.subtract(edge, j, out=j)
+            j -= np.multiply(1j * r, rungs[k], out=scratch)
+        else:
+            j = np.multiply(1j * r, rungs[0])
+            np.subtract(edge, j, out=j)
+        j *= 1.0 / (math.sqrt((k + 1) / 2.0) * (2j * q - 1.0))
         rungs.append(j)
-        edge, edge_prev = (
-            math.sqrt(2.0 / (k + 1.0)) * xi * edge - math.sqrt(k / (k + 1.0)) * edge_prev,
-            edge,
-        )
+        if k + 1 == n:
+            break
+        # phi_{k+1} = sqrt(2/(k+1)) xi phi_k - sqrt(k/(k+1)) phi_{k-1}, times the chirp
+        np.multiply(math.sqrt(2.0 / (k + 1.0)), xi, out=scaled_xi)
+        if k:
+            np.multiply(math.sqrt(k / (k + 1.0)), edge_prev, out=edge_prev)
+            np.subtract(np.multiply(scaled_xi, edge, out=scratch), edge_prev, out=edge_prev)
+            edge, edge_prev = edge_prev, edge
+        else:
+            edge, edge_prev = scaled_xi * edge, edge
     return rungs
 
 

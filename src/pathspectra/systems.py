@@ -216,12 +216,13 @@ def eigenfunction(
 ) -> NDArray[np.complexfloating] | complex:
     """Eigenfunction value(s) at position ``x`` (angle for the circle).
 
-    Unbounded systems accept any real x.  Bounded systems enforce their
+    Unbounded systems accept any finite x.  Bounded systems enforce their
     configuration interval, boundaries included (the wall/well functions
     vanish there); the circle takes angles in ``[0, 2*pi]``, the seam
-    included so that grids closing the circle stay legal.
+    included so that grids closing the circle stay legal.  A NaN or
+    ``+-inf`` position is a ``DomainError`` on every system.
     """
-    xa = np.asarray(x, dtype=float)
+    xa = _finite(x, "positions x")
     sys_ = state.system
     kind = sys_.kind
     _check_interval(sys_, xa)
@@ -323,11 +324,12 @@ def propagator(
     The oscillator kernel includes the Morse-index phase and raises
     :class:`SingularTimeError` at ``sin(omega*T) == 0`` (to within
     :func:`regular_sin`'s float-resolution threshold), where the classical
-    flow focuses and the kernel degenerates to a delta function.
+    flow focuses and the kernel degenerates to a delta function.  A NaN or
+    ``+-inf`` position is a ``DomainError`` on every system.
     """
     _check_travel_time(T)
-    x0a = np.asarray(x0, dtype=float)
-    xfa = np.asarray(xf, dtype=float)
+    x0a = _finite(x0, "positions x0")
+    xfa = _finite(xf, "positions xf")
     scalar = x0a.ndim == 0 and xfa.ndim == 0
     kind = system.kind
     hbar, mass = system.hbar, system.mass

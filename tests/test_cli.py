@@ -806,3 +806,19 @@ def test_datacheck_diff_fails_a_byte_change_only_at_zero_tolerance(tmp_path, cap
         (tmp_path / side / "run" / "table.csv").write_text(text)
     assert datacheck.diff(tmp_path / "A", tmp_path / "B", tol) == code
     assert capsys.readouterr().out == f"run/table.csv: {verdict}\n"
+
+
+def test_datacheck_refuses_a_call_it_cannot_start_with_one_line(tmp_path, capsys):
+    root = Path(datacheck.__file__).resolve().parents[1]
+    (tmp_path / "A" / "fig1").mkdir(parents=True)
+    missing = tmp_path / "missing"
+    cases = [
+        (["diff", str(tmp_path / "A"), str(missing)], f"{missing} is not a run directory"),
+        (["diff", str(missing), str(tmp_path / "A")], f"{missing} is not a run directory"),
+        (["run", str(tmp_path / "A"), "--src", str(root)], f"{tmp_path / 'A' / 'fig1'} already exists: run into a fresh directory"),
+        (["run", str(tmp_path / "B"), "--src", str(tmp_path)], f"{tmp_path / 'src'} has no pathspectra package"),
+    ]
+    for argv, line in cases:
+        assert datacheck.main(argv) == 2
+        assert capsys.readouterr() == ("", line + "\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["A", "fig1"]  # nothing was run

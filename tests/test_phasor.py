@@ -639,6 +639,15 @@ def test_shared_climb_gives_each_level_its_own_bytes(overrides, climbs):
         assert stack.tobytes() == phasor._window_stack([level])[0].tobytes()
 
 
+def test_levels_of_one_n_each_keep_the_bytes_they_have_alone():
+    """Each (x_f, T') column differences and scales a rung in place once; other levels of that n,
+    on the same or a nested smaller lattice, read it without scaling it again."""
+    _, (_, g1), _, (_, g3) = _levels_0_to_3(delta_x_f=0.5, delta_p_c=0.1, delta_T=math.pi / 2.0)
+    levels = [_level(_HO1, g3), _level(_HO1, g1), _level(_HO1, g1)]
+    for level, stack in zip(levels, phasor._window_stack(levels)):
+        assert stack.tobytes() == phasor._window_stack([level])[0].tobytes()
+
+
 def _family_breakers():
     st0, st3 = (ps.EigenstateSpec(system=ps.harmonic_oscillator(), quantum_number=n) for n in (0, 3))
     g0, g3 = _small_grids(st0, _T_HO), _small_grids(st3, _T_HO)

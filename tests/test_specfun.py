@@ -192,6 +192,24 @@ def test_one_climb_gives_every_rung():
             assert (rung[1:] - rung[0]).tobytes() == hermite_phase_integral(k, lo, hi, q, r).tobytes()
 
 
+def test_kernels_never_write_to_their_arguments():
+    """The kernels work in place on arrays of their own: read-only arguments pass and stay byte-identical."""
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-9.0, 9.0, 64) + 1j * rng.uniform(0.0, 9.0, 64)
+    xi, lo, hi = rng.uniform(-5.0, 5.0, 64), rng.uniform(-3.0, 0.0, 64), rng.uniform(0.0, 3.0, 64)
+    arguments = (z, xi, lo, hi)
+    before = [arg.tobytes() for arg in arguments]
+    for arg in arguments:
+        arg.flags.writeable = False
+    _faddeeva(z)
+    for n in (0, 1, 2, 5):
+        for q, r in ((0.0, 0.0), (0.3, -1.1)):
+            _hermite_phase_primitive(n, xi, q, r)
+            hermite_phase_integral(n, lo, hi, q, r)
+            hermite_phase_integral(n, -0.5, hi, q, r)
+    assert [arg.tobytes() for arg in arguments] == before
+
+
 def test_hermite_phase_gain_is_the_ladder_product():
     assert hermite_phase_gain(0, 0.3, 50.0) == 1.0
     # |r|/sqrt(1+4q^2) = 3: steps k = 0..3 amplify by 3/sqrt((k+1)/2) > 1
@@ -260,6 +278,24 @@ def test_faddeeva_matches_mpmath_on_the_oscillator_engine_arguments(tmp_path, mo
     assert z.size >= 250 and np.min(z.imag) >= 0.0
     want = np.array([_mp_faddeeva(v) for v in z])
     assert np.max(_relative_error(original(z), want)) <= 4e-15
+
+
+@pytest.mark.parametrize("command, arguments, starts", [("fig7", 207_128, 136), ("fig8", 104_352, 104)])
+def test_benchmark_sized_figures_price_a_pinned_number_of_edges(command, arguments, starts, tmp_path, monkeypatch, climbs):
+    """Every w(z) argument and ladder climb of fig7 and fig8 at the benchmark's grids, counted:
+    a faster engine prices the same window edges, not fewer."""
+    sizes = []
+    original = specfun._faddeeva
+
+    def counted(z):
+        sizes.append(np.size(z))
+        return original(z)
+
+    monkeypatch.setattr(specfun, "_faddeeva", counted)
+    grids = ["--set", f"delta_T={math.pi / 2.0!r}", "--set", "delta_x_f=0.4", "--set", "delta_p_c=0.02"]
+    assert cli.main([command, "--set", "T=100.41315519036377", *grids, "--out", str(tmp_path)]) == 0
+    assert (sum(sizes), len(sizes)) == (arguments, starts)
+    assert climbs == [3] * starts  # one climb to n = 3 per w(z) start
 
 
 def test_fresnel_matches_mpmath():

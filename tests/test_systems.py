@@ -134,6 +134,25 @@ def test_eigenfunction_domain_enforcement():
         eigenfunction(EigenstateSpec(square_well(1.0), 1), 1.2)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "system",
+    [free_line(), hard_wall(), square_well(math.pi), circle(), harmonic_oscillator()],
+    ids=["line", "wall", "well", "circle", "oscillator"],
+)
+def test_non_finite_positions_are_refused(system, x):
+    state = EigenstateSpec(system, 2.0)
+    calls = (
+        lambda: eigenfunction(state, x),
+        lambda: eigenfunction(state, np.array([0.5, x])),
+        lambda: propagator(system, x, 1.0, 2.0),
+        lambda: propagator(system, 1.0, np.array([0.5, x]), 2.0),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match="must be finite"):
+            call()
+
+
 def test_circle_eigenfunction_is_a_phase():
     ring = EigenstateSpec(circle(), -3)
     phi = np.linspace(0.0, 2.0 * math.pi, 50, endpoint=False)

@@ -12,12 +12,15 @@ walks the subdirectories of ``A`` and, for every data file, prints
 ``10000000000000000``), or each column's max |difference| relative to the
 file's max |value| in ``A``; it then prints every manifest key or check
 whose value differs, ignoring ``runtime_seconds`` and ``out``.  The exit
-status is 1 if a data column differs by more than ``--tol``, a data file is
-not byte-identical at the default ``--tol 0``, a file or subdirectory is
-missing on one side, or the manifests' key sets differ.  Differing
-manifest values are printed with their relative size and left to the
-reader, since near-zero checks (a mean of 1e-17) and the sign of an even
-profile's peak may move at rounding level.
+status of ``diff`` is 1 if a data column differs by more than ``--tol``, a
+data file is not byte-identical at the default ``--tol 0``, a file or
+subdirectory is missing on one side, or the manifests' key sets differ.
+Differing manifest values are printed with their relative size and left
+to the reader, since near-zero checks (a mean of 1e-17) and the sign of an
+even profile's peak may move at rounding level.  A call that cannot start
+prints one line and exits 2: ``run`` on a tree without the package or into
+an ``OUT`` that already holds one of its subdirectories, ``diff`` on an
+``A`` or ``B`` that is not a directory.
 """
 
 from __future__ import annotations
@@ -107,11 +110,15 @@ def run(out: Path, src: Path) -> int:
     if not (src / "pathspectra" / "cli.py").is_file():
         print(f"{src} has no pathspectra package", file=sys.stderr)
         return 2
+    taken = [out / name for name in COMMANDS if (out / name).exists()]
+    if taken:
+        print(f"{taken[0]} already exists: run into a fresh directory", file=sys.stderr)
+        return 2
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     status = 0
     for name, argv in COMMANDS.items():
         target = out / name
-        target.mkdir(parents=True, exist_ok=False)
+        target.mkdir(parents=True)
         cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "pathspectra.cli", *argv, "--out", str(target)]
         done = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
         print(f"{name}: exit {done.returncode}")
@@ -174,6 +181,10 @@ def _manifest_diff(a: Path, b: Path) -> tuple[list[str], bool]:
 
 
 def diff(a_root: Path, b_root: Path, tol: float) -> int:
+    for root in (a_root, b_root):
+        if not root.is_dir():
+            print(f"{root} is not a run directory", file=sys.stderr)
+            return 2
     failed = False
     names = sorted({p.name for p in a_root.iterdir() if p.is_dir()} | {p.name for p in b_root.iterdir() if p.is_dir()})
     for name in names:
