@@ -15,8 +15,8 @@ produces the stationary, real, non-negative profiles peaking at
 
 Closed form: the wall, well, line and circle windows are a sum of at most
 two plane terms, ``W = sum_t pref_t(x_f) * G_t(p_c) / 2h``, with
-``pref = amp * e^{ikx_f}`` (line, circle) or ``+-amp * e^{+-ikx_f} / 2i``
-(the standing waves ``sin(kx_f)`` of the wall and well).  Against the
+``pref_t = amp * c_t * e^{i k_t x_f}`` for each wave ``c_t e^{i k_t x}`` of
+``systems._plane_waves`` (two for the standing waves ``sin(kx_f)``).  Against the
 conjugated eigenfunction the x_f dependence cancels exactly, each
 standing-wave term averaging to ``amp/2``, so
 
@@ -25,6 +25,7 @@ standing-wave term averaging to ``amp/2``, so
 one Fresnel kernel per stationary point, no x_f grid and no N.  A trapezoid
 over x_f rows matches it only where its nodes do not alias ``e^{2ikx_f}``
 (Trefethen & Weideman, SIAM Review 56 (2014) 385), so none is taken.
+Values that are not finite are a ``DomainError``, as the oscillator's are.
 
 Cost note: the oscillator takes ``phasor._window_stack``, the engine
 reconstruction shares: the ``(x_f, p_c)`` stack already averaged over the T'
@@ -45,9 +46,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateDistributionError, DomainError
-from .phasor import _plane_amplitude, _plane_factors, _plane_terms, _window_stack
+from .phasor import _finite_result, _plane_amplitude, _plane_factors, _plane_terms, _window_stack
 from .quadrature import GridBundle, _check_node_count, _check_period_samples, trapezoid, uniform_grid
-from .systems import EigenstateSpec, SystemKind, _check_travel_time, eigenfunction, mass_parameter, window_halfwidth
+from .systems import EigenstateSpec, SystemKind, _check_travel_time, _interval, eigenfunction
+from .systems import mass_parameter, window_halfwidth
 
 __all__ = [
     "PathDistribution",
@@ -102,9 +104,10 @@ def stationary_grids(
     cuts an image in half leaves a spurious norm contribution, so the default
     margin is rounded outward to the midpoint between image centres.
     The x_f grid is the output domain of ``reconstruct``; a distribution
-    reads none of it.  It spans the full interval for the bounded systems and
-    ``[0, x_window]`` (wall) or ``[-x_window, x_window]`` (line) for the
-    unbounded ones, ``x_window = 8*pi/|k|`` by default.
+    reads none of it.  It spans a bounded ``systems._interval`` whole (no
+    ``x_window``), else ``[-x_window, x_window]`` clipped to the interval,
+    ``x_window = 8*pi/|k|`` by default; the step is ``pi/(16*|k|)``
+    (``2*pi/128`` on the circle, ``|k| = 0`` read as 1).
     """
     system = state.system
     kind = system.kind
@@ -133,26 +136,17 @@ def stationary_grids(
         lo, hi = float(p_c_span[0]), float(p_c_span[1])
     p_c_grid = uniform_grid(lo, hi, step)
 
-    if kind is SystemKind.CIRCLE:
-        if x_window is not None:
-            raise DomainError("the circle's x_f window is the full circumference")
-        dx = 2.0 * math.pi / 128.0 if delta_x_f is None else float(delta_x_f)
-        x_f_grid = uniform_grid(0.0, 2.0 * math.pi, dx)
-    elif kind is SystemKind.SQUARE_WELL:
-        if x_window is not None:
-            raise DomainError("the well's x_f window is the full box")
-        assert system.width is not None
-        a = system.width
-        n = int(state.quantum_number)
-        dx = a / (16.0 * n) if delta_x_f is None else float(delta_x_f)
-        x_f_grid = uniform_grid(0.0, a, dx)
-    else:
-        wavelength_scale = abs(float(state.quantum_number)) or 1.0
-        x_max = 8.0 * math.pi / wavelength_scale if x_window is None else float(x_window)
+    x_lo, x_hi = _interval(system)
+    scale = abs(state.wavenumber) or 1.0
+    if math.isinf(x_hi):  # unbounded: the window, clipped to the interval
+        x_max = 8.0 * math.pi / scale if x_window is None else float(x_window)
         if not (math.isfinite(x_max) and x_max > 0):
             raise DomainError(f"x_window must be positive and finite, got {x_max}")
-        dx = math.pi / (16.0 * wavelength_scale) if delta_x_f is None else float(delta_x_f)
-        x_f_grid = uniform_grid(0.0 if kind is SystemKind.HARD_WALL else -x_max, x_max, dx)
+        x_lo, x_hi = max(x_lo, -x_max), x_max
+    elif x_window is not None:
+        raise DomainError(f"the {kind.value} x_f grid is its whole interval [{x_lo!r}, {x_hi!r}]: no x_window")
+    dx = 2.0 * math.pi / 128.0 if kind is SystemKind.CIRCLE else math.pi / (16.0 * scale)
+    x_f_grid = uniform_grid(x_lo, x_hi, dx if delta_x_f is None else float(delta_x_f))
     return GridBundle(p_c_grid=p_c_grid, x_f_grid=x_f_grid, T_samples=(float(T),))
 
 
@@ -258,14 +252,20 @@ def _distributions(
         if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
             norm = next(norms)
             values = next(sums) / norm
-        else:  # amp * mean_t G_t(p_c) / 2h: the kernels alone, no x_f prefactors
+        else:
             norm = None
-            _, kernels = _plane_factors(state, grids.p_c_grid, grids.x_f_grid[:0], float(T))
-            values = _plane_amplitude(state, T) * np.mean(kernels, axis=0) / (2.0 * window_halfwidth(state.system, T))
+            values = _plane_distribution(state, grids.p_c_grid, float(T))
         dists.append(
             PathDistribution(grids.p_c_grid, values, state, float(T), time_averaged, normalization_N=norm, grids=grids)
         )
     return dists
+
+
+@_finite_result
+def _plane_distribution(state: EigenstateSpec, p_c: NDArray[np.float64], T: float) -> NDArray[np.complex128]:
+    """``amp * mean_t G_t(p_c) / 2h``: the plane kernels alone, no x_f prefactors."""
+    _, kernels = _plane_factors(state, p_c, p_c[:0], T)
+    return _plane_amplitude(state, T) * np.mean(kernels, axis=0) / (2.0 * window_halfwidth(state.system, T))
 
 
 def moments(dist: PathDistribution) -> dict[str, float]:

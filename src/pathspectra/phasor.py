@@ -18,7 +18,8 @@ system family:
 * For the systems whose exponent is exactly quadratic in ``p_c`` (free line,
   circle, hard wall, square well) windows come from
   :func:`~pathspectra.specfun.gaussian_phase_integral`.  The integrand is a
-  sum of plane terms ``pref_t(x_f) * exp(i*gamma*(p_c - c_t)^2)``, so only
+  sum of plane terms ``pref_t(x_f) * exp(i*gamma*(p_c - hbar*k_t)^2)``, one
+  per plane wave ``c_t e^{i k_t x}`` of ``systems._plane_waves``, so only
   the prefactor depends on ``x_f``: ``_plane_factors`` prices each term's
   Fresnel kernel once, which :func:`window_average` scales row by row into
   an ``(x_f, p_c)`` stack, reconstruction integrates without one, and a
@@ -81,6 +82,7 @@ from .systems import (
     _check_interval,
     _check_travel_time,
     _finite,
+    _plane_waves,
     maslov_index,
     mass_parameter,
     regular_sin,
@@ -165,23 +167,12 @@ def _plane_amplitude(state: EigenstateSpec, T: float) -> complex:
 def _plane_terms(
     state: EigenstateSpec, x_f: float, T: float
 ) -> list[tuple[complex, float]]:
-    """Quadratic-exponent decomposition: integrand = sum pref * e^{i*gamma*(p-center)^2}.
-
-    The centres are the stationary points, and this is the one place that
-    states them: ``hbar*k`` for the phase-like line and circle, ``+-hbar*k``
-    for the standing waves of the wall and well.
-    """
-    sys_ = state.system
-    if sys_.kind is SystemKind.HARMONIC_OSCILLATOR:
+    """Quadratic-exponent decomposition: integrand = sum pref * e^{i*gamma*(p-center)^2}, one
+    term per wave ``c_t e^{i k_t x}`` of ``systems._plane_waves``: ``(amp * c_t * e^{i k_t x_f}, hbar*k_t)``."""
+    if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
         raise DomainError("oscillator integrands are not quadratic in p_c")
-    amp, k = _plane_amplitude(state, T), state.wavenumber
-    if sys_.kind in (SystemKind.FREE_LINE, SystemKind.CIRCLE):
-        return [(amp * complex(np.exp(1j * k * x_f)), sys_.hbar * k)]
-    pref = amp / 2j
-    return [
-        (pref * complex(np.exp(1j * k * x_f)), sys_.hbar * k),
-        (-pref * complex(np.exp(-1j * k * x_f)), -sys_.hbar * k),
-    ]
+    amp, hbar = _plane_amplitude(state, T), state.system.hbar
+    return [(amp * c * complex(np.exp(1j * k * x_f)), hbar * k) for c, k in _plane_waves(state)]
 
 
 def _ho_kernel(state: EigenstateSpec, T: float) -> tuple[float, float, complex, float]:

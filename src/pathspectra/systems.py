@@ -6,10 +6,12 @@ quantum label.  Both are frozen values, safe to share across threads.
 
 Conventions that matter downstream:
 
-* Plane-wave-like states (free line ``e^{ikx}``, circle ``e^{i l phi}``, wall
-  and well ``sin(kx)``) are deliberately *unnormalized*; the normalization
-  cancels in a distribution, whose x_f average is closed-form for these
-  four (the oscillator's divides by its window norm ``N = int |psi|^2``).
+* The four stationary systems are stated once, as data that every consumer
+  reads: ``_plane_waves`` (free line ``e^{ikx}``, circle ``e^{i l phi}``,
+  wall and well ``sin(kx)``), ``_images`` and ``_interval``.  Their states
+  are deliberately *unnormalized*; the normalization cancels in a
+  distribution, whose x_f average is closed-form for these four (the
+  oscillator's divides by its window norm ``N = int |psi|^2``).
 * The oscillator kernel carries the Morse-index phase ``exp(-i pi/2 *
   floor(omega T / pi))`` and is singular whenever ``sin(omega T) == 0``;
   :func:`regular_sin` refuses every time within float resolution of one.
@@ -105,6 +107,13 @@ class SystemSpec:
                     raise DomainError(f"{self.kind.value} requires {field} > 0")
             elif value is not None:
                 raise DomainError(f"{field} is not a {self.kind.value} parameter")
+        if self.kind is SystemKind.CIRCLE:
+            try:  # radius**2 raises OverflowError past float range, and may underflow to 0
+                inertia = self.inertia
+            except OverflowError:
+                inertia = math.inf
+            if not 0.0 < inertia < math.inf:
+                raise DomainError(f"circle inertia M*R^2 must be positive and finite, got {inertia!r}")
 
     @property
     def inertia(self) -> float:
@@ -184,14 +193,11 @@ class EigenstateSpec:
 
     @property
     def wavenumber(self) -> float:
-        """Spatial frequency of the eigenfunction (k, l, n*pi/a, or None-like 0 for HO)."""
-        kind = self.system.kind
-        if kind in (SystemKind.FREE_LINE, SystemKind.HARD_WALL, SystemKind.CIRCLE):
-            return float(self.quantum_number)
-        if kind is SystemKind.SQUARE_WELL:
-            assert self.system.width is not None
-            return float(self.quantum_number) * np.pi / self.system.width
-        raise DomainError("the oscillator eigenfunction has no single wavenumber")
+        """Spatial frequency of the eigenfunction: k, l on the circle, n*pi/a in the well (the one width)."""
+        if self.system.kind is SystemKind.HARMONIC_OSCILLATOR:
+            raise DomainError("the oscillator eigenfunction has no single wavenumber")
+        k = float(self.quantum_number)
+        return k * np.pi / self.system.width if self.system.width else k
 
     @property
     def energy(self) -> float:
@@ -201,14 +207,36 @@ class EigenstateSpec:
 def eigen_energy(state: EigenstateSpec) -> float:
     """Exact energy eigenvalue of ``state``."""
     sys_ = state.system
-    kind = sys_.kind
-    if kind is SystemKind.HARMONIC_OSCILLATOR:
+    if sys_.kind is SystemKind.HARMONIC_OSCILLATOR:
         assert sys_.omega is not None
         return sys_.hbar * sys_.omega * (state.quantum_number + 0.5)
-    if kind is SystemKind.CIRCLE:
-        return sys_.hbar**2 * state.quantum_number**2 / (2.0 * sys_.inertia)
+    return sys_.hbar**2 * state.wavenumber**2 / (2.0 * mass_parameter(sys_))
+
+
+def _plane_waves(state: EigenstateSpec) -> tuple[tuple[complex, float], ...]:
+    """A stationary state as plane waves ``((c_t, k_t), ...)``, ``psi = sum_t c_t e^{i k_t x}``:
+    ``e^{ikx}``, or ``sin(kx) = (e^{ikx} - e^{-ikx}) / 2i`` where the boundary reflects."""
     k = state.wavenumber
-    return sys_.hbar**2 * k**2 / (2.0 * sys_.mass)
+    if _images(state.system)[1]:
+        return ((-0.5j, k), (0.5j, -k))
+    return ((1.0, k),)
+
+
+def _images(system: SystemSpec) -> tuple[float, bool]:
+    """``(period, reflected)`` of a stationary kernel as images of the free kernel ``K``,
+    ``sum_w K(x_f - x0 + w*period) [- K(x_f + x0 + w*period)]``: a finite interval repeats
+    with its length, or twice that where its ends reflect; period 0 keeps the one term w = 0."""
+    reflected = system.kind in (SystemKind.HARD_WALL, SystemKind.SQUARE_WELL)
+    lo, hi = _interval(system)
+    return ((2.0 if reflected else 1.0) * (hi - lo) if math.isfinite(hi) else 0.0), reflected
+
+
+def _interval(system: SystemSpec) -> tuple[float, float]:
+    """The configuration interval ``(lo, hi)``, ends included, +-inf where unbounded:
+    ``x >= 0`` on the wall, ``[0, a]`` in the well, angles in ``[0, 2*pi]`` on the circle."""
+    top = {SystemKind.HARD_WALL: math.inf, SystemKind.SQUARE_WELL: system.width, SystemKind.CIRCLE: 2.0 * math.pi}
+    hi = top.get(system.kind)
+    return (-math.inf, math.inf) if hi is None else (0.0, hi)
 
 
 def eigenfunction(
@@ -224,19 +252,12 @@ def eigenfunction(
     """
     xa = _finite(x, "positions x")
     sys_ = state.system
-    kind = sys_.kind
     _check_interval(sys_, xa)
-    if kind in (SystemKind.FREE_LINE, SystemKind.CIRCLE):
-        out = np.exp(1j * state.quantum_number * xa)
-    elif kind is SystemKind.HARD_WALL:
-        out = np.sin(state.quantum_number * xa).astype(np.complex128)
-    elif kind is SystemKind.SQUARE_WELL:
-        out = np.sin(state.wavenumber * xa).astype(np.complex128)
+    if sys_.kind is SystemKind.HARMONIC_OSCILLATOR:
+        out = ho_eigenfunction(int(state.quantum_number), xa, hbar=sys_.hbar, mass=sys_.mass, omega=sys_.omega)
     else:
-        out = ho_eigenfunction(
-            int(state.quantum_number), xa, hbar=sys_.hbar, mass=sys_.mass, omega=sys_.omega
-        )
-        out = np.asarray(out, dtype=np.complex128)
+        out = sum(c * np.exp(1j * k * xa) for c, k in _plane_waves(state))
+    out = np.asarray(out, dtype=np.complex128)
     return complex(out) if xa.ndim == 0 else out
 
 
@@ -254,12 +275,10 @@ def _check_travel_time(T: float) -> None:
 
 
 def _check_interval(system: SystemSpec, *positions: ArrayLike) -> None:
-    """Refuse a position outside a bounded system's interval, ends included:
-    ``x >= 0`` on the wall, ``[0, a]`` in the well, angles in ``[0, 2*pi]`` on the circle."""
-    bounds = {SystemKind.HARD_WALL: math.inf, SystemKind.SQUARE_WELL: system.width, SystemKind.CIRCLE: 2.0 * math.pi}
-    top = bounds.get(system.kind)
-    if top is not None and any(np.any(x < 0.0) or np.any(x > top) for x in positions):
-        raise DomainError(f"{system.kind.value} positions must lie in [0, {top!r}]")
+    """Refuse a position outside the system's :func:`_interval`, ends included."""
+    lo, hi = _interval(system)
+    if any(np.any(x < lo) or np.any(x > hi) for x in positions):
+        raise DomainError(f"{system.kind.value} positions must lie in [{lo!r}, {hi!r}]")
 
 
 def _finite(values: ArrayLike, name: str) -> NDArray[np.float64]:
@@ -331,34 +350,11 @@ def propagator(
     x0a = _finite(x0, "positions x0")
     xfa = _finite(xf, "positions xf")
     scalar = x0a.ndim == 0 and xfa.ndim == 0
-    kind = system.kind
     hbar, mass = system.hbar, system.mass
-    if kind is not SystemKind.CIRCLE:  # the circle's kernel takes unwound angles
+    if system.kind is not SystemKind.CIRCLE:  # the circle's kernel takes unwound angles
         _check_interval(system, x0a, xfa)
 
-    if kind is SystemKind.FREE_LINE:
-        out = _free_kernel(mass, hbar, xfa - x0a, T)
-    elif kind is SystemKind.HARD_WALL:
-        out = _free_kernel(mass, hbar, xfa - x0a, T) - _free_kernel(mass, hbar, xfa + x0a, T)
-    elif kind is SystemKind.CIRCLE:
-        inertia = system.inertia
-        nw = DEFAULT_IMAGE_TERMS if n_terms is None else int(n_terms)
-        dphi = xfa - x0a
-        out = np.zeros(np.broadcast(x0a, xfa).shape, dtype=np.complex128)
-        amp = np.sqrt(inertia / (2j * np.pi * hbar * T))
-        for w in range(-nw, nw + 1):
-            arg = dphi + 2.0 * np.pi * w
-            out = out + amp * np.exp(1j * inertia * arg * arg / (2.0 * hbar * T))
-    elif kind is SystemKind.SQUARE_WELL:
-        assert system.width is not None
-        a = system.width
-        nw = DEFAULT_IMAGE_TERMS if n_terms is None else int(n_terms)
-        out = np.zeros(np.broadcast(x0a, xfa).shape, dtype=np.complex128)
-        for w in range(-nw, nw + 1):
-            shift = 2.0 * a * w
-            out = out + _free_kernel(mass, hbar, xfa - x0a + shift, T)
-            out = out - _free_kernel(mass, hbar, xfa + x0a + shift, T)
-    else:  # harmonic oscillator, Mehler form with Morse phase
+    if system.kind is SystemKind.HARMONIC_OSCILLATOR:  # Mehler form with Morse phase
         assert system.omega is not None
         omega = system.omega
         s = regular_sin(omega * T)
@@ -370,6 +366,16 @@ def propagator(
             - 0.5 * np.pi * mu
         )
         out = amp * np.exp(1j * phase)
+    else:  # the free kernel and its images
+        period, reflected = _images(system)
+        nw = (DEFAULT_IMAGE_TERMS if n_terms is None else int(n_terms)) if period else 0
+        m = mass_parameter(system)
+        out = np.zeros(np.broadcast(x0a, xfa).shape, dtype=np.complex128)
+        for w in range(-nw, nw + 1):
+            shift = period * w
+            out = out + _free_kernel(m, hbar, xfa - x0a + shift, T)
+            if reflected:
+                out = out - _free_kernel(m, hbar, xfa + x0a + shift, T)
     out = np.asarray(out, dtype=np.complex128)
     return complex(out) if scalar else out
 
@@ -382,14 +388,10 @@ def default_winding_terms(system: SystemSpec, p_max: float, T: float) -> int:
     windings beyond the last stationary one leaves only fast oscillation.
     """
     _check_travel_time(T)
-    if system.kind is SystemKind.CIRCLE:
-        period, m = 2.0 * np.pi, system.inertia
-    elif system.kind is SystemKind.SQUARE_WELL:
-        assert system.width is not None
-        period, m = 2.0 * system.width, system.mass
-    else:
+    period, _ = _images(system)
+    if not period:
         raise DomainError("winding truncation applies to the circle and square well only")
-    return int(np.ceil(abs(p_max) * T / (period * m))) + 8
+    return int(np.ceil(abs(p_max) * T / (period * mass_parameter(system)))) + 8
 
 
 def characteristic_x0(

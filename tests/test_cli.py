@@ -207,6 +207,23 @@ def test_non_integer_quantum_numbers_are_domain_errors(tmp_path, argv):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def _stationary_argv(command, system, q, setting):
+    return [command, "--set", f"system={system}", "--set", f"quantum_number={q}", "--set", "T=100.3", "--set", setting]
+
+
+# constants past float range: a circle inertia M*R^2 that overflows or underflows
+# to 0, and closed-form distribution values that are not finite
+_PAST_FLOAT_RANGE = [
+    *(_stationary_argv(command, "circle", 2, "radius=1e300") for command in ("distribution", "window", "phasor")),
+    _stationary_argv("phasor", "circle", 2, "radius=1e-300"),
+    *(
+        _stationary_argv("distribution", system, 2, "hbar=1e-320")
+        for system in ("hard_wall", "free_line", "square_well", "circle")
+    ),
+    _stationary_argv("distribution", "circle", 0, "mass=1e-320"),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -214,8 +231,14 @@ def test_non_integer_quantum_numbers_are_domain_errors(tmp_path, argv):
         ["phasor", "--set", "system=hard_wall", "--set", "quantum_number=2", "--set", "T=100", "--set", "x_f=-1"],
         # the curve is priced, then the extent is narrower than one segment window
         ["fig1", "--set", "p_c_lo=0.5", "--set", "p_c_hi=0.5001"],
+        *_PAST_FLOAT_RANGE,
     ],
-    ids=["window-circle-angle", "phasor-wall-position", "fig1-narrow-extent"],
+    ids=[
+        "window-circle-angle",
+        "phasor-wall-position",
+        "fig1-narrow-extent",
+        *("-".join((argv[0], argv[2].split("=")[1], argv[-1])) for argv in _PAST_FLOAT_RANGE),
+    ],
 )
 def test_a_refused_run_writes_no_file(tmp_path, argv):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_DOMAIN
@@ -786,7 +809,7 @@ def _benchmark_argvs() -> list[list[str]]:
 
 def test_benchmark_and_datacheck_command_lines_are_accepted(tmp_path, no_runners):
     argvs = _benchmark_argvs()
-    assert len(argvs) == 96
+    assert len(argvs) == 98
     codes = [main([*argv, "--threads", "2", "--out", str(tmp_path / str(i))]) for i, argv in enumerate(argvs)]
     assert [argv for argv, code in zip(argvs, codes) if code != EXIT_OK] == []
 

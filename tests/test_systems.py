@@ -53,6 +53,9 @@ def test_factories_reject_bad_constants():
         lambda: circle(math.nan),
         lambda: square_well(math.inf),
         lambda: hard_wall(hbar=-math.inf),
+        # an inertia M*R^2 past float range: radius**2 overflows, or underflows to 0
+        lambda: circle(radius=1e300),
+        lambda: circle(radius=1e-300),
     ):
         with pytest.raises(DomainError, match="finite"):
             make()
@@ -346,3 +349,54 @@ def test_default_winding_terms_scales_with_momentum_and_time():
     assert default_winding_terms(well, 3.0, 10.0) == math.ceil(30.0 / 4.0) + 8
     with pytest.raises(DomainError):
         default_winding_terms(free_line(), 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the stationary systems as textbook forms
+
+
+def _free(m, hbar, dx, T):
+    return np.sqrt(m / (2j * np.pi * hbar * T)) * np.exp(1j * m * dx * dx / (2.0 * hbar * T))
+
+
+def test_stationary_systems_equal_their_textbook_forms():
+    # non-unit constants; eigenfunctions, energies, kernels and winding counts written out per system
+    hbar, m, R, a = 0.7, 1.3, 1.7, 2.3
+    T, nw = 0.9, 5
+    line, wall = free_line(hbar=hbar, mass=m), hard_wall(hbar=hbar, mass=m)
+    well, ring = square_well(a, hbar=hbar, mass=m), circle(R, hbar=hbar, mass=m)
+    I = m * R**2
+    x_line, x_wall = np.linspace(-9.0, 9.0, 4001), np.linspace(0.0, 9.0, 4001)
+    x_well, x_ring = np.linspace(0.0, a, 4001), np.linspace(0.0, 2.0 * np.pi, 4001)
+    for k in (1.0, -2.5):  # e^{ikx}; the sign of a zero imaginary part is not compared
+        np.testing.assert_array_equal(eigenfunction(EigenstateSpec(line, k), x_line), np.exp(1j * k * x_line))
+    for l in (2, -3):
+        np.testing.assert_array_equal(eigenfunction(EigenstateSpec(ring, l), x_ring), np.exp(1j * l * x_ring))
+    sine = eigenfunction(EigenstateSpec(wall, 1.7), x_wall)
+    assert sine.tobytes() == np.sin(1.7 * x_wall).astype(np.complex128).tobytes()
+    k3 = 3 * np.pi / a
+    sine = eigenfunction(EigenstateSpec(well, 3), x_well)
+    assert sine.tobytes() == np.sin(k3 * x_well).astype(np.complex128).tobytes()
+    assert eigen_energy(EigenstateSpec(well, 3)) == hbar**2 * k3**2 / (2.0 * m)
+    assert eigen_energy(EigenstateSpec(ring, -3)) == hbar**2 * 9.0 / (2.0 * I)
+
+    def kernel(system, x):
+        return propagator(system, x[::40, None], x[None, ::37], T, n_terms=nw).tobytes()
+
+    x0, xf = x_line[::40, None], x_line[None, ::37]
+    assert kernel(line, x_line) == _free(m, hbar, xf - x0, T).tobytes()
+    x0, xf = x_wall[::40, None], x_wall[None, ::37]
+    assert kernel(wall, x_wall) == (_free(m, hbar, xf - x0, T) - _free(m, hbar, xf + x0, T)).tobytes()
+    x0, xf = x_well[::40, None], x_well[None, ::37]
+    images = np.zeros((x0.size, xf.size), dtype=np.complex128)
+    for w in range(-nw, nw + 1):
+        images = images + _free(m, hbar, xf - x0 + 2.0 * a * w, T)
+        images = images - _free(m, hbar, xf + x0 + 2.0 * a * w, T)
+    assert kernel(well, x_well) == images.tobytes()
+    x0, xf = x_ring[::40, None], x_ring[None, ::37]
+    windings = np.zeros((x0.size, xf.size), dtype=np.complex128)
+    for w in range(-nw, nw + 1):
+        windings = windings + _free(I, hbar, xf - x0 + 2.0 * np.pi * w, T)
+    assert kernel(ring, x_ring) == windings.tobytes()
+    assert default_winding_terms(well, 3.3, T) == int(np.ceil(3.3 * T / (2.0 * a * m))) + 8
+    assert default_winding_terms(ring, -17.0, T) == int(np.ceil(17.0 * T / (2.0 * np.pi * I))) + 8

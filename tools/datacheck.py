@@ -96,6 +96,13 @@ COMMANDS: dict[str, list[str]] = {
         "reconstruct", "--set", "quantum_number=1", "--set", "band_lo=1.001", "--set", "band_hi=1.002",
     ],
     "reconstruct_full_band": ["reconstruct", "--set", "quantum_number=2"],  # no band keys: the full-band cutoff
+    # n = 8 out to |x_f| = 20.8: its columns past |x_f| = 9.4 take the inner v-grid, not the Hermite ladder
+    "reconstruct_fallback": ["reconstruct", "--set", "quantum_number=8", "--set", "band_hi=10", *BENCH_GRIDS],
+    # a circle whose inertia M*R^2 is not its mass
+    "reconstruct_circle_scaled": [
+        "reconstruct", *_stationary("circle", 2.0), "--set", "radius=1.7", "--set", "mass=1.3",
+        "--set", "band_lo=0.5", "--set", "band_hi=3.0",
+    ],
     "compare": ["compare", "--set", "quantum_number=2"],
     # non-unit oscillator scales move the nodes and weights off their unit values
     "compare_scaled": [
