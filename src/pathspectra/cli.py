@@ -1,6 +1,6 @@
 """Command-line driver: figure presets, pipeline stages, flat-file config.
 
-Every run writes data files (CSV by default) plus ``<command>.manifest.json``
+Every run writes CSV data files plus ``<command>.manifest.json``
 recording the effective parameters, the output list, and the numerical checks
 performed, so a run can be audited and reproduced from its manifest alone.
 Values are printed with 17 significant digits and all reductions happen in a
@@ -83,7 +83,6 @@ class RunConfig:
     band_hi: float | None = None
     segment_offset: float | None = None
     out: str = "."
-    format: str = "csv"
 
 
 # field -> (value type, whether None is allowed), read off the annotations
@@ -117,8 +116,6 @@ def config_from_mapping(mapping: Mapping[str, object]) -> RunConfig:
         if not math.isfinite(value):
             raise UsageError(f"{key!r} must be finite, got {raw!r}")
         setattr(cfg, key, value)
-    if cfg.format not in ("csv", "json"):
-        raise UsageError(f"format must be csv or json, not {cfg.format!r}")
     if cfg.system not in _SYSTEMS:
         raise UsageError(f"system must be one of {', '.join(_SYSTEMS)}")
     return cfg
@@ -162,17 +159,11 @@ def build_state(cfg: RunConfig) -> EigenstateSpec:
 _CSV_CHUNK_ROWS = 1 << 11
 
 
-def _emit(
-    out_dir: Path,
-    name: str,
-    header: Sequence[str],
-    columns: Sequence[np.ndarray],
-    fmt: str,
-) -> str:
-    """Write one data table as ``<name>.csv`` or ``<name>.json``; return the filename.
+def _emit(out_dir: Path, name: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
+    """Write one data table as ``<name>.csv``; return the filename.
 
     A complex column fills two header slots: its real part, then its
-    imaginary part.  CSV values are ``'%.17g' % v``, byte for byte: 17
+    imaginary part.  Values are ``'%.17g' % v``, byte for byte: 17
     significant digits, which read back as the same float64.  Rows are
     rendered ``_CSV_CHUNK_ROWS`` at a time by :func:`_csvtext.csv_rows`,
     so the text of a whole table is never held at once.
@@ -180,16 +171,11 @@ def _emit(
     parts: list[np.ndarray] = []
     for column in map(np.asarray, columns):
         parts += [column.real, column.imag] if np.iscomplexobj(column) else [column.astype(float)]
-    if fmt == "json":
-        filename = f"{name}.json"
-        text = json.dumps(dict(zip(header, (part.tolist() for part in parts))), indent=1)
-        (out_dir / filename).write_text(text + "\n", encoding="utf-8")
-    else:
-        filename = f"{name}.csv"
-        with open(out_dir / filename, "wb") as handle:
-            handle.write((",".join(header) + "\n").encode())
-            for start in range(0, len(parts[0]), _CSV_CHUNK_ROWS):
-                handle.write(csv_rows(np.column_stack([part[start : start + _CSV_CHUNK_ROWS] for part in parts])))
+    filename = f"{name}.csv"
+    with open(out_dir / filename, "wb") as handle:
+        handle.write((",".join(header) + "\n").encode())
+        for start in range(0, len(parts[0]), _CSV_CHUNK_ROWS):
+            handle.write(csv_rows(np.column_stack([part[start : start + _CSV_CHUNK_ROWS] for part in parts])))
     log.debug("wrote %s (%d rows)", filename, len(parts[0]))
     return filename
 
@@ -450,7 +436,7 @@ def _stage_compare(cfg: RunConfig, write: Writer) -> dict:
 
 
 # The command table: each command's runner, the RunConfig keys it reads (plus
-# out and format) and the values it pins.  In the keys, "state" stands for
+# out) and the values it pins.  In the keys, "state" stands for
 # `_STATE_KEYS` and the system kind's shape constant, "grids" for the keys of
 # the kind's grid recipe, and "window grids" for those that a computation at
 # the one time T reads: no T' sampling, and for a stationary system no x_f
@@ -494,7 +480,7 @@ def _run_command(command: str, cfg: RunConfig, given: Collection[str]) -> list[s
         # delta_T alone sets paper_grids' T' samples
         "window grids": tuple(key for key in recipe if key != "delta_T") if oscillator else _P_C_KEYS,
     }
-    unread = set(given) - {key for item in reads for key in spelled.get(item, (item,))} - {"out", "format"}
+    unread = set(given) - {key for item in reads for key in spelled.get(item, (item,))} - {"out"}
     if unread:
         raise UsageError(f"{command} ({kind.value}) does not read {', '.join(sorted(unread))}")
     cfg = dataclasses.replace(cfg, **{key: value for key, value in pins.items() if key not in given})
@@ -508,7 +494,7 @@ def _run_command(command: str, cfg: RunConfig, given: Collection[str]) -> list[s
     started = time.perf_counter()
     tables: list[tuple[str, Sequence[str], Sequence[np.ndarray]]] = []
     checks = runner(cfg, lambda *table: tables.append(table))
-    outputs = [_emit(out_dir, *table, cfg.format) for table in tables]
+    outputs = [_emit(out_dir, *table) for table in tables]
     manifest = {
         "command": command,
         "version": __version__,
@@ -541,7 +527,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="override one configuration key (repeatable)",
     )
     parser.add_argument("--out", help="output directory (default: current)")
-    parser.add_argument("--format", choices=("csv", "json"), help="data file format")
     # accepted and ignored: perfbench's harness passes --threads to every run
     parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     parser.add_argument("-v", "--verbose", action="store_true", help="chatty progress output")
@@ -565,9 +550,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
             key, value = item.split("=", 1)
             mapping[key.strip()] = value.strip()
-        for key in ("out", "format"):
-            if getattr(args, key) is not None:
-                mapping[key] = getattr(args, key)
+        if args.out is not None:
+            mapping["out"] = args.out
         cfg = config_from_mapping(mapping)
         _run_command(args.command, cfg, mapping.keys())
     except UsageError as exc:

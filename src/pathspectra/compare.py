@@ -11,7 +11,9 @@ Two standard descriptions of the oscillator eigenstates:
   peaks.
 
 The marginal is computed here by quadrature and *tested* against the
-closed form (:func:`momentum_density`); the cross-validation is the point.
+closed form (:func:`momentum_density`, the square of
+:func:`~pathspectra.specfun.ho_eigenfunction` in the momentum variable, on
+its Hermite-function recurrence); the cross-validation is the point.
 Over x the Wigner function is ``exp(-xi^2)`` times a polynomial of degree
 2n in ``xi = x / sqrt(hbar/(M*omega))``, so the (n + 1)-node Gauss-Hermite
 rule integrates it exactly; the marginal broadcasts over p with one ordered
@@ -27,7 +29,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import DomainError
-from .specfun import MAX_DEGREE, hermite, laguerre
+from .specfun import MAX_DEGREE, ho_eigenfunction, laguerre
 from .systems import SystemKind, SystemSpec, _finite
 
 __all__ = [
@@ -86,23 +88,18 @@ def wigner_momentum_marginal(n: int, p: ArrayLike, system: SystemSpec) -> NDArra
     return float(out) if eta.ndim == 0 else out
 
 
-def momentum_density(
-    n: int, p: ArrayLike, system: SystemSpec
-) -> NDArray[np.float64] | float:
+def momentum_density(n: int, p: ArrayLike, system: SystemSpec) -> NDArray[np.float64] | float:
     """Closed-form |psi~_n(p)|^2, the oracle the quadrature marginal must hit.
 
     The momentum wavefunction of a Hermite-Gaussian is again a
-    Hermite-Gaussian with scale sqrt(hbar*M*omega).
+    Hermite-Gaussian with scale sqrt(hbar*M*omega): ``psi_n`` itself at unit
+    mass and frequency and ``hbar*M*omega`` for hbar, in the momentum
+    variable.  Past ``|p| = 40*sqrt(hbar*M*omega)`` it is 0.
     """
     n = _level(n)
     hbar, mass, omega = _require_oscillator(system)
-    scale = math.sqrt(hbar * mass * omega)
-    xi = _finite(p, "p") / scale
-    log_norm = n * math.log(2.0) + math.lgamma(n + 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp(-xi * xi - log_norm) * np.square(hermite(n, xi)) / (math.sqrt(math.pi) * scale)
-    out = np.where(np.isfinite(out), out, 0.0)  # past float range: the limit 0, as in _wigner_values
-    return float(out) if xi.ndim == 0 else out
+    psi = ho_eigenfunction(n, _finite(p, "p"), hbar=hbar * mass * omega)
+    return psi * psi
 
 
 def coherent_overlap(n: int, alpha_magnitude: ArrayLike) -> NDArray[np.float64] | float:

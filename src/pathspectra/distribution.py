@@ -25,7 +25,7 @@ standing-wave term averaging to ``amp/2``, so
 one Fresnel kernel per stationary point, no x_f grid and no N.  A trapezoid
 over x_f rows matches it only where its nodes do not alias ``e^{2ikx_f}``
 (Trefethen & Weideman, SIAM Review 56 (2014) 385), so none is taken.
-Values that are not finite are a ``DomainError``, as the oscillator's are.
+Values that are not finite, and an x_f window holding none of the norm, are a ``DomainError``.
 
 Cost note: the oscillator takes ``phasor._window_stack``, the engine
 reconstruction shares: the ``(x_f, p_c)`` stack already averaged over the T'
@@ -161,10 +161,13 @@ def _trapezoid_weights(x: NDArray) -> NDArray[np.float64]:
 
 
 def _x_f_weights(state: EigenstateSpec, grids: GridBundle) -> tuple[NDArray[np.complex128], float]:
-    """The T'-independent half of the x_f average: (psi* x trapezoid weights, N)."""
+    """The T'-independent half of the x_f average: (psi* x trapezoid weights, N), N > 0 or a ``DomainError``."""
     x_grid = grids.x_f_grid
     psi = np.asarray(eigenfunction(state, x_grid), dtype=np.complex128)
     norm = float(trapezoid(x_grid, (psi.conj() * psi).real).real)
+    if not norm > 0.0:
+        level = int(state.quantum_number)
+        raise DomainError(f"the x_f window [{x_grid[0]:g}, {x_grid[-1]:g}] holds none of the norm of level {level}")
     return _trapezoid_weights(x_grid) * psi.conj(), norm
 
 
@@ -220,6 +223,7 @@ def time_average(state: EigenstateSpec, T: float, grids: GridBundle) -> PathDist
     return _distributions([(state, grids)], T, time_averaged=True)[0]
 
 
+@_finite_result
 def _distributions(
     pairs: Sequence[tuple[EigenstateSpec, GridBundle]], T: float, *, time_averaged: bool
 ) -> list[PathDistribution]:
@@ -235,13 +239,14 @@ def _distributions(
     if time_averaged and any(state.system.kind is not SystemKind.HARMONIC_OSCILLATOR for state, _ in pairs):
         raise DomainError("time averaging over a classical period is an oscillator operation")
     _check_travel_time(T)
+    T = float(T)
     for state, grids in pairs:
         if time_averaged:
             _check_period_samples(state, T, grids)
     oscillator = [(state, grids) for state, grids in pairs if state.system.kind is SystemKind.HARMONIC_OSCILLATOR]
     weighted = [_x_f_weights(state, grids) for state, grids in oscillator]
     members = [
-        (state, grids.T_samples if time_averaged else (float(T),), grids, weights)
+        (state, grids.T_samples if time_averaged else (T,), grids, weights)
         for (state, grids), (weights, _) in zip(oscillator, weighted)
     ]
     # one state goes through _grid_average, the helper perfbench's tracer wraps
@@ -252,20 +257,14 @@ def _distributions(
         if state.system.kind is SystemKind.HARMONIC_OSCILLATOR:
             norm = next(norms)
             values = next(sums) / norm
-        else:
+        else:  # amp * mean_t G_t(p_c) / 2h: the plane kernels alone, no x_f prefactors
             norm = None
-            values = _plane_distribution(state, grids.p_c_grid, float(T))
+            _, kernels = _plane_factors(state, grids.p_c_grid, grids.p_c_grid[:0], T)
+            values = _plane_amplitude(state, T) * np.mean(kernels, axis=0) / (2.0 * window_halfwidth(state.system, T))
         dists.append(
-            PathDistribution(grids.p_c_grid, values, state, float(T), time_averaged, normalization_N=norm, grids=grids)
+            PathDistribution(grids.p_c_grid, values, state, T, time_averaged, normalization_N=norm, grids=grids)
         )
     return dists
-
-
-@_finite_result
-def _plane_distribution(state: EigenstateSpec, p_c: NDArray[np.float64], T: float) -> NDArray[np.complex128]:
-    """``amp * mean_t G_t(p_c) / 2h``: the plane kernels alone, no x_f prefactors."""
-    _, kernels = _plane_factors(state, p_c, p_c[:0], T)
-    return _plane_amplitude(state, T) * np.mean(kernels, axis=0) / (2.0 * window_halfwidth(state.system, T))
 
 
 def moments(dist: PathDistribution) -> dict[str, float]:

@@ -30,9 +30,9 @@ system family:
   while the action is quadratic in it.  In ``xi = sqrt(M*omega/hbar) * x0``
   the integrand is a column constant times a Hermite function times the
   chirp ``exp(i*(q*xi^2 + r*xi))``, so the running integral at any window
-  edge is :func:`~pathspectra.specfun.hermite_phase_integral`.  Every
-  window of a column is differenced from it at once; the cost scales with
-  the number of edges, not with a grid.
+  edge is a rung of ``specfun._hermite_phase_primitive``.  Every window of
+  a column is differenced from it at once; the cost scales with the number
+  of edges, not with a grid.
 
 The one exception is a column whose Hermite ladder would amplify round-off
 past ``_LADDER_TOLERANCE`` (high ``n`` far outside the turning points): it
@@ -44,7 +44,8 @@ reference oracle for both.
 The half-width ``h`` is :func:`~pathspectra.systems.window_halfwidth`; the
 grid bundle only supplies the fallback spacing.  Momenta must be finite for
 every system (NaN and +-inf are refused on entry), and results that are not
-finite (phases past float range) are refused too, both with a ``DomainError``.
+finite (phases past float range) are refused where they are returned, here
+and in every distribution and reconstruction, both with a ``DomainError``.
 
 Oscillator distributions, time averages and reconstruction take their
 windows from one private engine, ``_window_stack``: the mean over T' of an
@@ -137,6 +138,13 @@ class PhasorCurve:
         return complex(np.interp(p_c, self.p_c_grid, self.cumulative))
 
 
+def _all_finite(out: object) -> bool:
+    """Whether an array, a curve's ``cumulative``, an average's ``values``, or (nested) lists of them are finite."""
+    if isinstance(out, list):
+        return all(map(_all_finite, out))
+    return bool(np.isfinite(getattr(out, "values", getattr(out, "cumulative", out))).all())
+
+
 def _finite_result(func: Callable) -> Callable:
     """Quiet NumPy's float warnings inside ``func`` and refuse a result that is not finite."""
 
@@ -147,8 +155,7 @@ def _finite_result(func: Callable) -> Callable:
                 out = func(*args, **kwargs)
         except (OverflowError, ZeroDivisionError) as exc:  # Python floats raise where NumPy gives inf
             raise DomainError(f"{func.__name__}: an input is past float range") from exc
-        result = getattr(out, "cumulative", out)
-        if not all(np.isfinite(part).all() for part in (result if isinstance(result, list) else [result])):
+        if not _all_finite(out):
             raise DomainError(f"{func.__name__}: result not finite (an input is past float range)")
         return out
 

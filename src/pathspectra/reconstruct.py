@@ -48,7 +48,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainError
-from .phasor import _plane_factors, _window_stack
+from .phasor import _finite_result, _plane_factors, _window_stack
 from .quadrature import GridBundle, _check_node_count, _check_period_samples, _check_stack_size, trapezoid
 from .systems import EigenstateSpec, SystemKind, _check_travel_time, window_halfwidth
 
@@ -118,6 +118,7 @@ def _band_span(
 Request = tuple[EigenstateSpec, Sequence[tuple[float, float] | None], GridBundle]
 
 
+@_finite_result
 def _reconstructions(requests: Sequence[Request], T: float) -> list[list[ReconstructionResult]]:
     """:func:`reconstruct` for every band of every request, each state's windows priced once.
 
@@ -127,7 +128,7 @@ def _reconstructions(requests: Sequence[Request], T: float) -> list[list[Reconst
     family of ``phasor._window_stack`` (a ``DomainError`` otherwise); a
     quadratic system reduces its plane kernels instead (see the module
     docstring).  A band thinner than one lattice cell is zeros and widens no
-    hull.
+    hull.  Values that are not finite are a ``DomainError``.
     """
     _check_travel_time(T)
     plans = []  # per request: (step, each band's (i1, i2), hull or None)

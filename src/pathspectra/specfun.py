@@ -14,14 +14,13 @@ recurrence so that intermediate values stay O(1) for every ``n`` we allow.
 exactly in terms of the standard Fresnel functions C and S.  This is the
 primitive behind every window average over a quadratic-phase integrand.
 
-``hermite_phase_integral`` is its oscillator counterpart,
-
-    J_n(lo, hi; q, r) = integral_lo^hi phi_n(xi) exp(i*(q*xi^2 + r*xi)) dxi,
-
-with ``phi_n`` the orthonormal Hermite function: ``J_0`` is an error function
-of complex argument, evaluated through the Faddeeva function ``w(z)``
-(Abramowitz & Stegun 7.4.32), and higher ``n`` follow from a three-term
-ladder whose round-off gain :func:`hermite_phase_gain` reports.
+``_hermite_phase_primitive`` is its oscillator counterpart: the running
+integrals ``J_k(xi) = int^xi phi_k(u) exp(i*(q*u^2 + r*u)) du``, k = 0..n,
+of the orthonormal Hermite functions ``phi_k``, whose difference at two
+edges prices a window.  ``J_0`` is an error function of complex argument,
+evaluated through the Faddeeva function ``w(z)`` (Abramowitz & Stegun
+7.4.32), and higher ``k`` follow from a three-term ladder whose round-off
+gain :func:`hermite_phase_gain` reports.
 
 Both error functions are computed here, in NumPy alone: ``w(z)`` by
 Weideman's rational series (J. A. C. Weideman, *Computation of the complex
@@ -46,7 +45,6 @@ __all__ = [
     "laguerre",
     "ho_eigenfunction",
     "gaussian_phase_integral",
-    "hermite_phase_integral",
     "hermite_phase_gain",
 ]
 
@@ -425,34 +423,8 @@ def _hermite_phase_primitive(
     return rungs
 
 
-def hermite_phase_integral(
-    n: int,
-    lo: ArrayLike,
-    hi: ArrayLike,
-    q: float,
-    r: float,
-) -> NDArray[np.complex128] | complex:
-    """Finite Hermite-chirp integral ``int_lo^hi phi_n(xi) exp(i*(q*xi^2 + r*xi)) dxi``.
-
-    ``phi_n`` is the orthonormal Hermite function
-    ``pi^(-1/4) H_n(xi) exp(-xi^2/2) / sqrt(2^n n!)``.  ``lo`` and ``hi``
-    broadcast, so a whole family of windows is priced in one call, and a
-    scalar bound is evaluated once.  ``J_0`` carries the relative error of
-    :func:`_faddeeva` (at most 1.4e-15) on its ``w`` term; each ladder step
-    to higher ``n`` can amplify round-off by up to the factor documented in
-    :func:`hermite_phase_gain`, which callers check before trusting large
-    ``n`` at large ``|r|``.
-    """
-    n = _check_degree(n)
-    lo_a = np.asarray(lo, dtype=float)
-    hi_a = np.asarray(hi, dtype=float)
-    both = _hermite_phase_primitive(n, np.concatenate((lo_a.ravel(), hi_a.ravel())), q, r)[-1]
-    out = both[lo_a.size :].reshape(hi_a.shape) - both[: lo_a.size].reshape(lo_a.shape)
-    return complex(out) if out.ndim == 0 else out
-
-
 def hermite_phase_gain(n: int, q: float, r: float) -> float:
-    """Round-off gain of the ladder behind :func:`hermite_phase_integral`.
+    """Round-off gain of the ladder in ``_hermite_phase_primitive``.
 
     Step k of the ladder divides by ``sqrt((k+1)/2) * |2iq - 1|`` and carries
     ``|r| * |J_k|`` forward, so an error in ``J_0`` grows by at most

@@ -60,8 +60,9 @@ def test_bad_value_rejected():
 
 
 def test_format_and_system_validated():
-    with pytest.raises(UsageError, match="format"):
-        config_from_mapping({"format": "xml"})
+    # data files are CSV only: format is not a key
+    with pytest.raises(UsageError, match="unknown configuration key 'format'"):
+        config_from_mapping({"format": "csv"})
     with pytest.raises(UsageError, match="system"):
         config_from_mapping({"system": "double_well"})
     with pytest.raises(UsageError, match="threads"):
@@ -137,12 +138,12 @@ def test_csv_writer_gives_the_bytes_of_per_value_format(tmp_path, monkeypatch, c
     cplx = np.empty(real.size, complex)
     cplx.real, cplx.imag = values[1], values[2]  # no complex arithmetic on inf and NaN
     whole = np.arange(real.size)  # a non-float column is written as float
-    cli._emit(tmp_path, "table", ("a", "re", "im", "n"), (real, cplx, whole), "csv")
+    cli._emit(tmp_path, "table", ("a", "re", "im", "n"), (real, cplx, whole))
     columns = [real, cplx.real, cplx.imag, whole.astype(float)]
     rows = [",".join(format(v, ".17g") for v in row) for row in zip(*(c.tolist() for c in columns))]
     want = "\n".join(["a,re,im,n", *rows]) + "\n"
     assert (tmp_path / "table.csv").read_bytes() == want.encode()
-    cli._emit(tmp_path, "empty", ("a",), (np.zeros(0),), "csv")
+    cli._emit(tmp_path, "empty", ("a",), (np.zeros(0),))
     assert (tmp_path / "empty.csv").read_bytes() == b"a\n"
 
 
@@ -212,12 +213,13 @@ def _stationary_argv(command, system, q, setting):
 
 
 # constants past float range: a circle inertia M*R^2 that overflows or underflows
-# to 0, and closed-form distribution values that are not finite
+# to 0, and closed-form distribution and reconstruction values that are not finite
 _PAST_FLOAT_RANGE = [
     *(_stationary_argv(command, "circle", 2, "radius=1e300") for command in ("distribution", "window", "phasor")),
     _stationary_argv("phasor", "circle", 2, "radius=1e-300"),
     *(
-        _stationary_argv("distribution", system, 2, "hbar=1e-320")
+        _stationary_argv(command, system, 2, "hbar=1e-320")
+        for command in ("distribution", "reconstruct")
         for system in ("hard_wall", "free_line", "square_well", "circle")
     ),
     _stationary_argv("distribution", "circle", 0, "mass=1e-320"),
@@ -231,12 +233,16 @@ _PAST_FLOAT_RANGE = [
         ["phasor", "--set", "system=hard_wall", "--set", "quantum_number=2", "--set", "T=100", "--set", "x_f=-1"],
         # the curve is priced, then the extent is narrower than one segment window
         ["fig1", "--set", "p_c_lo=0.5", "--set", "p_c_hi=0.5001"],
+        # an x_f window in which psi_1 squares to 0 everywhere: N = 0
+        ["time-average", "--set", "quantum_number=1", "--set", "x_f_span=1e-300", "--set", "delta_x_f=1e-300",
+         "--set", "delta_T=1.5707963267948966"],
         *_PAST_FLOAT_RANGE,
     ],
     ids=[
         "window-circle-angle",
         "phasor-wall-position",
         "fig1-narrow-extent",
+        "time-average-empty-window",
         *("-".join((argv[0], argv[2].split("=")[1], argv[-1])) for argv in _PAST_FLOAT_RANGE),
     ],
 )
@@ -477,14 +483,6 @@ def test_threads_flag_is_ignored_and_hidden(tmp_path, capsys):
     capsys.readouterr()
     assert main(["--help"]) == EXIT_OK
     assert "--threads" not in capsys.readouterr().out
-
-
-def test_json_format(tmp_path):
-    assert main(["fig10", "--format", "json", "--out", str(tmp_path)]) == EXIT_OK
-    payload = json.loads((tmp_path / "fig10_n0.json").read_text())
-    assert set(payload) == {"alpha", "value"}
-    assert len(payload["alpha"]) == len(payload["value"])
-    assert _manifest(tmp_path, "fig10")["effective_config"]["format"] == "json"
 
 
 def test_config_file_echoed_in_manifest(tmp_path):
@@ -734,7 +732,7 @@ STATIONARY_GRIDS = {"delta_p_c", "p_c_lo", "p_c_hi", "x_f_span", "delta_x_f"}
 P_C_SPAN = {"delta_p_c", "p_c_lo", "p_c_hi"}
 T_PRIME = {"delta_T"}
 
-# (command, system it runs on or None for a preset) -> the keys it reads besides out and format
+# (command, system it runs on or None for a preset) -> the keys it reads besides out
 READS: dict[tuple[str, str | None], set[str]] = {
     ("fig1", None): P_C_SPAN | {"segment_offset"},
     ("fig2", None): P_C_SPAN,
@@ -763,7 +761,7 @@ SAMPLE = {
     "hbar": "1", "mass": "1", "omega": "1", "radius": "1", "width": "3", "quantum_number": "2", "T": "100",
     "x_f": "0.5", "delta_p_c": "0.1", "p_c_lo": "-1", "p_c_hi": "1", "p_c_max": "2", "delta_x_f": "0.2",
     "x_f_span": "2", "delta_T": "0.5", "n_p_floor": "5", "n_p_slope": "5", "band_lo": "0.5",
-    "band_hi": "2", "segment_offset": "0", "format": "json",
+    "band_hi": "2", "segment_offset": "0",
 }
 # set together, since either one alone is refused whether read or not
 PARTNER = {"p_c_lo": "p_c_hi", "p_c_hi": "p_c_lo", "band_lo": "band_hi"}
@@ -779,7 +777,7 @@ def no_runners(monkeypatch):
 @pytest.mark.parametrize("command, system", list(READS), ids=[f"{c}-{s}" if s else c for c, s in READS])
 def test_each_command_refuses_every_key_it_does_not_read(tmp_path, no_runners, command, system):
     given = [] if system is None else ["--set", f"system={system}"]
-    reads = READS[command, system] | {"out", "format"}
+    reads = READS[command, system] | {"out"}
     wrong = []
     for key in (field.name for field in dataclasses.fields(RunConfig)):
         out = tmp_path / key
@@ -829,6 +827,29 @@ def test_datacheck_diff_fails_a_byte_change_only_at_zero_tolerance(tmp_path, cap
         (tmp_path / side / "run" / "table.csv").write_text(text)
     assert datacheck.diff(tmp_path / "A", tmp_path / "B", tol) == code
     assert capsys.readouterr().out == f"run/table.csv: {verdict}\n"
+
+
+def test_datacheck_finds_the_tables_holding_nan_or_inf(tmp_path):
+    tables = {"clean": "p,re\n1,-2.5\n", "header_only": "p,re\n", "nan": "p,re\n1,nan\n"}
+    tables.update(inf="p,re\n1,2\ninf,0\n", minus_inf="p,re\n-inf,0\n")
+    for name, text in tables.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    assert [path.stem for path in datacheck._non_finite_tables(tmp_path)] == ["inf", "minus_inf", "nan"]
+
+
+def test_datacheck_run_fails_a_command_that_writes_nan(tmp_path, monkeypatch, capsys):
+    # a stand-in package whose every command exits 0 after writing a NaN row
+    package = tmp_path / "tree" / "src" / "pathspectra"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import pathlib, sys\n"
+        "pathlib.Path(sys.argv[sys.argv.index('--out') + 1], 'table.csv').write_text('p,re\\n1,nan\\n')\n"
+    )
+    monkeypatch.setattr(datacheck, "COMMANDS", {"one": ["fig1"]})
+    assert datacheck.run(tmp_path / "out", tmp_path / "tree" / "src") == 1
+    table = tmp_path / "out" / "one" / "table.csv"
+    assert capsys.readouterr().out == f"one: exit 0\n{table}: holds a nan or inf value\n"
 
 
 def test_datacheck_refuses_a_call_it_cannot_start_with_one_line(tmp_path, capsys):

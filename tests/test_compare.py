@@ -16,6 +16,7 @@ from pathspectra.compare import (
 )
 from pathspectra.errors import DomainError
 from pathspectra.quadrature import trapezoid
+from pathspectra.specfun import MAX_DEGREE, hermite
 
 HO = ps.harmonic_oscillator()
 
@@ -81,6 +82,19 @@ def test_momentum_density_scaled_units():
     dens = momentum_density(1, p, sys_)
     assert np.all(np.asarray(dens) >= 0.0)
     assert np.trapezoid(dens, p) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("hbar, mass, omega", [(0.7, 2.3, 1.9), (1.6, 0.45, 0.8), (3.0, 1.3, 2.5)])
+def test_momentum_density_is_the_textbook_hermite_gaussian(hbar, mass, omega):
+    """exp(-eta^2) H_n(eta)^2 / (2^n n! sqrt(pi) p0) with eta = p/p0, p0 = sqrt(hbar*M*omega),
+    from the polynomial recurrence, at every level out to 30 p0."""
+    system = ps.harmonic_oscillator(hbar=hbar, mass=mass, omega=omega)
+    p0 = math.sqrt(hbar * mass * omega)
+    eta = np.linspace(-30.0, 30.0, 6001)
+    for n in range(MAX_DEGREE + 1):
+        want = np.exp(-eta * eta) * np.square(hermite(n, eta)) / (2.0**n * math.factorial(n) * math.sqrt(math.pi) * p0)
+        got = momentum_density(n, eta * p0, system)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want), n
 
 
 def test_coherent_overlap_poisson_form():

@@ -340,6 +340,17 @@ def test_a_period_average_refuses_a_bundle_built_for_another_T():
     assert reconstruct(st, (0.5, 1.5), T, ends).time_averaged
 
 
+def test_an_x_f_window_holding_none_of_the_norm_is_refused():
+    """psi_0 squares to 0 on [50, 51], so N = 0: refused by name, not returned as 0/0."""
+    st = ps.EigenstateSpec(system=HO, quantum_number=0.0)
+    g = GridBundle(
+        p_c_grid=np.arange(0.9, 1.1 + 1e-9, 0.02), x_f_grid=np.array([50.0, 51.0]), T_samples=(T32 + 0.3, T32 + 1.1)
+    )
+    for average, T in ((spatial_average, T32 + 0.3), (time_average, T32)):
+        with pytest.raises(DomainError, match=r"x_f window \[50, 51\] holds none of the norm of level 0"):
+            average(st, T, g)
+
+
 def test_time_average_is_oscillator_only():
     g = stationary_grids(K1, 100.0, p_c_span=(0.0, 2.0))
     with pytest.raises(DomainError):

@@ -21,7 +21,6 @@ from pathspectra.specfun import (
     gaussian_phase_integral,
     hermite,
     hermite_phase_gain,
-    hermite_phase_integral,
     ho_eigenfunction,
     laguerre,
 )
@@ -152,7 +151,8 @@ def test_hermite_phase_integral_against_quad(n):
     rng = np.random.default_rng(100 + n)
     for q, r in ((0.0, 0.0), (0.3, -0.9), (-4.7, 2.5), (1.2, 0.4)):
         lo, hi = sorted(rng.uniform(-1.3, 1.3) * math.sqrt(2 * n + 1) + np.array([-1.5, 1.0]))
-        got = hermite_phase_integral(n, lo, hi, q, r)
+        rungs = _hermite_phase_primitive(n, np.array([lo, hi]), q, r)
+        got = rungs[n][1] - rungs[n][0]
         want = _chirp_oracle(n, lo, hi, q, r)
         bound = 1e-12 * hermite_phase_gain(n, q, r)
         assert abs(got - want) < max(bound, 1e-12), (q, r, abs(got - want))
@@ -163,41 +163,18 @@ def test_hermite_phase_integral_whole_line_is_the_fourier_transform():
     # functions are eigenfunctions of the Fourier transform
     for n in (0, 3, 8):
         for r in (0.0, 0.8, -2.1):
-            got = hermite_phase_integral(n, -40.0, 40.0, 0.0, r)
+            rungs = _hermite_phase_primitive(n, np.array([-40.0, 40.0]), 0.0, r)
+            got = rungs[n][1] - rungs[n][0]
             want = math.sqrt(2.0 * math.pi) * 1j**n * ho_eigenfunction(n, r)
             assert abs(got - want) < 1e-13
-
-
-def test_hermite_phase_integral_broadcasts_a_scalar_bound():
-    hi = np.array([-0.5, 0.2, 1.7])
-    out = hermite_phase_integral(3, -1.0, hi, 0.4, -1.1)
-    assert out.shape == (3,)
-    assert out[2] == pytest.approx(hermite_phase_integral(3, -1.0, 1.7, 0.4, -1.1), rel=1e-14)
-    # additive over adjacent intervals
-    split = hermite_phase_integral(3, -1.0, 0.2, 0.4, -1.1) + hermite_phase_integral(
-        3, 0.2, 1.7, 0.4, -1.1
-    )
-    assert split == pytest.approx(out[2], rel=1e-13)
-
-
-def test_one_climb_gives_every_rung():
-    """Rung k of one climb to n is the integral a separate call to degree k gives, bit for bit."""
-    rng = np.random.default_rng(7)
-    lo = -0.6
-    hi = rng.uniform(-3.0, 3.0, size=25)
-    for q, r in ((0.0, 0.0), (0.3, -0.9), (-4.7, 2.5)):
-        rungs = _hermite_phase_primitive(8, np.concatenate(([lo], hi)), q, r)
-        assert len(rungs) == 9
-        for k, rung in enumerate(rungs):
-            assert (rung[1:] - rung[0]).tobytes() == hermite_phase_integral(k, lo, hi, q, r).tobytes()
 
 
 def test_kernels_never_write_to_their_arguments():
     """The kernels work in place on arrays of their own: read-only arguments pass and stay byte-identical."""
     rng = np.random.default_rng(5)
     z = rng.uniform(-9.0, 9.0, 64) + 1j * rng.uniform(0.0, 9.0, 64)
-    xi, lo, hi = rng.uniform(-5.0, 5.0, 64), rng.uniform(-3.0, 0.0, 64), rng.uniform(0.0, 3.0, 64)
-    arguments = (z, xi, lo, hi)
+    xi = rng.uniform(-5.0, 5.0, 64)
+    arguments = (z, xi)
     before = [arg.tobytes() for arg in arguments]
     for arg in arguments:
         arg.flags.writeable = False
@@ -205,8 +182,6 @@ def test_kernels_never_write_to_their_arguments():
     for n in (0, 1, 2, 5):
         for q, r in ((0.0, 0.0), (0.3, -1.1)):
             _hermite_phase_primitive(n, xi, q, r)
-            hermite_phase_integral(n, lo, hi, q, r)
-            hermite_phase_integral(n, -0.5, hi, q, r)
     assert [arg.tobytes() for arg in arguments] == before
 
 

@@ -12,6 +12,9 @@ from pathspectra.errors import (
     ExcludedRegionError,
     SingularTimeError,
 )
+from pathspectra.phasor import _plane_terms, ho_regular_factor
+from pathspectra.quadrature import singular_window_integral, trapezoid
+from pathspectra.specfun import ho_eigenfunction
 from pathspectra.systems import (
     EigenstateSpec,
     SystemKind,
@@ -309,6 +312,18 @@ def test_characteristic_x0_oscillator_roundtrip():
         checked += 1
 
 
+def test_characteristic_x0_circle_is_the_unwound_angle():
+    # L_c*T/I, not reduced mod 2*pi, whatever x_f is
+    sys_ = circle(radius=1.7, mass=1.3)
+    inertia = 1.3 * 1.7**2
+    T = 2.9
+    assert characteristic_x0(sys_, 0.8, 0.4, T) == pytest.approx(0.8 * T / inertia, rel=1e-15)
+    labels = np.array([-3.0, 0.0, 0.8, 25.0])
+    got = characteristic_x0(sys_, labels, 5.1, T)
+    assert isinstance(got, np.ndarray) and np.allclose(got, labels * T / inertia, rtol=1e-15, atol=0.0)
+    assert got[-1] > 2.0 * math.pi
+
+
 def test_characteristic_x0_excluded_region():
     sys_ = harmonic_oscillator()
     with pytest.raises(ExcludedRegionError):
@@ -400,3 +415,38 @@ def test_stationary_systems_equal_their_textbook_forms():
     assert kernel(ring, x_ring) == windings.tobytes()
     assert default_winding_terms(well, 3.3, T) == int(np.ceil(3.3 * T / (2.0 * a * m))) + 8
     assert default_winding_terms(ring, -17.0, T) == int(np.ceil(17.0 * T / (2.0 * np.pi * I))) + 8
+
+
+# every call below lies off its function's domain and is refused by name
+_OFF_DOMAIN = {
+    "inertia-off-circle": (lambda: free_line().inertia, "only defined for the circle"),
+    "wavenumber-oscillator": (lambda: EigenstateSpec(harmonic_oscillator(), 1).wavenumber, "no single wavenumber"),
+    "maslov-zero": (lambda: maslov_index(0.0), "must be positive"),
+    "maslov-negative": (lambda: maslov_index(-1.0), "must be positive"),
+    "max-momentum-off-oscillator": (lambda: ho_max_momentum(free_line(), 0.1, 0.5, 1.0), "oscillator only"),
+    "eigenfunction-hbar": (lambda: ho_eigenfunction(1, 0.3, hbar=0.0), "must all be positive"),
+    "eigenfunction-mass": (lambda: ho_eigenfunction(1, 0.3, mass=-1.0), "must all be positive"),
+    "eigenfunction-omega": (lambda: ho_eigenfunction(1, 0.3, omega=0.0), "must all be positive"),
+    "trapezoid-one-sample": (lambda: trapezoid(np.array([1.0]), np.array([2.0])), "at least 2 samples"),
+    "trapezoid-repeated": (lambda: trapezoid(np.array([0.0, 1.0, 1.0]), np.ones(3)), "strictly increasing"),
+    "trapezoid-decreasing": (lambda: trapezoid(np.array([1.0, 0.0]), np.ones(2)), "strictly increasing"),
+    "singular-window-spacing": (
+        lambda: singular_window_integral(0.5, 1.5, 0.3, harmonic_oscillator(), np.ones_like, inner_spacing=0.0),
+        "inner_spacing must be positive",
+    ),
+    "plane-terms-oscillator": (
+        lambda: _plane_terms(EigenstateSpec(harmonic_oscillator(), 1), 0.3, 2.0),
+        "not quadratic",
+    ),
+    "regular-factor-off-oscillator": (
+        lambda: ho_regular_factor(EigenstateSpec(free_line(), 1), 0.3, 2.0),
+        "oscillator only",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OFF_DOMAIN))
+def test_an_input_off_the_domain_is_refused(name):
+    call, message = _OFF_DOMAIN[name]
+    with pytest.raises(DomainError, match=message):
+        call()

@@ -6,7 +6,8 @@
 ``run`` executes every command in ``COMMANDS`` with ``TREE/src`` on the
 import path, each into its own fresh subdirectory ``OUT/<name>``, under
 ``-W error::RuntimeWarning`` as the tests run: a NumPy float warning fails
-the command.  ``diff``
+the command, and so does a data file holding a ``nan`` or ``inf`` value
+(the file is printed).  ``diff``
 walks the subdirectories of ``A`` and, for every data file, prints
 ``identical``, ``same values, bytes differ`` (say ``1e+16`` against
 ``10000000000000000``), or each column's max |difference| relative to the
@@ -131,14 +132,19 @@ def run(out: Path, src: Path) -> int:
         print(f"{name}: exit {done.returncode}")
         if done.returncode:
             print(done.stderr.strip().splitlines()[-1] if done.stderr.strip() else "(no message)")
-        status = status or done.returncode
+        non_finite = _non_finite_tables(target)
+        for path in non_finite:
+            print(f"{path}: holds a nan or inf value")
+        status = status or done.returncode or int(bool(non_finite))
     return status
 
 
+def _non_finite_tables(target: Path) -> list[Path]:
+    """The data files in ``target`` that hold a ``nan`` or ``inf`` value."""
+    return [path for path in sorted(target.glob("*.csv")) if not np.isfinite(_columns(path)[1]).all()]
+
+
 def _columns(path: Path) -> tuple[list[str], np.ndarray]:
-    if path.suffix == ".json":
-        table = json.loads(path.read_text())
-        return list(table), np.array([table[k] for k in table], dtype=float)
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
